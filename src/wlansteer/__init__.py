@@ -56,7 +56,7 @@ from .selection import (
     reassociation_pass,
     weighted_rssi,
 )
-from .protocol import EventLog, ScanMode, export_events, run_mechanism
+from .protocol import EventLog, export_events, run_mechanism
 from .scenarios import (
     GRID_MANIFEST,
     AreaKind,

@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, engine_params_from, load_config, run_config_from, topology_from_scenario
+from .config import ConfigError, load_config, run_config_from, topology_from_scenario
 from .model import validate_topology
 from .runner import RunConfig, run
 from .scenarios import GRID_MANIFEST, TEST_IDS
@@ -60,8 +60,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if args.test is None:
             raise ConfigError("either --test or --config is required")
         cfg = RunConfig(test_id=args.test)
-    if args.config is not None:
-        cfg.params = engine_params_from(load_config(args.config))
     if args.test is not None:
         cfg.test_id = args.test
     if args.alpha is not None:

@@ -19,6 +19,7 @@ import json
 from typing import Any, Mapping, Optional
 
 from .model import (
+    DEFAULT_BAND_MHZ,
     Band,
     ChannelId,
     Node,
@@ -60,7 +61,7 @@ def default_config() -> dict[str, Any]:
             "constant_offset_db": DEFAULT_PROPAGATION.constant_offset_db,
             "min_distance_m": DEFAULT_PROPAGATION.min_distance_m,
         },
-        "band_mhz": {"2.4": 2400.0, "5": 5000.0},
+        "band_mhz": {band.value: mhz for band, mhz in DEFAULT_BAND_MHZ.items()},
         "mcs_tables": {
             band.value: {
                 "channel_width_mhz": table.channel_width_mhz,
@@ -175,7 +176,7 @@ def overheads_from(cfg: Mapping[str, Any]) -> dict[Band, MacOverheads]:
 
 def band_mhz_from(cfg: Mapping[str, Any]) -> dict[Band, float]:
     section = cfg.get("band_mhz")
-    out = {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}
+    out = dict(DEFAULT_BAND_MHZ)
     if section is None:
         return out
     for key, value in section.items():
@@ -207,18 +208,30 @@ def selection_from(cfg: Mapping[str, Any]) -> SelectionConfig:
         raise ConfigError(f"selection: {exc}") from None
 
 
+# the JSON types each run key accepts, compared exactly so that true is no integer
+_RUN_TYPES = {
+    "test": (str,),
+    "k": (int, type(None)),
+    "seed": (int, type(None)),
+    "workers": (int,),
+    "out_dir": (str, type(None)),
+    "emit_events": (bool,),
+}
+
+
 def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
     d = _merged(cfg.get("run"), default_config()["run"], "run")
-    test_id = d["test"]
-    if not isinstance(test_id, str):
-        raise ConfigError("run.test must be a test id string")
+    for key, kinds in _RUN_TYPES.items():
+        if type(d[key]) not in kinds:
+            wanted = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"run.{key} must be {wanted}, got {d[key]!r}")
     return RunConfig(
-        test_id=test_id,
+        test_id=d["test"],
         k=d["k"],
         seed=d["seed"],
-        workers=int(d["workers"]),
+        workers=d["workers"],
         out_dir=d["out_dir"],
-        emit_events=bool(d["emit_events"]),
+        emit_events=d["emit_events"],
         params=engine_params_from(cfg),
     )
 

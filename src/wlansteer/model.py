@@ -21,7 +21,7 @@ class Band(enum.Enum):
 
     @property
     def nominal_mhz(self) -> float:
-        return 2400.0 if self is Band.GHZ_2_4 else 5000.0
+        return DEFAULT_BAND_MHZ[self]
 
 
 DEFAULT_BAND_MHZ = {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .model import (
+    DEFAULT_BAND_MHZ,
     Band,
     ChannelId,
     ExternalLoad,
@@ -126,7 +127,7 @@ class SimEnv:
     )
     propagation: PropagationParams = DEFAULT_PROPAGATION
     band_mhz: Mapping[Band, float] = field(
-        default_factory=lambda: {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}
+        default_factory=lambda: dict(DEFAULT_BAND_MHZ)
     )
     congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
     rssi_overrides: Mapping[tuple[int, int, Band], float] = field(default_factory=dict)
@@ -292,12 +293,6 @@ def busy_fractions(
     flows = build_flows(t, env, skip_sta=skip_sta)
     util = channel_utilization(flows, env, topology_channels(t, env))
     return {c: min(1.0, u) for c, u in util.items()}
-
-
-def busy_fraction(
-    t: Topology, env: SimEnv, channel: ChannelId, skip_sta: Optional[int] = None
-) -> float:
-    return busy_fractions(t, env, skip_sta=skip_sta).get(channel, 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,41 @@
-"""Measured selection as a four-stage frame exchange.
+"""The 802.11k/v frame exchange, as an observer of the steering pass.
+
+``EventLog`` records the frames that carry the decisions of
+``selection.initial_association`` and ``selection.reassociation_pass``; it
+decides nothing itself.  The exchange has four stages:
 
 Stage 1: stations associate by signal strength (plain association frames).
 Stage 2: the AP asks capable stations for neighbour measurements and asks
          every serving node for the observed occupation of its channels.
-Stage 3: the AP scores candidates for each capable station and answers with
-         a steering request carrying the ranked candidate list.
-Stage 4: the station accepts and reassociates to the first feasible entry.
+Stage 3: the AP answers each capable station with a steering request carrying
+         the ranked candidate list.
+Stage 4: the station accepts and reassociates to the first entry.
 
-With load refreshing enabled (the default) stages 2 to 4 run once per capable
-station in ascending id order, so every decision sees the occupation left by
-the previous moves.  The resulting topology is identical to running the
-direct reassociation pass, which this module delegates its scoring to.
-
-The stock mechanism stops after stage 1 and exchanges no measurement or
-steering frames at all.
+Stages 2 and 3 run once per capable station when the pass decides station by
+station (refreshed loads, or loads without the station's own airtime), and
+once for the whole capable set when it scores everyone on one frozen load
+map.  Stage 4 follows each decision when loads are refreshed, and closes the
+pass otherwise.  The stock mechanism stops after stage 1 and exchanges no
+measurement or steering frames at all.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import Mapping, Sequence, Union
 
-from .model import Band, ChannelId, Topology, set_association
-from .perf import SimEnv, busy_fractions, link_rssi
+from .model import Band, ChannelId, Topology
+from .perf import SimEnv
 from .selection import (
     CandidateList,
-    Mechanism,
     SelectionConfig,
-    rank_candidates,
+    initial_association,
+    reassociation_pass,
 )
 
 MEASUREMENT_DURATION_MS = 50.0
-
-
-class ScanMode(enum.Enum):
-    """How a station gathers neighbour beacons; results are identical here,
-    the mode is carried in the log only."""
-
-    ACTIVE = "active"
-    PASSIVE = "passive"
-    BEACON_TABLE = "beacon_table"
+AP_ID = 0
 
 
 # --- frames -----------------------------------------------------------------
@@ -63,8 +57,8 @@ class AssocResponse:
 
 @dataclass(frozen=True)
 class BeaconRequest:
-    mode: ScanMode
     channels: tuple[ChannelId, ...]
+    mode: str = "active"
 
 
 @dataclass(frozen=True)
@@ -93,16 +87,6 @@ class ChannelLoadReport:
 
 
 @dataclass(frozen=True)
-class BtmQuery:
-    """Station-initiated request for steering candidates.
-
-    Part of the frame vocabulary; the AP-initiated flow never emits it.
-    """
-
-    sta: int
-
-
-@dataclass(frozen=True)
 class BtmRequest:
     sta: int
     candidates: CandidateList
@@ -121,21 +105,9 @@ Frame = Union[
     BeaconReport,
     ChannelLoadRequest,
     ChannelLoadReport,
-    BtmQuery,
     BtmRequest,
     BtmResponse,
 ]
-
-MEASUREMENT_FRAMES = (
-    BeaconRequest,
-    BeaconReport,
-    ChannelLoadRequest,
-    ChannelLoadReport,
-    BtmQuery,
-    BtmRequest,
-    BtmResponse,
-)
-
 
 @dataclass(frozen=True)
 class LogEntry:
@@ -148,6 +120,10 @@ class LogEntry:
 
 @dataclass
 class EventLog:
+    """Frame log; the ``associated``, ``measured`` and ``steered`` hooks
+    write the frames of the association and steering decisions they are
+    handed."""
+
     entries: list[LogEntry] = field(default_factory=list)
 
     def append(self, stage: int, src: int, dst: int, frame: Frame) -> None:
@@ -157,13 +133,86 @@ class EventLog:
         return [e for e in self.entries if node_id in (e.src, e.dst)]
 
     def measurement_frames(self) -> list[LogEntry]:
-        return [e for e in self.entries if isinstance(e.frame, MEASUREMENT_FRAMES)]
+        """The 802.11k/v frames: every frame but plain association."""
+        return [
+            e for e in self.entries
+            if not isinstance(e.frame, (AssocRequest, AssocResponse))
+        ]
+
+    def _associate(self, stage: int, t: Topology, sta: int, target: int) -> None:
+        self.append(stage, sta, target, AssocRequest(sta=sta, target=target))
+        self.append(
+            stage,
+            target,
+            sta,
+            AssocResponse(
+                target=target, sta=sta, accepted=True,
+                supports_11kv_echo=t.node(sta).supports_11kv,
+            ),
+        )
+
+    def associated(self, t: Topology, sta: int, target: int) -> None:
+        """Stage 1: ``sta`` joined its strongest serving node."""
+        self._associate(1, t, sta, target)
+
+    def measured(
+        self,
+        t: Topology,
+        env: SimEnv,
+        lists: Sequence[CandidateList],
+        loads: Mapping[ChannelId, float],
+    ) -> None:
+        """Stages 2 and 3 for the stations the candidate lists rank.
+
+        Each station reports every serving node it hears, with the RSSI its
+        ranking used; every serving radio reports the occupation of its
+        channel from ``loads``; then each station with a candidate receives
+        its ranked list.
+        """
+        scan_channels = tuple(
+            sorted({t.node(i).access_radio.channel for i in t.serving_nodes()})
+        )
+        for cl in lists:
+            self.append(2, AP_ID, cl.sta, BeaconRequest(channels=scan_channels))
+            entries = []
+            # serving-node order, which is id order
+            for s in sorted(cl.details, key=lambda s: s.target):
+                ch = t.node(s.target).access_radio.channel
+                entries.append(
+                    BeaconReportEntry(
+                        bssid=s.target,
+                        frequency_mhz=env.band_mhz[ch.band],
+                        channel=ch,
+                        rssi_dbm=s.rssi_dbm,
+                    )
+                )
+            self.append(2, cl.sta, AP_ID, BeaconReport(entries=tuple(entries)))
+        for node_id in t.serving_nodes():
+            for radio in t.node(node_id).radios:
+                ch = radio.channel
+                if node_id != AP_ID:
+                    self.append(2, AP_ID, node_id, ChannelLoadRequest(channel=ch))
+                self.append(
+                    2,
+                    node_id,
+                    AP_ID,
+                    ChannelLoadReport(channel=ch, busy_fraction=loads.get(ch, 0.0)),
+                )
+        for cl in lists:
+            if cl.entries:
+                self.append(3, AP_ID, cl.sta, BtmRequest(sta=cl.sta, candidates=cl))
+
+    def steered(self, t: Topology, sta: int, old_parent: int, new_parent: int) -> None:
+        """Stage 4: ``sta`` accepts; it reassociates only when it moves."""
+        self.append(4, sta, AP_ID, BtmResponse(sta=sta, accept=True))
+        if new_parent != old_parent:
+            self._associate(4, t, sta, new_parent)
 
 
 def _jsonable(value):
     if isinstance(value, ChannelId):
         return str(value)
-    if isinstance(value, (Band, ScanMode)):
+    if isinstance(value, Band):
         return value.value
     if is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(v) for k, v in asdict(value).items()}
@@ -189,202 +238,11 @@ def export_events(log: EventLog, path: str) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-# --- stages -----------------------------------------------------------------
-
-
-def stage1_initial_association(
-    t: Topology, env: SimEnv, log: Optional[EventLog] = None
-) -> Topology:
-    """Associate every station to its strongest in-range serving node."""
-    log = log if log is not None else EventLog()
-    rssi_cfg = SelectionConfig(mechanism=Mechanism.RSSI_BASED)
-    assoc = dict(t.associations)
-    for sta in t.stations():
-        cl = rank_candidates(t, env, sta, rssi_cfg)
-        if not cl.entries:
-            assoc.pop(sta, None)
-            continue
-        target = cl.entries[0].target
-        assoc[sta] = target
-        node = t.node(sta)
-        log.append(1, sta, target, AssocRequest(sta=sta, target=target))
-        log.append(
-            1,
-            target,
-            sta,
-            AssocResponse(
-                target=target, sta=sta, accepted=True,
-                supports_11kv_echo=node.supports_11kv,
-            ),
-        )
-    return replace(t, associations=assoc)
-
-
-@dataclass(frozen=True)
-class CollectedReports:
-    beacon: Mapping[int, BeaconReport]
-    loads: Mapping[ChannelId, float]
-
-
-def stage2_collect(
-    t: Topology,
-    env: SimEnv,
-    mode: ScanMode,
-    stas: Sequence[int],
-    log: Optional[EventLog] = None,
-    exclude_sta: Optional[int] = None,
-) -> CollectedReports:
-    """Gather neighbour measurements and channel occupation reports.
-
-    Beacon reports list every serving node the station can hear, with exact
-    model RSSIs.  Load reports come from the AP and each extender, one per
-    radio channel.  ``exclude_sta`` discounts that station's own airtime from
-    the occupation values, mirroring the self-load configuration of the
-    direct pass.
-    """
-    log = log if log is not None else EventLog()
-    ap = 0
-    beacon: dict[int, BeaconReport] = {}
-    scan_channels = tuple(
-        sorted({t.node(i).access_radio.channel for i in t.serving_nodes()})
-    )
-    for sta in sorted(stas):
-        sens = t.node(sta).access_radio.sensitivity_dbm
-        log.append(2, ap, sta, BeaconRequest(mode=mode, channels=scan_channels))
-        entries = []
-        for target in t.serving_nodes():
-            ch = t.node(target).access_radio.channel
-            rssi = link_rssi(env, t, sta, target, ch.band)
-            if rssi >= sens:
-                entries.append(
-                    BeaconReportEntry(
-                        bssid=target,
-                        frequency_mhz=env.band_mhz[ch.band],
-                        channel=ch,
-                        rssi_dbm=rssi,
-                    )
-                )
-        rep = BeaconReport(entries=tuple(entries))
-        beacon[sta] = rep
-        log.append(2, sta, ap, rep)
-
-    loads = busy_fractions(t, env, skip_sta=exclude_sta)
-    for node_id in t.serving_nodes():
-        n = t.node(node_id)
-        for radio in n.radios:
-            ch = radio.channel
-            if node_id != ap:
-                log.append(2, ap, node_id, ChannelLoadRequest(channel=ch))
-            log.append(
-                2,
-                node_id,
-                ap,
-                ChannelLoadReport(channel=ch, busy_fraction=loads.get(ch, 0.0)),
-            )
-    return CollectedReports(beacon=beacon, loads=loads)
-
-
-def stage3_decide(
-    t: Topology,
-    env: SimEnv,
-    reports: CollectedReports,
-    cfg: SelectionConfig,
-    stas: Sequence[int],
-    log: Optional[EventLog] = None,
-) -> dict[int, BtmRequest]:
-    """Rank candidates for each station from the collected occupation values."""
-    log = log if log is not None else EventLog()
-    ap = 0
-    out: dict[int, BtmRequest] = {}
-    for sta in sorted(stas):
-        cl = rank_candidates(t, env, sta, cfg, loads=reports.loads)
-        if not cl.entries:
-            continue
-        req = BtmRequest(sta=sta, candidates=cl)
-        out[sta] = req
-        log.append(3, ap, sta, req)
-    return out
-
-
-def stage4_reassociate(
-    t: Topology,
-    env: SimEnv,
-    requests: Mapping[int, BtmRequest],
-    log: Optional[EventLog] = None,
-) -> Topology:
-    """Apply steering decisions: first feasible candidate wins.
-
-    Candidates are re-checked against current signal strength, so a stale
-    entry below sensitivity falls through to the next one.  Stations always
-    accept; staying put exchanges no association frames.
-    """
-    log = log if log is not None else EventLog()
-    ap = 0
-    for sta in sorted(requests):
-        req = requests[sta]
-        log.append(4, sta, ap, BtmResponse(sta=sta, accept=True))
-        sens = t.node(sta).access_radio.sensitivity_dbm
-        current = t.associations.get(sta)
-        for entry in req.candidates.entries:
-            band = entry.channel.band
-            if link_rssi(env, t, sta, entry.target, band) < sens:
-                continue
-            if entry.target != current:
-                t = set_association(t, sta, entry.target)
-                log.append(4, sta, entry.target, AssocRequest(sta=sta, target=entry.target))
-                log.append(
-                    4,
-                    entry.target,
-                    sta,
-                    AssocResponse(
-                        target=entry.target, sta=sta, accepted=True,
-                        supports_11kv_echo=t.node(sta).supports_11kv,
-                    ),
-                )
-            break
-    return t
-
-
 def run_mechanism(
-    t: Topology,
-    env: SimEnv,
-    cfg: SelectionConfig,
-    mode: ScanMode = ScanMode.ACTIVE,
+    t: Topology, env: SimEnv, cfg: SelectionConfig
 ) -> tuple[Topology, EventLog]:
     """Full association cycle for either mechanism, with frame log."""
     log = EventLog()
-    t = stage1_initial_association(t, env, log)
-    if cfg.mechanism is Mechanism.RSSI_BASED:
-        return t, log
-
-    capable = sorted(
-        s
-        for s in t.stations()
-        if t.node(s).supports_11kv and s in t.associations
-    )
-    if cfg.refresh_loads:
-        for _ in range(cfg.passes):
-            for sta in capable:
-                reports = stage2_collect(
-                    t, env, mode, [sta], log,
-                    exclude_sta=None if cfg.include_self_load else sta,
-                )
-                requests = stage3_decide(t, env, reports, cfg, [sta], log)
-                t = stage4_reassociate(t, env, requests, log)
-    else:
-        for _ in range(cfg.passes):
-            base = t
-            if cfg.include_self_load:
-                reports = stage2_collect(base, env, mode, capable, log)
-                requests = stage3_decide(base, env, reports, cfg, capable, log)
-            else:
-                requests = {}
-                for sta in capable:
-                    reports = stage2_collect(
-                        base, env, mode, [sta], log, exclude_sta=sta
-                    )
-                    requests.update(
-                        stage3_decide(base, env, reports, cfg, [sta], log)
-                    )
-            t = stage4_reassociate(t, env, requests, log)
+    t = initial_association(t, env, log)
+    t, _ = reassociation_pass(t, env, cfg, log=log)
     return t, log

@@ -12,7 +12,10 @@ The deployments of a sweep point run through one flat kernel on plain lists
 ``initial_association``, ``reassociation_pass`` and ``evaluate`` compute, to
 the last bit; those functions remain the single-topology interface and the
 oracle the tests hold the kernel to.  Only the 802.11k/v frame trace still
-builds a ``Topology`` per deployment, to run ``protocol.run_mechanism``.
+builds a ``Topology`` and a link-cached ``SimEnv`` per deployment: it runs
+``initial_association`` and ``reassociation_pass`` once more, through
+``protocol.run_mechanism``, with an ``EventLog`` recording their frames, and
+checks that they land where the kernel's row says.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .model import Band, NodeKind, Position, backhaul_path
+from .model import DEFAULT_BAND_MHZ, Band, NodeKind, Position, backhaul_path
 from .perf import (
     CONGESTED_HOP_DELAY_MS,
     DEFAULT_OVERHEADS,
@@ -103,7 +106,7 @@ class EngineParams:
         default_factory=lambda: dict(DEFAULT_OVERHEADS)
     )
     band_mhz: Mapping[Band, float] = field(
-        default_factory=lambda: {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}
+        default_factory=lambda: dict(DEFAULT_BAND_MHZ)
     )
     congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
 

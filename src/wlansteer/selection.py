@@ -21,14 +21,11 @@ the AP, then towards the lower node id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional
 
-import numpy as np
-
-from .model import ChannelId, NodeKind, Topology, set_association
+from .model import ChannelId, NodeKind, Topology, backhaul_path, set_association
 from .perf import SimEnv, busy_fractions, link_rssi
-from .model import backhaul_path
 
 
 class Mechanism(enum.Enum):
@@ -90,18 +87,15 @@ class CandidateList:
 
 def score(
     t: Topology,
-    env: SimEnv,
     sta: int,
     target: int,
+    rssi: float,
     loads: Mapping[ChannelId, float],
     cfg: SelectionConfig,
-    rssi: Optional[float] = None,
 ) -> CandidateScore:
     """Score one candidate serving node for one station (lower is better)."""
     target_node = t.node(target)
     access_ch = target_node.access_radio.channel
-    if rssi is None:
-        rssi = link_rssi(env, t, sta, target, access_ch.band)
     w = weighted_rssi(
         rssi,
         target_node.access_radio.tx_power_dbm,
@@ -136,14 +130,13 @@ def rank_candidates(
     sta: int,
     cfg: SelectionConfig,
     loads: Optional[Mapping[ChannelId, float]] = None,
-    with_details: bool = True,
 ) -> CandidateList:
     """All in-range serving nodes for ``sta``, best first.
 
-    The load-aware mechanism sorts ascending by score; the stock mechanism
-    sorts descending by raw RSSI.  Serving nodes whose signal sits below the
-    station sensitivity never appear.  ``with_details=False`` skips the
-    per-candidate score breakdown (ordering is unaffected).
+    The load-aware mechanism sorts ascending by score and carries each
+    candidate's score breakdown; the stock mechanism sorts descending by raw
+    RSSI.  Serving nodes whose signal sits below the station sensitivity never
+    appear.
     """
     sens = t.node(sta).access_radio.sensitivity_dbm
     in_range: list[tuple[int, float]] = []
@@ -165,26 +158,7 @@ def rank_candidates(
 
     if loads is None:
         loads = busy_fractions(t, env)
-    if not with_details:
-        a = cfg.alpha
-        light: list[tuple[tuple[float, int, int], ChannelId]] = []
-        for tid, r in in_range:
-            tn = t.nodes[tid]
-            access_ch = tn.access_radio.channel
-            w = weighted_rssi(r, tn.access_radio.tx_power_dbm, sens)
-            c_access = loads.get(access_ch, 0.0)
-            c_backhaul = 0.0
-            for child, _ in backhaul_path(t, tid):
-                c_backhaul += loads.get(t.nodes[child].backhaul_radio.channel, 0.0)
-            y = a * (w + c_access) + (1.0 - a) * c_backhaul
-            tie = 0 if tn.kind is NodeKind.AP else 1
-            light.append(((y, tie, tid), access_ch))
-        light.sort(key=lambda s: s[0])
-        entries = tuple(
-            CandidateEntry(key[2], ch, key[0]) for key, ch in light
-        )
-        return CandidateList(sta=sta, entries=entries)
-    scores = [score(t, env, sta, tid, loads, cfg, rssi=r) for tid, r in in_range]
+    scores = [score(t, sta, tid, r, loads, cfg) for tid, r in in_range]
     scores.sort(key=lambda s: (s.score,) + _tie_rank(t, s.target))
     entries = tuple(
         CandidateEntry(s.target, t.node(s.target).access_radio.channel, s.score)
@@ -193,11 +167,13 @@ def rank_candidates(
     return CandidateList(sta=sta, entries=entries, details=tuple(scores))
 
 
-def initial_association(t: Topology, env: SimEnv) -> Topology:
+def initial_association(t: Topology, env: SimEnv, log: Any = None) -> Topology:
     """Attach every station to its strongest in-range serving node.
 
     Stations hearing nobody stay unassociated.  This is both the stock
     mechanism's final answer and the load-aware mechanism's starting point.
+    ``log``, when given, is told of each association through
+    ``log.associated(t, sta, target)``.
     """
     serving = t.serving_nodes()
     bands = {j: t.nodes[j].access_radio.channel.band for j in serving}
@@ -215,6 +191,8 @@ def initial_association(t: Topology, env: SimEnv) -> Topology:
                 best = (key, target)
         if best is not None:
             assoc[sta] = best[1]
+            if log is not None:
+                log.associated(t, sta, best[1])
         else:
             assoc.pop(sta, None)
     return replace(t, associations=assoc)
@@ -223,20 +201,6 @@ def initial_association(t: Topology, env: SimEnv) -> Topology:
 def capable_count(beta_pct: float, n_sta: int) -> int:
     """Half-up rounding of the capable-station share."""
     return int(beta_pct * n_sta / 100.0 + 0.5)
-
-
-def sample_capable(
-    sta_ids: Sequence[int], beta_pct: float, rng: np.random.Generator
-) -> frozenset[int]:
-    """Draw which stations understand the measurement/steering exchanges.
-
-    The draw consumes one permutation from ``rng`` regardless of beta, so the
-    same generator state yields nested sets as beta grows.
-    """
-    ids = sorted(sta_ids)
-    perm = rng.permutation(len(ids))
-    n = capable_count(beta_pct, len(ids))
-    return frozenset(ids[i] for i in perm[:n])
 
 
 @dataclass(frozen=True)
@@ -251,14 +215,22 @@ def reassociation_pass(
     env: SimEnv,
     cfg: SelectionConfig,
     capable: Optional[frozenset[int]] = None,
+    log: Any = None,
 ) -> tuple[Topology, list[Move]]:
     """Run the load-aware steering pass over all capable stations.
 
-    Stations are visited in ascending id.  By default channel loads are
-    recomputed from the current association state before each station's
-    decision, so earlier moves are visible to later ones; with
-    ``refresh_loads`` off the whole pass scores against one frozen snapshot.
-    Every station already associated by the initial step stays associated.
+    Associated capable stations are visited in ascending id.  By default
+    channel loads are recomputed from the current association state before
+    each station's decision, and the decision applies at once, so earlier
+    moves are visible to later ones.  With ``refresh_loads`` off every
+    decision scores against the association state at the start of the pass
+    and all of them apply at its end; with ``include_self_load`` off each
+    station's own airtime is left out of the loads it sees.
+
+    ``log``, when given, observes the pass as the 802.11k/v exchange: after
+    each group of decisions ``log.measured(t, env, lists, loads)`` with the
+    candidate lists and the loads they were scored on, and for each applied
+    decision ``log.steered(t, sta, old_parent, new_parent)``.
     """
     if cfg.mechanism is Mechanism.RSSI_BASED:
         return t, []
@@ -266,33 +238,38 @@ def reassociation_pass(
         capable = frozenset(
             s for s in t.stations() if t.node(s).supports_11kv
         )
+    order = [s for s in sorted(capable) if t.associations.get(s) is not None]
+    # one load map serves the whole set only when it is frozen and shared
+    per_station = cfg.refresh_loads or not cfg.include_self_load
+    groups = [[s] for s in order] if per_station else [order]
     moves: list[Move] = []
     for _ in range(cfg.passes):
-        snapshot = None if cfg.refresh_loads else busy_fractions(t, env)
-        pass_start = t
-        # valid between moves when every station sees the same load map
-        fresh: Optional[Mapping[ChannelId, float]] = None
-        for sta in sorted(capable):
-            current = t.associations.get(sta)
-            if current is None:
-                continue
+        # with refresh_loads off, t stays the pass-start state until the end
+        decided: list[CandidateList] = []
+        for group in groups:
+            skip = None if cfg.include_self_load else group[0]
+            loads = busy_fractions(t, env, skip_sta=skip)
+            lists = [rank_candidates(t, env, sta, cfg, loads) for sta in group]
+            if log is not None:
+                log.measured(t, env, lists, loads)
+            decided += [cl for cl in lists if cl.entries]
             if cfg.refresh_loads:
-                if cfg.include_self_load:
-                    if fresh is None:
-                        fresh = busy_fractions(t, env)
-                    loads = fresh
-                else:
-                    loads = busy_fractions(t, env, skip_sta=sta)
-            elif cfg.include_self_load:
-                loads = snapshot
-            else:
-                loads = busy_fractions(pass_start, env, skip_sta=sta)
-            cl = rank_candidates(t, env, sta, cfg, loads=loads, with_details=False)
-            if not cl.entries:
-                continue
-            best = cl.entries[0].target
-            if best != current:
-                t = set_association(t, sta, best)
-                moves.append(Move(sta=sta, old_parent=current, new_parent=best))
-                fresh = None
+                t = _apply(t, decided, moves, log)
+                decided = []
+        t = _apply(t, decided, moves, log)
     return t, moves
+
+
+def _apply(
+    t: Topology, decided: list[CandidateList], moves: list[Move], log: Any
+) -> Topology:
+    """Move each decided station to its best candidate."""
+    for cl in decided:
+        current = t.associations[cl.sta]
+        best = cl.entries[0].target
+        if log is not None:
+            log.steered(t, cl.sta, current, best)
+        if best != current:
+            t = set_association(t, cl.sta, best)
+            moves.append(Move(sta=cl.sta, old_parent=current, new_parent=best))
+    return t

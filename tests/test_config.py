@@ -65,6 +65,16 @@ def test_malformed_inputs_raise_config_errors(tmp_path):
         topology_from_scenario("not a mapping")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", "5"),
+    ("workers", "two"),
+    ("emit_events", "false"),
+])
+def test_badly_typed_run_values_name_their_key(key, value):
+    with pytest.raises(ConfigError, match=rf"^run\.{key} "):
+        run_config_from({"run": {key: value}})
+
+
 def test_scenario_section_builds_layouts():
     home = topology_from_scenario({"kind": "home", "n_extenders": 2})
     assert sorted(home.nodes) == [0, 1, 2]

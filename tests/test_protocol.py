@@ -1,34 +1,27 @@
-"""Frame-level behavior of the four-stage steering exchange."""
+"""Frame-level behavior of the 802.11k/v exchange that observes the steering pass."""
 import hashlib
 import json
 
 import pytest
 
-from conftest import CH1, CH6, CH11, CH36, ap_node, extender_node, sta_node, traffic, two_cell
+from conftest import (
+    CH1, CH6, CH11, ap_node, extender_node, radio24, sta_node, traffic, two_cell,
+)
 
-from wlansteer.model import Band, Topology, make_node_map
-from wlansteer.perf import SimEnv, busy_fractions, link_rssi
+from wlansteer.model import Band, Node, NodeKind, Topology, make_node_map
+from wlansteer.perf import SimEnv, busy_fractions
 from wlansteer.protocol import (
     AssocRequest,
     AssocResponse,
     BeaconReport,
-    BeaconRequest,
-    BtmQuery,
     BtmRequest,
-    BtmResponse,
     ChannelLoadReport,
     ChannelLoadRequest,
-    ScanMode,
+    EventLog,
     export_events,
     run_mechanism,
-    stage1_initial_association,
-    stage2_collect,
-    stage3_decide,
-    stage4_reassociate,
 )
 from wlansteer.selection import (
-    CandidateEntry,
-    CandidateList,
     Mechanism,
     SelectionConfig,
     initial_association,
@@ -42,6 +35,26 @@ RSSI = SelectionConfig(mechanism=Mechanism.RSSI_BASED)
 def busy_two_cell():
     """Six stations, loaded enough that the steering pass moves some."""
     return two_cell(n_sta=6, per_sta_bps=8e6, sta_rssi_ap=-50.0, sta_rssi_ext=-55.0)
+
+
+def frames_of(log, kind, **match):
+    """Frames of one type, optionally filtered by log entry fields."""
+    return [e.frame for e in log.entries if isinstance(e.frame, kind)
+            and all(getattr(e, k) == v for k, v in match.items())]
+
+
+def first_load_reports(log):
+    """The load reports of the first stage-2 round, one per serving radio."""
+    entries = [e for e in log.entries if e.stage > 1]
+    first = next(i for i, e in enumerate(entries)
+                 if isinstance(e.frame, ChannelLoadReport))
+    reports = []
+    for e in entries[first:]:
+        if isinstance(e.frame, ChannelLoadReport):
+            reports.append(e.frame)
+        elif not isinstance(e.frame, ChannelLoadRequest):
+            break
+    return reports
 
 
 def test_stock_mechanism_exchanges_no_measurement_frames():
@@ -62,17 +75,11 @@ def test_steered_run_composes_to_the_direct_pass():
     assert log.measurement_frames() != []
 
 
-def test_station_queries_are_never_emitted():
-    t, env = busy_two_cell()
-    _, log = run_mechanism(t, env, LA)
-    assert not any(isinstance(e.frame, BtmQuery) for e in log.entries)
-
-
 def test_beacon_report_carries_exact_model_rssis():
     t, env = two_cell(n_sta=1, sta_rssi_ap=-61.0, sta_rssi_ext=-52.5)
-    t1 = stage1_initial_association(t, env)
-    reports = stage2_collect(t1, env, ScanMode.ACTIVE, [10])
-    entries = reports.beacon[10].entries
+    _, log = run_mechanism(t, env, LA)
+    [report] = frames_of(log, BeaconReport, src=10)
+    entries = report.entries
     assert [e.bssid for e in entries] == [0, 1]
     by_bssid = {e.bssid: e for e in entries}
     assert by_bssid[0].rssi_dbm == -61.0
@@ -92,69 +99,50 @@ def test_beacon_report_lists_one_entry_per_reachable_target():
                                  (10, 2, Band.GHZ_2_4): -60.0,
                                  (1, 0, Band.GHZ_5): -65.0,
                                  (2, 1, Band.GHZ_5): -65.0})
-    reports = stage2_collect(t, env, ScanMode.ACTIVE, [10])
-    assert len(reports.beacon[10].entries) == 3
+    _, log = run_mechanism(t, env, LA)
+    [report] = frames_of(log, BeaconReport, src=10)
+    assert len(report.entries) == 3
 
     env_far = SimEnv(traffic=env.traffic,
                      rssi_overrides={**env.rssi_overrides,
                                      (10, 2, Band.GHZ_2_4): -95.0})
-    reports = stage2_collect(t, env_far, ScanMode.ACTIVE, [10])
-    assert [e.bssid for e in reports.beacon[10].entries] == [0, 1]
+    _, log = run_mechanism(t, env_far, LA)
+    [report] = frames_of(log, BeaconReport, src=10)
+    assert [e.bssid for e in report.entries] == [0, 1]
 
 
 def test_channel_load_reports_match_the_occupation_model():
     t, env = busy_two_cell()
-    t1 = stage1_initial_association(t, env)
-    log_entries = []
-
-    from wlansteer.protocol import EventLog
-    log = EventLog()
-    reports = stage2_collect(t1, env, ScanMode.ACTIVE, [10], log)
-    assert reports.loads == busy_fractions(t1, env)
-
-    load_reports = [e.frame for e in log.entries if isinstance(e.frame, ChannelLoadReport)]
-    load_requests = [e for e in log.entries if isinstance(e.frame, ChannelLoadRequest)]
+    loads = busy_fractions(initial_association(t, env), env)
+    _, log = run_mechanism(t, env, LA)
+    reports = first_load_reports(log)
     # one report per serving radio, requests only travel to the extender
-    assert len(load_reports) == 4
-    assert {e.dst for e in load_requests} == {1}
-    for rep in load_reports:
-        assert rep.busy_fraction == reports.loads.get(rep.channel, 0.0)
+    assert len(reports) == 4
+    assert {e.dst for e in log.entries
+            if isinstance(e.frame, ChannelLoadRequest)} == {1}
+    for rep in reports:
+        assert rep.busy_fraction == loads.get(rep.channel, 0.0)
         assert rep.measurement_duration_ms == 50.0
 
 
 def test_saturated_channel_reports_full_occupation():
     t, env = two_cell(n_sta=4, per_sta_bps=60e6, sta_rssi_ap=-50.0, sta_rssi_ext=-80.0)
-    t1 = stage1_initial_association(t, env)
-    reports = stage2_collect(t1, env, ScanMode.ACTIVE, [10])
-    assert reports.loads[CH1] == 1.0
+    _, log = run_mechanism(t, env, LA)
+    by_channel = {rep.channel: rep.busy_fraction for rep in first_load_reports(log)}
+    assert by_channel[CH1] == 1.0
 
 
 def test_exclude_sta_discounts_its_own_airtime():
     t, env = busy_two_cell()
-    t1 = stage1_initial_association(t, env)
-    reports = stage2_collect(t1, env, ScanMode.ACTIVE, [10], exclude_sta=10)
-    assert reports.loads == busy_fractions(t1, env, skip_sta=10)
-    assert reports.loads[CH1] < busy_fractions(t1, env)[CH1]
-
-
-def test_scan_modes_yield_identical_reports():
-    t, env = busy_two_cell()
-    t1 = stage1_initial_association(t, env)
-    got = [stage2_collect(t1, env, mode, [10, 11]) for mode in ScanMode]
-    for other in got[1:]:
-        assert other.beacon == got[0].beacon
-        assert other.loads == got[0].loads
-
-
-def test_scan_mode_is_recorded_in_the_request():
-    from wlansteer.protocol import EventLog
-    t, env = busy_two_cell()
-    t1 = stage1_initial_association(t, env)
-    log = EventLog()
-    stage2_collect(t1, env, ScanMode.BEACON_TABLE, [10], log)
-    reqs = [e.frame for e in log.entries if isinstance(e.frame, BeaconRequest)]
-    assert len(reqs) == 1
-    assert reqs[0].mode is ScanMode.BEACON_TABLE
+    t1 = initial_association(t, env)
+    cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5,
+                          include_self_load=False)
+    _, log = run_mechanism(t, env, cfg)
+    loads = busy_fractions(t1, env, skip_sta=10)
+    reports = first_load_reports(log)
+    assert {rep.channel: rep.busy_fraction for rep in reports} == {
+        rep.channel: loads.get(rep.channel, 0.0) for rep in reports}
+    assert loads[CH1] < busy_fractions(t1, env)[CH1]
 
 
 def test_non_capable_station_is_never_measured():
@@ -176,51 +164,35 @@ def test_unreachable_station_exchanges_nothing():
 
 
 def test_stage3_skips_stations_without_candidates():
-    t, env = two_cell(n_sta=1, sta_rssi_ap=-96.0, sta_rssi_ext=-99.0)
-    t1 = stage1_initial_association(t, env)
-    assert t1.associations == {}
-    reports = stage2_collect(t1, env, ScanMode.ACTIVE, [10])
-    assert reports.beacon[10].entries == ()
-    requests = stage3_decide(t1, env, reports, LA, [10])
-    assert requests == {}
+    # an association the station can no longer hear leaves it no candidate:
+    # it is measured, but receives no steering request and answers none
+    # (above the lowest MCS, so its airtime still counts towards the loads)
+    t, env = two_cell(n_sta=1, sta_rssi_ap=-85.0, sta_rssi_ext=-88.0)
+    deaf = Node(10, NodeKind.STA, t.nodes[10].position, (radio24(sens=-80.0),),
+                supports_11kv=True)
+    t1 = Topology(nodes={**t.nodes, 10: deaf}, associations={10: 1},
+                  backhaul_parent=t.backhaul_parent)
+    log = EventLog()
+    t2, moves = reassociation_pass(t1, env, LA, log=log)
+    assert t2.associations == {10: 1} and moves == []
+    assert [r.entries for r in frames_of(log, BeaconReport)] == [()]
+    assert [e.stage for e in log.entries if e.stage != 2] == []
 
 
 def test_stage4_applies_the_first_feasible_candidate():
-    t, env = two_cell(n_sta=1, sta_rssi_ap=-60.0, sta_rssi_ext=-55.0)
-    t1 = stage1_initial_association(t, env)
-    assert t1.associations == {10: 1}
-    req = BtmRequest(sta=10, candidates=CandidateList(
-        sta=10,
-        entries=(CandidateEntry(target=0, channel=CH1, score=(0.1, 0, 0)),
-                 CandidateEntry(target=1, channel=CH6, score=(0.2, 1, 1)))))
-    t2 = stage4_reassociate(t1, env, {10: req})
-    assert t2.associations == {10: 0}
-
-
-def test_stage4_stale_candidate_falls_through():
-    # the best-ranked target has meanwhile dropped below sensitivity, the
-    # station must land on the next feasible entry instead
-    t, env = two_cell(n_sta=1, sta_rssi_ap=-96.0, sta_rssi_ext=-55.0)
-    t1 = Topology(nodes=t.nodes, associations={10: 1},
-                  backhaul_parent=t.backhaul_parent)
-    req = BtmRequest(sta=10, candidates=CandidateList(
-        sta=10,
-        entries=(CandidateEntry(target=0, channel=CH1, score=(0.1, 0, 0)),
-                 CandidateEntry(target=1, channel=CH6, score=(0.2, 1, 1)))))
-    t2 = stage4_reassociate(t1, env, {10: req})
-    assert t2.associations == {10: 1}
+    t, env = busy_two_cell()
+    steered, log = run_mechanism(t, env, LA)
+    requests = frames_of(log, BtmRequest)
+    assert len(requests) == len(t.stations())
+    for req in requests:
+        assert steered.associations[req.sta] == req.candidates.entries[0].target
 
 
 def test_staying_put_exchanges_no_association_frames():
-    from wlansteer.protocol import EventLog
     t, env = two_cell(n_sta=1, sta_rssi_ap=-60.0, sta_rssi_ext=-55.0)
-    t1 = stage1_initial_association(t, env)
-    req = BtmRequest(sta=10, candidates=CandidateList(
-        sta=10, entries=(CandidateEntry(target=1, channel=CH6, score=(0.1, 1, 1)),)))
-    log = EventLog()
-    t2 = stage4_reassociate(t1, env, {10: req}, log)
-    assert t2.associations == t1.associations
-    assert [type(e.frame).__name__ for e in log.entries] == ["BtmResponse"]
+    steered, log = run_mechanism(t, env, LA)
+    assert steered.associations == initial_association(t, env).associations == {10: 1}
+    assert [type(e.frame).__name__ for e in log.entries if e.stage == 4] == ["BtmResponse"]
 
 
 def test_frame_order_for_a_steered_station():

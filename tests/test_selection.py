@@ -111,28 +111,6 @@ def test_candidate_entries_carry_the_access_channel():
     assert chan == {0: CH1, 1: CH6}
 
 
-def test_rank_without_details_matches_full_ranking():
-    rng = np.random.default_rng(77)
-    for _ in range(25):
-        t, env = two_cell(
-            n_sta=3,
-            per_sta_bps=float(rng.uniform(1e6, 2e7)),
-            sta_rssi_ap=float(rng.uniform(-89.0, -45.0)),
-            sta_rssi_ext=float(rng.uniform(-89.0, -45.0)),
-        )
-        assoc = {10 + i: int(rng.integers(0, 2)) for i in range(3)}
-        t = Topology(nodes=t.nodes, associations=assoc,
-                     backhaul_parent=t.backhaul_parent)
-        cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE,
-                              alpha=float(rng.uniform(0.0, 1.0)))
-        for sta in t.stations():
-            full = rank_candidates(t, env, sta, cfg)
-            light = rank_candidates(t, env, sta, cfg, with_details=False)
-            assert [e.target for e in light.entries] == [e.target for e in full.entries]
-            for a, b in zip(light.entries, full.entries):
-                assert a.score == pytest.approx(b.score, rel=1e-12)
-
-
 def test_extender_tie_breaks_by_lower_id():
     nodes = [ap_node(),
              extender_node(1, (20.0, 0.0), CH6),
