@@ -43,20 +43,6 @@ def frames_of(log, kind, **match):
             and all(getattr(e, k) == v for k, v in match.items())]
 
 
-def first_load_reports(log):
-    """The load reports of the first stage-2 round, one per serving radio."""
-    entries = [e for e in log.entries if e.stage > 1]
-    first = next(i for i, e in enumerate(entries)
-                 if isinstance(e.frame, ChannelLoadReport))
-    reports = []
-    for e in entries[first:]:
-        if isinstance(e.frame, ChannelLoadReport):
-            reports.append(e.frame)
-        elif not isinstance(e.frame, ChannelLoadRequest):
-            break
-    return reports
-
-
 def test_stock_mechanism_exchanges_no_measurement_frames():
     t, env = busy_two_cell()
     steered, log = run_mechanism(t, env, RSSI)
@@ -115,12 +101,14 @@ def test_channel_load_reports_match_the_occupation_model():
     t, env = busy_two_cell()
     loads = busy_fractions(initial_association(t, env), env)
     _, log = run_mechanism(t, env, LA)
-    reports = first_load_reports(log)
-    # one report per serving radio, requests only travel to the extender
-    assert len(reports) == 4
+    reports = frames_of(log, ChannelLoadReport)
+    # each station's round has one report per serving radio (two per node),
+    # and requests only travel to the extender
+    assert len(reports) == 4 * len(frames_of(log, BeaconReport))
     assert {e.dst for e in log.entries
             if isinstance(e.frame, ChannelLoadRequest)} == {1}
-    for rep in reports:
+    # the first round measures the initial association
+    for rep in reports[:4]:
         assert rep.busy_fraction == loads.get(rep.channel, 0.0)
         assert rep.measurement_duration_ms == 50.0
 
@@ -128,7 +116,8 @@ def test_channel_load_reports_match_the_occupation_model():
 def test_saturated_channel_reports_full_occupation():
     t, env = two_cell(n_sta=4, per_sta_bps=60e6, sta_rssi_ap=-50.0, sta_rssi_ext=-80.0)
     _, log = run_mechanism(t, env, LA)
-    by_channel = {rep.channel: rep.busy_fraction for rep in first_load_reports(log)}
+    by_channel = {rep.channel: rep.busy_fraction
+                  for rep in frames_of(log, ChannelLoadReport)[:4]}
     assert by_channel[CH1] == 1.0
 
 
@@ -139,7 +128,7 @@ def test_exclude_sta_discounts_its_own_airtime():
                           include_self_load=False)
     _, log = run_mechanism(t, env, cfg)
     loads = busy_fractions(t1, env, skip_sta=10)
-    reports = first_load_reports(log)
+    reports = frames_of(log, ChannelLoadReport)[:4]
     assert {rep.channel: rep.busy_fraction for rep in reports} == {
         rep.channel: loads.get(rep.channel, 0.0) for rep in reports}
     assert loads[CH1] < busy_fractions(t1, env)[CH1]
