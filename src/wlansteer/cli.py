@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--b-t", type=float, nargs="+", metavar="MBPS",
                        help="run only these total demands (Mbps)")
     p_run.add_argument("--out", help="directory for rows.csv / aggregates.csv / results.json")
-    p_run.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_run.add_argument("--workers", type=int,
+                       help="worker processes (default: the config's, else 1)")
     p_run.add_argument("--emit-events", action="store_true",
                        help="write per-deployment message traces (ndjson)")
 
@@ -54,6 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
+    for flag, value in (("--k", args.k), ("--workers", args.workers)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1")
     if args.config is not None:
         cfg = run_config_from(load_config(args.config))
     else:
@@ -80,7 +84,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         cfg.b_t_bps = tuple(x * 1e6 for x in args.b_t)
     if args.out is not None:
         cfg.out_dir = args.out
-    cfg.workers = args.workers
+    if args.workers is not None:
+        cfg.workers = args.workers
     if args.emit_events:
         cfg.emit_events = True
     return cfg

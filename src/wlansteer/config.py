@@ -225,6 +225,9 @@ def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
         if type(d[key]) not in kinds:
             wanted = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise ConfigError(f"run.{key} must be {wanted}, got {d[key]!r}")
+    for key in ("k", "workers"):
+        if d[key] is not None and d[key] < 1:
+            raise ConfigError(f"run.{key} must be at least 1")
     return RunConfig(
         test_id=d["test"],
         k=d["k"],

@@ -7,15 +7,30 @@ seed produce identical CSV/JSON no matter how many worker processes are used,
 because randomness is keyed to the deployment index alone and results are
 merged in grid order.
 
-The deployments of a sweep point run through one flat kernel on plain lists
-(``_FlatPoint``) rather than through a ``Topology`` each.  It computes what
-``initial_association``, ``reassociation_pass`` and ``evaluate`` compute, to
-the last bit; those functions remain the single-topology interface and the
-oracle the tests hold the kernel to.  Only the 802.11k/v frame trace still
-builds a ``Topology`` and a link-cached ``SimEnv`` per deployment: it runs
-``initial_association`` and ``reassociation_pass`` once more, through
-``protocol.run_mechanism``, with an ``EventLog`` recording their frames, and
-checks that they land where the kernel's row says.
+Sweep points that read the same inputs of ``deployment_draw`` (and have the
+same ``k``) form a draw group: every demand step of a curve replays the same
+stations.  A group is walked deployment-major.  Each deployment is drawn
+once; each link geometry of the group (``_Geometry``: what
+``build_topology`` reads, the engine parameters and the packet length)
+computes its RSSI table, strongest-signal association and access airtimes
+once; then each point (``_Demand``) does only what its demand and selection
+change: utilization terms, the load-aware pass on its own copy of the
+association, the evaluation and its row.  This flat kernel on plain lists
+computes what ``initial_association``, ``reassociation_pass`` and
+``evaluate`` compute, to the last bit; those functions remain the
+single-topology interface and the oracle the tests hold the kernel to.
+
+A worker pool gets (draw group, contiguous deployment range) tasks, a few
+ranges per worker, so that points of unequal cost share the load; a group
+with fewer deployments than that is cut into slices of its points as well.
+The parent puts the rows back in (point, deployment) order and sums each
+aggregate over its rows in deployment order, as a single process would.
+
+Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
+``SimEnv`` per deployment: it runs ``initial_association`` and
+``reassociation_pass`` once more, through ``protocol.run_mechanism``, with
+an ``EventLog`` recording their frames, and checks that they land where the
+kernel's row says.
 """
 
 from __future__ import annotations
@@ -56,6 +71,8 @@ from .scenarios import (
     build_topology,
     capable_set_for,
     deployment_draw,
+    draw_key,
+    topology_key,
 )
 
 STA_COLUMN_IDS = tuple(range(STA_ID_BASE, STA_ID_BASE + 10))
@@ -219,30 +236,29 @@ def apply_overrides(points: Sequence[SweepPoint], cfg: RunConfig) -> list[SweepP
     return out
 
 
-class _FlatPoint:
-    """One sweep point, set up once so that its deployments run on plain lists.
+class _Geometry:
+    """What the deployments of every sweep point on one link geometry share.
 
-    What every deployment shares is fixed here: serving nodes in AP-first
-    order, access and backhaul channels as indices into the sorted
-    ``topology_channels`` list, backhaul paths, tx powers, and the airtime
-    terms of the fixed backhaul links and external loads.  ``deployment``
-    then repeats ``initial_association``, ``reassociation_pass`` and
-    ``evaluate`` with the same scalar calls and the same float operation
-    order as those functions, summing utilization over access flows by
-    station id, then backhaul flows by extender id, then external loads.  So
-    every number it returns is bit for bit the one the ``Topology`` path
-    gives for the same deployment.
+    A link geometry is what ``build_topology`` reads, plus the engine
+    parameters and the packet length; the station count comes with the draw
+    group.  Fixed here: serving nodes in AP-first order, access and backhaul
+    channels as indices into the sorted ``topology_channels`` list (external
+    loads aside), tx powers, MCS tables, station sensitivities and spatial
+    streams, backhaul paths and the airtimes of the fixed backhaul links.
+    ``links`` then gives, once per deployment, what no demand changes: the
+    RSSI table, the strongest-signal association, the access airtime of each
+    associated station and, for steering, each station's in-range candidates
+    with their weighted RSSI.
     """
 
     def __init__(self, point: SweepPoint, params: EngineParams) -> None:
         spec = point.scenario
-        self.selection = sel = point.selection
-        self.steer = sel.mechanism is Mechanism.LOAD_AWARE
         self.propagation = params.propagation
         self.base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation)
+        # traffic only fixes the packet length here; frame traces put each
+        # point's own traffic and external loads back
         self.env = env = SimEnv(
             traffic=point.traffic,
-            external=tuple(point.external),
             mcs_tables=params.mcs_tables,
             overheads=params.overheads,
             propagation=params.propagation,
@@ -255,13 +271,10 @@ class _FlatPoint:
         self.serving = serving = sorted(
             t.serving_nodes(), key=lambda j: (t.nodes[j].kind is not NodeKind.AP, j)
         )
-        chans = {c: i for i, c in enumerate(topology_channels(t, env))}
-        self.n_channels = len(chans)
+        self.channels = chans = {c: i for i, c in enumerate(topology_channels(t, env))}
         self.L = L = env.traffic.packet_length_bits
-        self.per_sta = per_sta = env.traffic.per_sta_load_bps
-        self.offered_per_bit = per_sta / L
         self.cap_ms = env.congested_hop_delay_ms
-        fixed_s = {b: o.total_us * 1e-6 for b, o in env.overheads.items()}
+        self.fixed_s = fixed_s = {b: o.total_us * 1e-6 for b, o in env.overheads.items()}
 
         radios = [t.nodes[j].access_radio for j in serving]
         self.acc_ch = [chans[r.channel] for r in radios]
@@ -276,11 +289,6 @@ class _FlatPoint:
         srv_ss = [min(r.spatial_streams for r in t.nodes[j].radios) for j in serving]
         self.streams = [[min(a, b) for b in srv_ss] for a in sta_ss]
 
-        # through-load of a backhaul link carrying n stations, summed one
-        # station at a time as build_flows does
-        through = [0.0]
-        for _ in stations:
-            through.append(through[-1] + per_sta)
         exts = t.extenders()
         uplink = [[exts.index(c) for c, _ in backhaul_path(t, j)] for j in serving]
         self.backhaul = []
@@ -290,33 +298,101 @@ class _FlatPoint:
             rate = link_rate(env, t, ext, t.backhaul_parent[ext], ch.band)
             air = fixed_s[ch.band] + L / rate
             users = [j for j, up in enumerate(uplink) if e in up]
-            self.backhaul.append((chans[ch], users, [(b / L) * air for b in through]))
+            self.backhaul.append((chans[ch], users, air))
             bh_hop.append((air, chans[ch]))
         self.bh_hops = [[bh_hop[e] for e in up] for up in uplink]
-        self.external = [
-            (
-                chans[x.channel],
-                (x.load_bps / L) * (fixed_s[x.channel.band] + L / x.phy_rate_bps),
-            )
-            for x in env.external
-        ]
 
-    def _access(self, s: int, j: int, rssi: float) -> tuple[float, float]:
-        """Airtime and utilization term of station ``s``'s flow to serving ``j``."""
+    def airtime(self, s: int, j: int, rssi: float) -> float:
+        """Airtime of one packet of station ``s`` to serving ``j``."""
         got = mcs_for_rssi(self.access_mcs[j], rssi, self.streams[s][j])
         if got is None:
             raise ValueError(
                 f"link {self.serving[j]}->{STA_ID_BASE + s} at {rssi:.1f} dBm is below"
                 " the lowest MCS; table floor must cover the association sensitivity"
             )
-        air = self.access_fixed_s[j] + self.L / got[1]
-        return air, self.offered_per_bit * air
+        return self.access_fixed_s[j] + self.L / got[1]
+
+    def links(self, positions: Sequence[Position], steer: bool) -> tuple:
+        """RSSI table, each station's strongest in-range serving index (-1 when
+        unassociated), its access airtime (0.0 when unassociated) and, when
+        ``steer``, its (serving index, weighted RSSI) candidates in index order
+        (else None)."""
+        p = self.propagation
+        rssi = [
+            [
+                tx_power - path_loss_db(f, math.hypot(tx[0] - x, tx[1] - y), p)
+                for tx, tx_power, f in self.tx
+            ]
+            for x, y in positions
+        ]
+        parent: list[int] = []
+        for s, row in enumerate(rssi):
+            sens = self.sens[s]
+            best, best_r = -1, 0.0
+            for j, r in enumerate(row):
+                if r >= sens and (best < 0 or r > best_r):
+                    best, best_r = j, r
+            parent.append(best)
+        air = [
+            self.airtime(s, j, rssi[s][j]) if j >= 0 else 0.0
+            for s, j in enumerate(parent)
+        ]
+        candidates = None
+        if steer:
+            candidates = [
+                [
+                    (j, weighted_rssi(r, self.tx[j][1], sens))
+                    for j, r in enumerate(row)
+                    if r >= sens
+                ]
+                for row, sens in zip(rssi, self.sens)
+            ]
+        return rssi, parent, air, candidates
+
+
+class _Demand:
+    """One sweep point's demand on its link geometry.
+
+    It holds what the demand and the selection change: the per-station load,
+    the through-load terms of the backhaul links, the external loads and the
+    selection.  ``deployment`` then repeats ``initial_association``,
+    ``reassociation_pass`` and ``evaluate`` on a deployment's shared links
+    with the same scalar calls and the same float operation order as those
+    functions, summing utilization over access flows by station id, then
+    backhaul flows by extender id, then external loads.  So every number it
+    returns is bit for bit the one the ``Topology`` path gives.
+    """
+
+    def __init__(self, point: SweepPoint, geom: _Geometry) -> None:
+        self.point = point
+        self.geom = geom
+        self.selection = sel = point.selection
+        self.steer = sel.mechanism is Mechanism.LOAD_AWARE
+        L = geom.L
+        self.per_sta = per_sta = point.traffic.per_sta_load_bps
+        self.offered_per_bit = per_sta / L
+        # through-load of a backhaul link carrying n stations, summed one
+        # station at a time as build_flows does
+        through = [0.0]
+        for _ in geom.sens:
+            through.append(through[-1] + per_sta)
+        self.backhaul = [
+            (ch, users, [(b / L) * air for b in through])
+            for ch, users, air in geom.backhaul
+        ]
+        chans = dict(geom.channels)
+        self.external = []
+        for x in point.external:
+            ch = chans.setdefault(x.channel, len(chans))
+            air = geom.fixed_s[x.channel.band] + L / x.phy_rate_bps
+            self.external.append((ch, (x.load_bps / L) * air))
+        self.n_channels = len(chans)
 
     def _util(self, parent: list[int], term: list[float], skip: int = -1) -> list[float]:
         """Channel utilization, as ``channel_utilization(build_flows(...))``."""
         util = [0.0] * self.n_channels
-        count = [0] * len(self.serving)
-        acc_ch = self.acc_ch
+        count = [0] * len(self.geom.serving)
+        acc_ch = self.geom.acc_ch
         for s, j in enumerate(parent):
             if j >= 0 and s != skip:
                 util[acc_ch[j]] += term[s]
@@ -330,25 +406,24 @@ class _FlatPoint:
     def _loads(self, parent: list[int], term: list[float], skip: int = -1) -> list[float]:
         return [min(1.0, u) for u in self._util(parent, term, skip)]
 
-    def _best(self, rssi: list[float], sens: float, loads: list[float]) -> int:
-        """Lowest-scoring in-range serving index, as ``rank_candidates`` ranks."""
+    def _best(self, candidates: list[tuple[int, float]], loads: list[float]) -> int:
+        """Lowest-scoring candidate serving index, as ``rank_candidates`` ranks."""
         a = self.selection.alpha
+        geom = self.geom
         best, best_y = -1, 0.0
-        for j, r in enumerate(rssi):
-            if r < sens:
-                continue
-            w = weighted_rssi(r, self.tx[j][1], sens)
+        for j, w in candidates:
             c_backhaul = 0.0
-            for _, ch in self.bh_hops[j]:
+            for _, ch in geom.bh_hops[j]:
                 c_backhaul += loads[ch]
-            y = a * (w + loads[self.acc_ch[j]]) + (1.0 - a) * c_backhaul
+            y = a * (w + loads[geom.acc_ch[j]]) + (1.0 - a) * c_backhaul
             if best < 0 or y < best_y:
                 best, best_y = j, y
         return best
 
-    def _reassociate(self, rssi, parent, air, term, order) -> None:
+    def _reassociate(self, links, parent, air, term, order) -> None:
         """``reassociation_pass`` over the capable station indices ``order``."""
         sel = self.selection
+        rssi, _, _, candidates = links
         for _ in range(sel.passes):
             start, start_term = list(parent), list(term)
             snapshot = None
@@ -370,48 +445,37 @@ class _FlatPoint:
                     loads = snapshot
                 else:
                     loads = self._loads(start, start_term, s)
-                best = self._best(rssi[s], self.sens[s], loads)
+                best = self._best(candidates[s], loads)
                 if best >= 0 and best != current:
                     parent[s] = best
-                    air[s], term[s] = self._access(s, best, rssi[s][best])
+                    air[s] = self.geom.airtime(s, best, rssi[s][best])
+                    term[s] = self.offered_per_bit * air[s]
                     fresh = None
 
     def deployment(
-        self, positions: Sequence[Position], capable: frozenset[int]
+        self, links: tuple, capable: frozenset[int]
     ) -> tuple[float, float, bool, list[int]]:
         """Throughput %, mean delay (ms), congestion flag and each station's
-        serving index (-1 when unassociated) for one deployment."""
-        p = self.propagation
-        rssi = [
-            [
-                tx_power - path_loss_db(f, math.hypot(tx[0] - x, tx[1] - y), p)
-                for tx, tx_power, f in self.tx
-            ]
-            for x, y in positions
-        ]
-        parent: list[int] = []
-        for s, row in enumerate(rssi):
-            sens = self.sens[s]
-            best, best_r = -1, 0.0
-            for j, r in enumerate(row):
-                if r >= sens and (best < 0 or r > best_r):
-                    best, best_r = j, r
-            parent.append(best)
-        air = [0.0] * len(parent)
-        term = [0.0] * len(parent)
-        for s, j in enumerate(parent):
-            if j >= 0:
-                air[s], term[s] = self._access(s, j, rssi[s][j])
+        serving index (-1 when unassociated) for one deployment.
+
+        The serving indices are the shared list of ``links`` itself when no
+        station was steered."""
+        _, parent, air, _ = links
+        opb = self.offered_per_bit
+        term = [opb * a for a in air]
         if self.steer and capable:
+            # the links are shared with the geometry's other points
+            parent, air = list(parent), list(air)
             order = sorted(sid - STA_ID_BASE for sid in capable)
-            self._reassociate(rssi, parent, air, term, order)
+            self._reassociate(links, parent, air, term, order)
         return self._evaluate(parent, air, term) + (parent,)
 
     def _evaluate(self, parent, air, term) -> tuple[float, float, bool]:
         """``evaluate``'s network throughput %, mean delay and congestion flag."""
         util = self._util(parent, term)
         share = [(min(1.0, 1.0 / u) if u > 0 else 1.0) for u in util]
-        cap = self.cap_ms
+        geom = self.geom
+        cap = geom.cap_ms
         delivered_sum = offered_sum = delay_sum = 0.0
         n_assoc = 0
         for s, j in enumerate(parent):
@@ -419,7 +483,7 @@ class _FlatPoint:
                 continue
             frac = 1.0
             delay_ms = 0.0
-            for at, ch in [(air[s], self.acc_ch[j])] + self.bh_hops[j]:
+            for at, ch in [(air[s], geom.acc_ch[j])] + geom.bh_hops[j]:
                 frac *= share[ch]
                 u = util[ch]
                 delay_ms += cap if u >= 1.0 else min(cap, at * 1e3 / (1.0 - u))
@@ -443,69 +507,123 @@ class _FlatPoint:
         The trace must describe the outcome the row reports, so an
         association map that differs from the kernel's is an error.
         """
-        topo = add_stations(self.base, positions, capable)
-        steered, log = run_mechanism(topo, with_link_cache(topo, self.env), self.selection)
+        point = self.point
+        env = replace(self.geom.env, traffic=point.traffic, external=tuple(point.external))
+        topo = add_stations(self.geom.base, positions, capable)
+        steered, log = run_mechanism(topo, with_link_cache(topo, env), self.selection)
         want = {sid: node for sid, node in associations.items() if node is not None}
         if dict(steered.associations) != want:
             raise RuntimeError(f"frame trace {path} disagrees with the deployment's row")
         export_events(log, path)
 
 
-def evaluate_point(
-    point_index: int,
-    point: SweepPoint,
+# tasks per worker and draw group: enough for a pool to even out sweep points
+# of unequal cost, few enough that each task amortizes its set-up
+_CHUNKS_PER_WORKER = 4
+
+
+def _draw_groups(points: Sequence[SweepPoint]) -> list[list[int]]:
+    """Indices of the points that share one deployment draw, in grid order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        key = (draw_key(point.scenario), point.scenario.k)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _evaluate_range(
+    points: Sequence[tuple[int, SweepPoint]],
     params: EngineParams,
-    events_dir: Optional[str] = None,
-) -> tuple[list[ResultRow], Aggregate]:
-    """All deployments of one sweep point, plus their aggregate."""
+    events_dir: Optional[str],
+    lo: int,
+    hi: int,
+) -> list[list[ResultRow]]:
+    """Rows of deployments ``lo`` to ``hi - 1`` of each of ``points``, which
+    are (grid index, point) pairs sharing one deployment draw.
+
+    The walk is deployment-major: one draw per deployment, one ``links`` per
+    link geometry, then each point's demand-dependent work.
+    """
+    spec = points[0][1].scenario
+    geoms: dict[tuple, tuple[_Geometry, list]] = {}
+    rows: list[list[ResultRow]] = []
+    for pi, point in points:
+        key = (
+            topology_key(point.scenario, point.rssi_ap_e_dbm),
+            point.traffic.packet_length_bits,
+        )
+        if key not in geoms:
+            geoms[key] = (_Geometry(point, params), [])
+        geom, members = geoms[key]
+        point_rows: list[ResultRow] = []
+        members.append((pi, _Demand(point, geom), point_rows))
+        rows.append(point_rows)
+    sta_ids = [STA_ID_BASE + i for i in range(spec.n_sta)]
+    walks = [
+        (geom, any(demand.steer for _, demand, _ in members), members)
+        for geom, members in geoms.values()
+    ]
+    for dep in range(lo, hi):
+        positions, perm = deployment_draw(spec, dep, params.propagation)
+        for geom, steer, members in walks:
+            links = geom.links(positions, steer)
+            serving = geom.serving
+            for pi, demand, point_rows in members:
+                point = demand.point
+                sel = point.selection
+                capable: frozenset[int] = frozenset()
+                if demand.steer or events_dir is not None:
+                    capable = capable_set_for(spec, perm, sel.beta_pct)
+                thr, avg_delay, congested, parent = demand.deployment(links, capable)
+                assoc = {
+                    sid: (serving[j] if j >= 0 else None)
+                    for sid, j in zip(sta_ids, parent)
+                }
+                if events_dir is not None:
+                    demand.trace(
+                        positions,
+                        capable,
+                        assoc,
+                        os.path.join(
+                            events_dir,
+                            f"t{point.test_id}_p{pi:04d}_d{dep:05d}.ndjson",
+                        ),
+                    )
+                point_rows.append(
+                    ResultRow(
+                        test_id=point.test_id,
+                        rssi_ap_e_dbm=point.rssi_ap_e_dbm,
+                        n_ext=point.scenario.n_extenders,
+                        channel_plan=point.scenario.channel_plan,
+                        b_ext_bps=point.b_ext_bps,
+                        deployment_index=dep,
+                        mechanism=sel.mechanism.value,
+                        alpha=sel.alpha,
+                        beta_pct=sel.beta_pct,
+                        b_t_bps=point.b_t_bps,
+                        throughput_pct=thr,
+                        avg_delay_ms=avg_delay,
+                        congested=congested,
+                        associations=assoc,
+                    )
+                )
+    return rows
+
+
+def _aggregate(point: SweepPoint, rows: Sequence[ResultRow]) -> Aggregate:
+    """Mean outcome of one point's rows, summed in deployment order."""
     spec = point.scenario
     sel = point.selection
-    flat = _FlatPoint(point, params)
-    serving = flat.serving
-    sta_ids = [STA_ID_BASE + i for i in range(spec.n_sta)]
-    rows: list[ResultRow] = []
     thr_sum = delay_sum = assoc_sum = 0.0
     congested_n = 0
-    for dep in range(spec.k):
-        positions, perm = deployment_draw(spec, dep, params.propagation)
-        capable = capable_set_for(spec, perm, sel.beta_pct)
-        thr, avg_delay, congested, parent = flat.deployment(positions, capable)
-        assoc = {
-            sid: (serving[j] if j >= 0 else None) for sid, j in zip(sta_ids, parent)
-        }
-        if events_dir is not None:
-            flat.trace(
-                positions,
-                capable,
-                assoc,
-                os.path.join(
-                    events_dir, f"t{point.test_id}_p{point_index:04d}_d{dep:05d}.ndjson"
-                ),
-            )
-        rows.append(
-            ResultRow(
-                test_id=point.test_id,
-                rssi_ap_e_dbm=point.rssi_ap_e_dbm,
-                n_ext=spec.n_extenders,
-                channel_plan=spec.channel_plan,
-                b_ext_bps=point.b_ext_bps,
-                deployment_index=dep,
-                mechanism=sel.mechanism.value,
-                alpha=sel.alpha,
-                beta_pct=sel.beta_pct,
-                b_t_bps=point.b_t_bps,
-                throughput_pct=thr,
-                avg_delay_ms=avg_delay,
-                congested=congested,
-                associations=assoc,
-            )
-        )
-        thr_sum += thr
-        delay_sum += avg_delay
-        assoc_sum += sum(1 for j in parent if j >= 0) / spec.n_sta
-        congested_n += 1 if congested else 0
+    for row in rows:
+        thr_sum += row.throughput_pct
+        delay_sum += row.avg_delay_ms
+        n_assoc = sum(1 for node in row.associations.values() if node is not None)
+        assoc_sum += n_assoc / spec.n_sta
+        congested_n += 1 if row.congested else 0
     k = spec.k
-    agg = Aggregate(
+    return Aggregate(
         test_id=point.test_id,
         rssi_ap_e_dbm=point.rssi_ap_e_dbm,
         n_ext=spec.n_extenders,
@@ -521,11 +639,19 @@ def evaluate_point(
         congested_pct=100.0 * congested_n / k,
         association_rate_pct=100.0 * assoc_sum / k,
     )
-    return rows, agg
 
 
-def _eval_task(args: tuple[int, SweepPoint, EngineParams, Optional[str]]):
-    return evaluate_point(*args)
+def evaluate_point(
+    point_index: int,
+    point: SweepPoint,
+    params: EngineParams,
+    events_dir: Optional[str] = None,
+) -> tuple[list[ResultRow], Aggregate]:
+    """All deployments of one sweep point, plus their aggregate."""
+    (rows,) = _evaluate_range(
+        ((point_index, point),), params, events_dir, 0, point.scenario.k
+    )
+    return rows, _aggregate(point, rows)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -536,17 +662,34 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.emit_events:
             events_dir = os.path.join(cfg.out_dir, "events")
             os.makedirs(events_dir, exist_ok=True)
-    tasks = [(i, p, cfg.params, events_dir) for i, p in enumerate(points)]
+    tasks = []
+    wanted = cfg.workers * _CHUNKS_PER_WORKER if cfg.workers > 1 else 1
+    for group in _draw_groups(points):
+        k = points[group[0]].scenario.k
+        n = min(k, wanted)
+        bounds = [k * c // n for c in range(n + 1)]
+        # a group with fewer deployments than wanted ranges is cut by points too
+        size = math.ceil(len(group) / math.ceil(wanted / n))
+        for first in range(0, len(group), size):
+            members = tuple((i, points[i]) for i in group[first : first + size])
+            tasks.extend(
+                (members, cfg.params, events_dir, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
+            )
     if cfg.workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(cfg.workers) as pool:
-            results = pool.map(_eval_task, tasks)
+            results = pool.starmap(_evaluate_range, tasks)
     else:
-        results = [_eval_task(t) for t in tasks]
+        results = [_evaluate_range(*t) for t in tasks]
+    per_point: list[list[ResultRow]] = [[] for _ in points]
+    for task, task_rows in zip(tasks, results):
+        for (i, _), point_rows in zip(task[0], task_rows):
+            per_point[i].extend(point_rows)
     rows: list[ResultRow] = []
     aggregates: list[Aggregate] = []
-    for point_rows, agg in results:
+    for point, point_rows in zip(points, per_point):
         rows.extend(point_rows)
-        aggregates.append(agg)
+        aggregates.append(_aggregate(point, point_rows))
     if cfg.out_dir is not None:
         export_rows_csv(rows, os.path.join(cfg.out_dir, "rows.csv"))
         export_aggregates_csv(aggregates, os.path.join(cfg.out_dir, "aggregates.csv"))
@@ -623,22 +766,29 @@ def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
             )
 
 
+_ROW_JSON_COLUMNS = tuple(c for c in ROW_COLUMNS if not c.startswith("sta_"))
+
+
 def _row_json(row: ResultRow) -> dict:
-    rec = {c: getattr(row, c) for c in ROW_COLUMNS if not c.startswith("sta_")}
+    rec = {c: getattr(row, c) for c in _ROW_JSON_COLUMNS}
     rec["associations"] = {str(k): v for k, v in sorted(row.associations.items())}
     return rec
 
 
 def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
-    payload = {
-        "rows": [_row_json(r) for r in rows],
-        "aggregates": [
-            {c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs
-        ],
-    }
+    """``{"aggregates": [...], "rows": [...]}`` as ``json.dumps`` writes it with
+    sorted keys and no spaces, encoded a record at a time so that the C
+    encoder does the work without the whole document in memory."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write('{"aggregates":[')
+        fh.write(",".join(encode({c: getattr(a, c) for c in AGGREGATE_COLUMNS}) for a in aggs))
+        fh.write('],"rows":[')
+        for i, row in enumerate(rows):
+            if i:
+                fh.write(",")
+            fh.write(encode(_row_json(row)))
+        fh.write("]}\n")
 
 
 # --- derived summaries ------------------------------------------------------

@@ -201,18 +201,22 @@ def gen_home(
     return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
 
 
+def topology_key(spec: ScenarioSpec, rssi_ap_e_dbm: Optional[float] = None) -> tuple:
+    """Everything ``build_topology`` reads: equal keys build equal infrastructure."""
+    level = spec.extender_rssi_dbm if rssi_ap_e_dbm is None else rssi_ap_e_dbm
+    return (spec.kind, spec.n_extenders, spec.channel_plan, level, spec.home_width_m)
+
+
 def build_topology(
     spec: ScenarioSpec,
     rssi_ap_e_dbm: Optional[float] = None,
     p: PropagationParams = DEFAULT_PROPAGATION,
 ) -> Topology:
     """Infrastructure part of a scenario (stations are added per deployment)."""
-    level = spec.extender_rssi_dbm if rssi_ap_e_dbm is None else rssi_ap_e_dbm
-    if spec.kind == "circle":
-        return gen_circle(spec.n_extenders, level, spec.channel_plan, p)
-    return gen_home(
-        spec.n_extenders, spec.channel_plan, level, spec.home_width_m, HOME_AP_POS, p
-    )
+    kind, n_ext, plan, level, width = topology_key(spec, rssi_ap_e_dbm)
+    if kind == "circle":
+        return gen_circle(n_ext, level, plan, p)
+    return gen_home(n_ext, plan, level, width, HOME_AP_POS, p)
 
 
 def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
@@ -238,6 +242,13 @@ def _draw_positions(
     xs = r * np.cos(theta)
     ys = r * np.sin(theta)
     return list(zip(xs.tolist(), ys.tolist()))
+
+
+def draw_key(spec: ScenarioSpec) -> tuple:
+    """Everything ``deployment_draw`` reads besides the deployment index and the
+    propagation: specs with equal keys draw the same stations."""
+    return (spec.seed, spec.n_sta, spec.area, spec.sampling, spec.home_width_m,
+            spec.home_height_m, spec.fixed_positions)
 
 
 def deployment_draw(

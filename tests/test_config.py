@@ -17,11 +17,13 @@ from wlansteer.config import (
     selection_from,
     topology_from_scenario,
 )
+from wlansteer import cli
 from wlansteer.cli import main
 from wlansteer.model import Band, NodeKind
 from wlansteer.selection import Mechanism
 from wlansteer.perf import DEFAULT_OVERHEADS
 from wlansteer.radio import DEFAULT_MCS_TABLES
+from wlansteer.runner import RunResult
 
 
 def test_default_config_survives_a_save_load_cycle(tmp_path):
@@ -72,6 +74,13 @@ def test_malformed_inputs_raise_config_errors(tmp_path):
 ])
 def test_badly_typed_run_values_name_their_key(key, value):
     with pytest.raises(ConfigError, match=rf"^run\.{key} "):
+        run_config_from({"run": {key: value}})
+
+
+@pytest.mark.parametrize("key", ["k", "workers"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_out_of_range_run_values_name_their_key(key, value):
+    with pytest.raises(ConfigError, match=rf"^run\.{key} must be at least 1$"):
         run_config_from({"run": {key: value}})
 
 
@@ -127,6 +136,26 @@ def test_cli_run_writes_the_output_bundle(tmp_path):
     data = json.loads((out_dir / "results.json").read_text())
     assert len(data["rows"]) == 5
     assert "test 1.2" in out
+
+
+def test_cli_workers_flag_overrides_the_config_only_when_given(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg.workers)
+        return RunResult(points=(), rows=(), aggregates=())
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"run": {"test": "1.2", "workers": 4}}))
+    assert _run_cli(["run", "--config", str(conf)])[0] == 0
+    assert _run_cli(["run", "--config", str(conf), "--workers", "2"])[0] == 0
+    assert _run_cli(["run", "--test", "1.2"])[0] == 0
+    assert seen == [4, 2, 1]
+    for flag in ("--workers", "--k"):
+        rc, _, err = _run_cli(["run", "--config", str(conf), flag, "0"])
+        assert (rc, err) == (1, f"error: {flag} must be at least 1\n")
+    assert seen == [4, 2, 1]
 
 
 def test_cli_reports_unknown_test_ids():

@@ -2,10 +2,11 @@
 agreement with the single-topology API."""
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
+from wlansteer import runner
 from wlansteer.perf import SimEnv, evaluate
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
@@ -101,6 +102,25 @@ def test_json_export_round_trips_rows(small_run):
     assert first["associations"] == {str(k): v for k, v in row.associations.items()}
     assert len(data["aggregates"]) == len(res.aggregates)
     assert data["aggregates"][0]["mean_delay_ms"] == res.aggregates[0].mean_delay_ms
+
+
+def test_json_export_writes_the_json_dumps_bytes(small_run, tmp_path):
+    res, out = small_run
+    # the cases a hand-written encoding could get wrong
+    assert any(r.rssi_ap_e_dbm is None for r in res.rows)
+    assert any(None in r.associations.values() for r in res.rows)
+    rows = []
+    for r in res.rows:
+        rec = asdict(r)
+        rec["associations"] = {str(k): v for k, v in r.associations.items()}
+        rows.append(rec)
+    payload = {"rows": rows, "aggregates": [asdict(a) for a in res.aggregates]}
+    want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    with open(os.path.join(out, "results.json"), "rb") as fh:
+        assert fh.read() == want.encode()
+    empty = tmp_path / "empty.json"
+    export_json([], [], str(empty))
+    assert empty.read_text() == '{"aggregates":[],"rows":[]}\n'
 
 
 def test_event_files_cover_every_deployment(small_run):
@@ -332,3 +352,46 @@ def test_event_trace_run_gives_the_same_rows(tmp_path):
         traced = evaluate_point(3, point, EngineParams(), events_dir=str(tmp_path))
         assert traced == plain
     assert len(os.listdir(tmp_path)) == sum(p.scenario.k for p in points)
+
+
+# --- points that share one draw against point-by-point evaluation -----------
+
+
+def _sharing_grid():
+    """Stock and load-aware points over several extender counts, extender
+    placements, demands and capable shares, in three draw groups.  On each link geometry a load-aware
+    point comes before a stock one, so steering that leaked into the links
+    the geometry shares would show in the stock rows."""
+    k = 13
+    grid = []
+    for b_t in (6.0e6, 30.0e6):
+        for n_ext, beta in ((4, 100.0), (4, 25.0), (4, None), (2, 50.0), (2, None),
+                            (0, None)):
+            pick = _stock if beta is None else _la
+            p = _point("1.3", k, lambda p: pick(p) and p.scenario.n_extenders == n_ext
+                       and p.b_t_bps == b_t)
+            if beta is not None:
+                p = replace(p, selection=replace(p.selection, beta_pct=beta))
+            grid.append(p)
+    for pick, plan, n_ext in ((_la, "single", 2), (_stock, "single", 2), (_la, "multi", 1)):
+        grid.append(_point("2.1", k, lambda p: pick(p) and p.scenario.n_extenders == n_ext
+                           and p.scenario.channel_plan == plan and p.b_t_bps == 42.0e6))
+    for level in (-60.0, -80.0):  # one spec, two extender placements
+        grid.append(_point("1.1", k, lambda p: _stock(p) and p.rssi_ap_e_dbm == level
+                           and p.scenario.channel_plan == "multi"))
+    return grid
+
+
+SHARING_GRID = _sharing_grid()
+
+
+# k=13 is cut into 8 or 12 uneven deployment ranges; k=2 into 2 ranges, each
+# over several slices of the grid's points
+@pytest.mark.parametrize("workers, k", [(1, 13), (2, 13), (3, 13), (3, 2)])
+def test_shared_draws_match_point_by_point_evaluation(monkeypatch, workers, k):
+    grid = [replace(p, scenario=replace(p.scenario, k=k)) for p in SHARING_GRID]
+    monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
+    res = run(RunConfig(test_id="1.3", workers=workers))
+    results = [evaluate_point(i, p, EngineParams()) for i, p in enumerate(grid)]
+    assert list(res.rows) == [r for rows, _ in results for r in rows]
+    assert list(res.aggregates) == [agg for _, agg in results]
