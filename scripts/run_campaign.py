@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run one campaign test end to end and print a digest of the results.
 
-Writes rows.csv, aggregates.csv and results.json into --out. For tests
-that sweep the offered demand, also prints the operational range each
+Takes the options of ``wlansteer run`` (``--test`` or ``--config``, grid
+filters and overrides, ``--out``, ``--workers``, ``--emit-events``); with
+``--out`` it writes rows.csv, aggregates.csv and results.json there. For
+tests that sweep the offered demand, also prints the operational range each
 curve sustains under the three stop criteria.
 """
 import argparse
@@ -10,7 +12,9 @@ import sys
 import time
 from collections import defaultdict
 
-from wlansteer.runner import RANGE_CRITERIA, RunConfig, operational_range, run
+from wlansteer import cli
+from wlansteer.config import ConfigError
+from wlansteer.runner import RANGE_CRITERIA, operational_range, run
 
 
 def digest(res) -> None:
@@ -41,28 +45,18 @@ def digest(res) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--test", default="1.3", help="campaign test id")
-    parser.add_argument("--k", type=int, help="deployments per sweep point")
-    parser.add_argument("--seed", type=int, help="base deployment seed")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--mechanism", choices=["rssi", "loadaware"])
-    parser.add_argument("--channel-plan", choices=["multi", "single"], dest="channel_plan")
-    parser.add_argument("--n-ext", type=int, dest="n_ext")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float, dest="beta_pct")
-    parser.add_argument("--out", default="campaign_out")
-    parser.add_argument("--emit-events", action="store_true", dest="emit_events")
-    args = parser.parse_args(argv)
-
-    cfg = RunConfig(test_id=args.test, k=args.k, seed=args.seed, workers=args.workers,
-                    mechanism=args.mechanism, channel_plan=args.channel_plan,
-                    n_ext=args.n_ext, alpha=args.alpha, beta_pct=args.beta_pct,
-                    out_dir=args.out, emit_events=args.emit_events)
-    started = time.time()
-    res = run(cfg)
+    cli._add_run_arguments(parser)
+    try:
+        cfg = cli._run_config(parser.parse_args(argv))
+        started = time.time()
+        res = run(cfg)
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     digest(res)
+    where = f" -> {cfg.out_dir}/" if cfg.out_dir else ""
     print(f"{len(res.rows)} rows from {len(res.points)} sweep points"
-          f" in {time.time() - started:.1f} s -> {args.out}/")
+          f" in {time.time() - started:.1f} s{where}")
     return 0
 
 

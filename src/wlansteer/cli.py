@@ -19,6 +19,29 @@ from .scenarios import GRID_MANIFEST, TEST_IDS
 from .selection import Mechanism
 
 
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    """The options of ``wlansteer run``, which ``_run_config`` reads."""
+    p.add_argument("--test", help="campaign test id, e.g. 1.3")
+    p.add_argument("--config", help="JSON config file with defaults")
+    p.add_argument("--alpha", type=float, help="access/backhaul weight in [0,1]")
+    p.add_argument("--beta", type=float, dest="beta_pct",
+                   help="share of stations supporting measurements, in percent")
+    p.add_argument("--k", type=int, help="deployments per sweep point")
+    p.add_argument("--seed", type=int, help="base seed for station draws")
+    p.add_argument("--mechanism", choices=[m.value for m in Mechanism],
+                   help="run only this mechanism's grid rows")
+    p.add_argument("--channel-plan", choices=["multi", "single"],
+                   help="run only this channel plan's grid rows")
+    p.add_argument("--n-ext", type=int, help="run only rows with this extender count")
+    p.add_argument("--b-t", type=float, nargs="+", metavar="MBPS",
+                   help="run only these total demands (Mbps)")
+    p.add_argument("--out", help="directory for rows.csv / aggregates.csv / results.json")
+    p.add_argument("--workers", type=int,
+                   help="worker processes (default: the config's, else 1)")
+    p.add_argument("--emit-events", action="store_true",
+                   help="write per-deployment message traces (ndjson)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wlansteer",
@@ -26,26 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one campaign test")
-    p_run.add_argument("--test", help="campaign test id, e.g. 1.3")
-    p_run.add_argument("--config", help="JSON config file with defaults")
-    p_run.add_argument("--alpha", type=float, help="access/backhaul weight in [0,1]")
-    p_run.add_argument("--beta", type=float, dest="beta_pct",
-                       help="share of stations supporting measurements, in percent")
-    p_run.add_argument("--k", type=int, help="deployments per sweep point")
-    p_run.add_argument("--seed", type=int, help="base seed for station draws")
-    p_run.add_argument("--mechanism", choices=[m.value for m in Mechanism],
-                       help="run only this mechanism's grid rows")
-    p_run.add_argument("--channel-plan", choices=["multi", "single"],
-                       help="run only this channel plan's grid rows")
-    p_run.add_argument("--n-ext", type=int, help="run only rows with this extender count")
-    p_run.add_argument("--b-t", type=float, nargs="+", metavar="MBPS",
-                       help="run only these total demands (Mbps)")
-    p_run.add_argument("--out", help="directory for rows.csv / aggregates.csv / results.json")
-    p_run.add_argument("--workers", type=int,
-                       help="worker processes (default: the config's, else 1)")
-    p_run.add_argument("--emit-events", action="store_true",
-                       help="write per-deployment message traces (ndjson)")
+    _add_run_arguments(sub.add_parser("run", help="execute one campaign test"))
 
     sub.add_parser("list-tests", help="show known campaign test ids")
 

@@ -1,22 +1,28 @@
-"""JSON configuration: defaults, load/save, and scenario parsing.
+"""JSON configuration: one checked schema, load/save, and scenario parsing.
 
-A config file is a plain JSON object; every section is optional and missing
-keys fall back to the built-in defaults, so a file only needs to spell out
-what it changes.  Sections:
+A config file is a plain JSON object.  ``default_config()`` is its schema:
+every section and key is optional and a missing one keeps its default, so a
+file only spells out what it changes.  Every document is checked against the
+schema before anything is built from it, and an unknown section or key, a
+value of the wrong JSON type, or a value a constructor rejects raises
+``ConfigError`` naming the dotted key.  Sections:
 
 * ``propagation``, ``band_mhz``, ``mcs_tables``, ``mac_overheads``,
-  ``congested_hop_delay_ms``: the physics bundle;
-* ``selection``: mechanism and its knobs;
-* ``traffic``: packet length and per-station demand;
-* ``run``: campaign test id plus execution options;
-* ``scenario``: a generator spec or an explicit node list, used by the
-  ``validate`` command and by library callers that want a one-off layout.
+  ``congested_hop_delay_ms``: the physics bundle, ``EngineParams``;
+* ``selection``: ``alpha`` and ``beta_pct``, which rewrite every load-aware
+  sweep point as ``--alpha`` and ``--beta`` do, or leave the grid's own
+  values when null;
+* ``run``: campaign test id plus execution options.
+
+A ``scenario`` section, read by the ``validate`` command and by library
+callers that want a one-off layout, is a generator spec or an explicit node
+list, checked the same way.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from .model import (
     DEFAULT_BAND_MHZ,
@@ -28,7 +34,7 @@ from .model import (
     Topology,
     make_node_map,
 )
-from .perf import CONGESTED_HOP_DELAY_MS, DEFAULT_OVERHEADS, MacOverheads
+from .perf import CONGESTED_HOP_DELAY_MS, DEFAULT_OVERHEADS, EngineParams, MacOverheads
 from .radio import (
     DEFAULT_MCS_TABLES,
     DEFAULT_PROPAGATION,
@@ -36,20 +42,13 @@ from .radio import (
     McsTable,
     PropagationParams,
 )
-from .runner import EngineParams, RunConfig
-from .scenarios import gen_circle, gen_home
-from .selection import Mechanism, SelectionConfig
+from .runner import RunConfig
+from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, gen_circle, gen_home
+from .selection import SelectionConfig
 
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
-
-
-def _band(key: str) -> Band:
-    try:
-        return Band(key)
-    except ValueError:
-        raise ConfigError(f"unknown band {key!r}; expected '2.4' or '5'") from None
 
 
 def default_config() -> dict[str, Any]:
@@ -84,15 +83,7 @@ def default_config() -> dict[str, Any]:
             for band, o in DEFAULT_OVERHEADS.items()
         },
         "congested_hop_delay_ms": CONGESTED_HOP_DELAY_MS,
-        "selection": {
-            "mechanism": Mechanism.LOAD_AWARE.value,
-            "alpha": 0.5,
-            "beta_pct": 100.0,
-            "passes": 1,
-            "refresh_loads": True,
-            "include_self_load": True,
-        },
-        "traffic": {"packet_length_bits": 12000, "per_sta_load_bps": 2.4e6},
+        "selection": {"alpha": None, "beta_pct": None},
         "run": {
             "test": "1.3",
             "k": None,
@@ -121,120 +112,138 @@ def save_config(cfg: Mapping[str, Any], path: str) -> None:
         fh.write("\n")
 
 
-def _merged(section: Optional[Mapping[str, Any]], defaults: Mapping[str, Any], where: str) -> dict:
-    out = dict(defaults)
-    if section is None:
+# --- the schema check -------------------------------------------------------
+
+# the keys whose default is null, with the JSON type of their other values
+_NULLABLE = {
+    "selection.alpha": float,
+    "selection.beta_pct": float,
+    "run.k": int,
+    "run.seed": int,
+    "run.out_dir": str,
+}
+
+# JSON types compare exactly, so that true is no number, but an integer is a float
+_ACCEPTS = {float: (int, float)}
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _overlay(value: Any, default: Any, where: str) -> Any:
+    """``value`` checked against the schema entry ``default`` at the dotted
+    key ``where``, with the default filling in the keys an object leaves out.
+
+    A list of lists or objects is a table whose rows are shaped like its
+    first row; any other list is one row of fixed length.  Integers come back
+    as floats where the schema has a float.
+    """
+    if value is None and where in _NULLABLE:
+        return None
+    kind = _NULLABLE.get(where, type(default))
+    if type(value) not in _ACCEPTS.get(kind, (kind,)):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is dict:
+        out = dict(default)
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else str(key)
+            if key not in default:
+                raise ConfigError(f"{path} is not a known key")
+            out[key] = _overlay(item, default[key], path)
         return out
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"section {where!r} must be an object")
-    for key, value in section.items():
-        if key not in defaults:
-            raise ConfigError(f"section {where!r}: unknown key {key!r}")
-        out[key] = value
-    return out
+    if kind is list:
+        if default and type(default[0]) in (list, dict):
+            return [_overlay(v, default[0], f"{where}.{i}") for i, v in enumerate(value)]
+        if len(value) != len(default):
+            raise ConfigError(f"{where} must have {len(default)} items, got {value!r}")
+        return [_overlay(v, d, f"{where}.{i}") for i, (v, d) in enumerate(zip(value, default))]
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is out of range") from None
+    return value
+
+
+def _checked(cfg: Mapping[str, Any]) -> dict[str, Any]:
+    """``cfg`` checked against ``default_config()`` and laid over it."""
+    if type(cfg) is not dict:
+        raise ConfigError("a config must be a JSON object")
+    return _overlay(cfg, default_config(), "")
+
+
+def _build(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, its ``ValueError`` a ``ConfigError`` at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# --- the physics bundle and the run -----------------------------------------
 
 
 def propagation_from(cfg: Mapping[str, Any]) -> PropagationParams:
-    d = _merged(cfg.get("propagation"), default_config()["propagation"], "propagation")
-    return PropagationParams(**d)
+    return _build("propagation", PropagationParams, **_checked(cfg)["propagation"])
 
 
 def mcs_tables_from(cfg: Mapping[str, Any]) -> dict[Band, McsTable]:
-    section = cfg.get("mcs_tables")
-    if section is None:
-        return dict(DEFAULT_MCS_TABLES)
-    tables: dict[Band, McsTable] = dict(DEFAULT_MCS_TABLES)
-    for key, spec in section.items():
-        band = _band(key)
-        try:
-            entries = tuple(
-                McsEntry(int(m), float(rssi), float(r1), float(r2))
-                for m, rssi, r1, r2 in spec["entries"]
-            )
-            tables[band] = McsTable(
-                band=band,
-                channel_width_mhz=int(spec["channel_width_mhz"]),
-                entries=entries,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"mcs_tables[{key!r}]: {exc}") from None
-    return tables
+    return {
+        Band(key): _build(
+            f"mcs_tables.{key}",
+            McsTable,
+            band=Band(key),
+            channel_width_mhz=spec["channel_width_mhz"],
+            entries=tuple(McsEntry(*row) for row in spec["entries"]),
+        )
+        for key, spec in _checked(cfg)["mcs_tables"].items()
+    }
 
 
 def overheads_from(cfg: Mapping[str, Any]) -> dict[Band, MacOverheads]:
-    section = cfg.get("mac_overheads")
-    out = dict(DEFAULT_OVERHEADS)
-    if section is None:
-        return out
-    defaults = default_config()["mac_overheads"]
-    for key, spec in section.items():
-        band = _band(key)
-        d = _merged(spec, defaults[key], f"mac_overheads[{key!r}]")
-        out[band] = MacOverheads(**d)
-    return out
+    return {
+        Band(key): _build(f"mac_overheads.{key}", MacOverheads, **spec)
+        for key, spec in _checked(cfg)["mac_overheads"].items()
+    }
 
 
 def band_mhz_from(cfg: Mapping[str, Any]) -> dict[Band, float]:
-    section = cfg.get("band_mhz")
-    out = dict(DEFAULT_BAND_MHZ)
-    if section is None:
-        return out
-    for key, value in section.items():
-        out[_band(key)] = float(value)
-    return out
+    return {Band(key): mhz for key, mhz in _checked(cfg)["band_mhz"].items()}
 
 
 def engine_params_from(cfg: Mapping[str, Any]) -> EngineParams:
-    return EngineParams(
+    return _build(
+        "congested_hop_delay_ms",
+        EngineParams,
         propagation=propagation_from(cfg),
         mcs_tables=mcs_tables_from(cfg),
         overheads=overheads_from(cfg),
         band_mhz=band_mhz_from(cfg),
-        congested_hop_delay_ms=float(
-            cfg.get("congested_hop_delay_ms", CONGESTED_HOP_DELAY_MS)
-        ),
+        congested_hop_delay_ms=_checked(cfg)["congested_hop_delay_ms"],
     )
 
 
-def selection_from(cfg: Mapping[str, Any]) -> SelectionConfig:
-    d = _merged(cfg.get("selection"), default_config()["selection"], "selection")
-    try:
-        mechanism = Mechanism(d.pop("mechanism"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        return SelectionConfig(mechanism=mechanism, **d)
-    except ValueError as exc:
-        raise ConfigError(f"selection: {exc}") from None
-
-
-# the JSON types each run key accepts, compared exactly so that true is no integer
-_RUN_TYPES = {
-    "test": (str,),
-    "k": (int, type(None)),
-    "seed": (int, type(None)),
-    "workers": (int,),
-    "out_dir": (str, type(None)),
-    "emit_events": (bool,),
-}
-
-
 def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
-    d = _merged(cfg.get("run"), default_config()["run"], "run")
-    for key, kinds in _RUN_TYPES.items():
-        if type(d[key]) not in kinds:
-            wanted = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"run.{key} must be {wanted}, got {d[key]!r}")
+    d = _checked(cfg)
+    run, sel = d["run"], d["selection"]
     for key in ("k", "workers"):
-        if d[key] is not None and d[key] < 1:
+        if run[key] is not None and run[key] < 1:
             raise ConfigError(f"run.{key} must be at least 1")
+    _build("selection", SelectionConfig, **{k: v for k, v in sel.items() if v is not None})
     return RunConfig(
-        test_id=d["test"],
-        k=d["k"],
-        seed=d["seed"],
-        workers=d["workers"],
-        out_dir=d["out_dir"],
-        emit_events=d["emit_events"],
+        test_id=run["test"],
+        alpha=sel["alpha"],
+        beta_pct=sel["beta_pct"],
+        k=run["k"],
+        seed=run["seed"],
+        workers=run["workers"],
+        out_dir=run["out_dir"],
+        emit_events=run["emit_events"],
         params=engine_params_from(cfg),
     )
 
@@ -243,102 +252,108 @@ def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
 
 _NODE_KINDS = {k.value: k for k in NodeKind}
 
-
-def _radio_pair(
-    spec: Mapping[str, Any], access_channel: int, where: str
-) -> tuple[RadioConfig, RadioConfig]:
-    common = {
-        "tx_power_dbm": float(spec.get("tx_power_dbm", 20.0)),
-        "sensitivity_dbm": float(spec.get("sensitivity_dbm", -90.0)),
-        "spatial_streams": int(spec.get("spatial_streams", 2)),
-    }
-    try:
-        access = RadioConfig(
-            band=Band.GHZ_2_4,
-            channel=ChannelId(Band.GHZ_2_4, access_channel),
-            **common,
-        )
-        backhaul = RadioConfig(
-            band=Band.GHZ_5,
-            channel=ChannelId(Band.GHZ_5, int(spec.get("backhaul_channel", 36))),
-            **common,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return access, backhaul
+# the keys of a generated layout, and of an explicit node, with their defaults
+_LAYOUT = {
+    "kind": "circle",
+    "n_extenders": 0,
+    "extender_rssi_dbm": DEFAULT_EXTENDER_RSSI_DBM,
+    "channel_plan": "multi",
+}
+_NODE = {
+    "id": 0,
+    "kind": "sta",
+    "position": [0.0, 0.0],
+    "backhaul_parent": 0,
+    "access_channel": 1,
+    "backhaul_channel": 36,
+    "tx_power_dbm": 20.0,
+    "sensitivity_dbm": -90.0,
+    "spatial_streams": 2,
+    "supports_11kv": False,
+}
 
 
 def _explicit_topology(section: Mapping[str, Any]) -> Topology:
+    for key in section:
+        if key not in ("kind", "nodes", "associations"):
+            raise ConfigError(f"scenario.{key} is not a known key")
+    raw_nodes = section.get("nodes")
+    if type(raw_nodes) is not list or not raw_nodes:
+        raise ConfigError("scenario.nodes must be a non-empty list")
     nodes = []
     parents: dict[int, int] = {}
-    raw_nodes = section.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ConfigError("scenario.nodes must be a non-empty list")
-    for spec in raw_nodes:
-        where = f"scenario node {spec.get('id')!r}"
-        try:
-            node_id = int(spec["id"])
-            kind = _NODE_KINDS[spec["kind"]]
-            x, y = spec["position"]
-            position = (float(x), float(y))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        if kind is NodeKind.STA:
-            radio = RadioConfig(
-                band=Band.GHZ_2_4,
-                channel=ChannelId(Band.GHZ_2_4, 1),
-                tx_power_dbm=float(spec.get("tx_power_dbm", 20.0)),
-                sensitivity_dbm=float(spec.get("sensitivity_dbm", -90.0)),
-                spatial_streams=int(spec.get("spatial_streams", 2)),
-            )
-            nodes.append(
-                Node(node_id, kind, position, (radio,),
-                     supports_11kv=bool(spec.get("supports_11kv", False)))
-            )
-            continue
-        access, backhaul = _radio_pair(spec, int(spec.get("access_channel", 1)), where)
-        nodes.append(Node(node_id, kind, position, (access, backhaul)))
+    for i, spec in enumerate(raw_nodes):
+        where = f"scenario.nodes.{i}"
+        d = _overlay(spec, _NODE, where)
+        kind = _NODE_KINDS.get(d["kind"])
+        if kind is None:
+            raise ConfigError(f"{where}.kind must be one of {sorted(_NODE_KINDS)}")
+        required = ("id", "kind", "position")
         if kind is NodeKind.EXTENDER:
-            try:
-                parents[node_id] = int(spec["backhaul_parent"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"{where}: extender needs a backhaul_parent") from None
-    associations = {
-        int(k): int(v) for k, v in (section.get("associations") or {}).items()
-    }
-    try:
-        return Topology(
-            nodes=make_node_map(nodes),
-            associations=associations,
-            backhaul_parent=parents,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
+            required += ("backhaul_parent",)
+            parents[d["id"]] = d["backhaul_parent"]
+        for key in required:
+            if key not in spec:
+                raise ConfigError(f"{where}.{key} is required")
+        # a station has the access radio only
+        channels = ((Band.GHZ_2_4, d["access_channel"]), (Band.GHZ_5, d["backhaul_channel"]))
+        try:
+            radios = tuple(
+                RadioConfig(
+                    band=band,
+                    channel=ChannelId(band, number),
+                    tx_power_dbm=d["tx_power_dbm"],
+                    sensitivity_dbm=d["sensitivity_dbm"],
+                    spatial_streams=d["spatial_streams"],
+                )
+                for band, number in channels[: 1 if kind is NodeKind.STA else 2]
+            )
+            nodes.append(Node(d["id"], kind, tuple(d["position"]), radios,
+                              supports_11kv=d["supports_11kv"]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    raw_assoc = section.get("associations", {})
+    if type(raw_assoc) is not dict:
+        raise ConfigError(f"scenario.associations must be an object, got {raw_assoc!r}")
+    for key, parent in raw_assoc.items():
+        if not str(key).isdecimal() or type(parent) is not int:
+            raise ConfigError(
+                f"scenario.associations.{key} must map a station id to a node id"
+            )
+    return Topology(
+        nodes=_build("scenario.nodes", make_node_map, nodes),
+        associations={int(key): parent for key, parent in raw_assoc.items()},
+        backhaul_parent=parents,
+    )
 
 
 def topology_from_scenario(
     section: Mapping[str, Any], propagation: PropagationParams = DEFAULT_PROPAGATION
 ) -> Topology:
     """Build the layout a ``scenario`` config section describes."""
-    if not isinstance(section, Mapping):
+    if type(section) is not dict:
         raise ConfigError("scenario section must be an object")
     kind = section.get("kind")
     if kind == "explicit":
         return _explicit_topology(section)
-    if kind == "circle":
-        return gen_circle(
-            n_ext=int(section.get("n_extenders", 0)),
-            rssi_ap_e_dbm=float(section.get("extender_rssi_dbm", -70.0)),
-            channel_plan=section.get("channel_plan", "multi"),
-            p=propagation,
+    if kind not in ("circle", "home"):
+        raise ConfigError(
+            f"scenario.kind must be 'explicit', 'circle' or 'home', got {kind!r}"
         )
-    if kind == "home":
+    d = _overlay(section, _LAYOUT, "scenario")
+    try:
+        if kind == "circle":
+            return gen_circle(
+                n_ext=d["n_extenders"],
+                rssi_ap_e_dbm=d["extender_rssi_dbm"],
+                channel_plan=d["channel_plan"],
+                p=propagation,
+            )
         return gen_home(
-            n_ext=int(section.get("n_extenders", 0)),
-            channel_plan=section.get("channel_plan", "multi"),
-            extender_rssi_dbm=float(section.get("extender_rssi_dbm", -70.0)),
+            n_ext=d["n_extenders"],
+            channel_plan=d["channel_plan"],
+            extender_rssi_dbm=d["extender_rssi_dbm"],
             p=propagation,
         )
-    raise ConfigError(
-        f"scenario.kind must be 'explicit', 'circle' or 'home', got {kind!r}"
-    )
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"scenario: {exc}") from None

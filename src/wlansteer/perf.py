@@ -24,7 +24,7 @@ throughput and delay aggregates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 from .model import (
@@ -58,6 +58,11 @@ class MacOverheads:
     avg_backoff_slots: float
     preamble_us: float
     ack_us: float
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     @property
     def total_us(self) -> float:
@@ -109,8 +114,30 @@ class Flow:
 
 
 @dataclass(frozen=True)
-class SimEnv:
-    """Everything the channel model needs besides the topology itself.
+class EngineParams:
+    """Physics bundle shared by every sweep point of a run."""
+
+    propagation: PropagationParams = DEFAULT_PROPAGATION
+    mcs_tables: Mapping[Band, McsTable] = field(
+        default_factory=lambda: dict(DEFAULT_MCS_TABLES)
+    )
+    overheads: Mapping[Band, MacOverheads] = field(
+        default_factory=lambda: dict(DEFAULT_OVERHEADS)
+    )
+    band_mhz: Mapping[Band, float] = field(
+        default_factory=lambda: dict(DEFAULT_BAND_MHZ)
+    )
+    congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
+
+    def __post_init__(self) -> None:
+        if self.congested_hop_delay_ms <= 0:
+            raise ValueError("congested_hop_delay_ms must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimEnv(EngineParams):
+    """Everything the channel model needs besides the topology itself: the
+    physics bundle plus the demand.
 
     ``rssi_overrides`` pins individual links to measured values, keyed by
     (node a, node b, band) in either order; links without an override fall
@@ -119,17 +146,6 @@ class SimEnv:
 
     traffic: TrafficProfile
     external: tuple[ExternalLoad, ...] = ()
-    mcs_tables: Mapping[Band, McsTable] = field(
-        default_factory=lambda: dict(DEFAULT_MCS_TABLES)
-    )
-    overheads: Mapping[Band, MacOverheads] = field(
-        default_factory=lambda: dict(DEFAULT_OVERHEADS)
-    )
-    propagation: PropagationParams = DEFAULT_PROPAGATION
-    band_mhz: Mapping[Band, float] = field(
-        default_factory=lambda: dict(DEFAULT_BAND_MHZ)
-    )
-    congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
     rssi_overrides: Mapping[tuple[int, int, Band], float] = field(default_factory=dict)
     # per-deployment memo {(rx, tx, band): (rssi, rate)} where rate is None
     # for links below the lowest MCS and _RATE_UNSET until first needed.

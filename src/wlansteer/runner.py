@@ -39,28 +39,14 @@ import csv
 import json
 import math
 import multiprocessing
+import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Optional, Sequence
 
-from .model import DEFAULT_BAND_MHZ, Band, NodeKind, Position, backhaul_path
-from .perf import (
-    CONGESTED_HOP_DELAY_MS,
-    DEFAULT_OVERHEADS,
-    MacOverheads,
-    SimEnv,
-    link_rate,
-    topology_channels,
-    with_link_cache,
-)
-from .radio import (
-    DEFAULT_MCS_TABLES,
-    DEFAULT_PROPAGATION,
-    McsTable,
-    PropagationParams,
-    mcs_for_rssi,
-    path_loss_db,
-)
+from .model import NodeKind, Position, backhaul_path
+from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
+from .radio import mcs_for_rssi, path_loss_db
 from .selection import Mechanism, weighted_rssi
 from .protocol import export_events, run_mechanism
 from .scenarios import (
@@ -75,9 +61,8 @@ from .scenarios import (
     topology_key,
 )
 
-STA_COLUMN_IDS = tuple(range(STA_ID_BASE, STA_ID_BASE + 10))
-
-ROW_COLUMNS = (
+# what rows.csv and results.json write of each row besides its associations
+_ROW_FIELDS = (
     "test_id",
     "rssi_ap_e_dbm",
     "n_ext",
@@ -91,7 +76,12 @@ ROW_COLUMNS = (
     "throughput_pct",
     "avg_delay_ms",
     "congested",
-) + tuple(f"sta_{i}" for i in STA_COLUMN_IDS)
+)
+
+# the rows.csv header of ten-station deployments, as in every shipped grid
+ROW_COLUMNS = _ROW_FIELDS + tuple(
+    f"sta_{i}" for i in range(STA_ID_BASE, STA_ID_BASE + 10)
+)
 
 AGGREGATE_COLUMNS = (
     "test_id",
@@ -109,23 +99,6 @@ AGGREGATE_COLUMNS = (
     "congested_pct",
     "association_rate_pct",
 )
-
-
-@dataclass(frozen=True)
-class EngineParams:
-    """Physics bundle shared by every sweep point of a run."""
-
-    propagation: PropagationParams = DEFAULT_PROPAGATION
-    mcs_tables: Mapping[Band, McsTable] = field(
-        default_factory=lambda: dict(DEFAULT_MCS_TABLES)
-    )
-    overheads: Mapping[Band, MacOverheads] = field(
-        default_factory=lambda: dict(DEFAULT_OVERHEADS)
-    )
-    band_mhz: Mapping[Band, float] = field(
-        default_factory=lambda: dict(DEFAULT_BAND_MHZ)
-    )
-    congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
 
 
 @dataclass(frozen=True)
@@ -259,11 +232,7 @@ class _Geometry:
         # point's own traffic and external loads back
         self.env = env = SimEnv(
             traffic=point.traffic,
-            mcs_tables=params.mcs_tables,
-            overheads=params.overheads,
-            propagation=params.propagation,
-            band_mhz=params.band_mhz,
-            congested_hop_delay_ms=params.congested_hop_delay_ms,
+            **{f.name: getattr(params, f.name) for f in fields(EngineParams)},
         )
         # station radios as add_stations makes them; positions come per deployment
         t = add_stations(self.base, [(0.0, 0.0)] * spec.n_sta)
@@ -700,45 +669,38 @@ def run(cfg: RunConfig) -> RunResult:
 # --- exports ----------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _cells(values: Sequence) -> list:
+    """``values`` as ``csv.writer`` cells.  The writer itself writes None as an
+    empty cell and ``str`` of the rest, so only booleans need spelling out."""
+    return [("true" if v else "false") if v.__class__ is bool else v for v in values]
 
 
-def _row_record(row: ResultRow) -> list[str]:
-    rec = [
-        _cell(row.test_id),
-        _cell(row.rssi_ap_e_dbm),
-        _cell(row.n_ext),
-        _cell(row.channel_plan),
-        _cell(row.b_ext_bps),
-        _cell(row.deployment_index),
-        _cell(row.mechanism),
-        _cell(row.alpha),
-        _cell(row.beta_pct),
-        _cell(row.b_t_bps),
-        _cell(row.throughput_pct),
-        _cell(row.avg_delay_ms),
-        _cell(row.congested),
-    ]
-    for sid in STA_COLUMN_IDS:
-        if sid not in row.associations:
+_row_fields = operator.attrgetter(*_ROW_FIELDS)
+_aggregate_fields = operator.attrgetter(*AGGREGATE_COLUMNS)
+
+
+def _row_record(row: ResultRow, sta_ids: Sequence[int]) -> list:
+    rec = _cells(_row_fields(row))
+    assoc = row.associations
+    for sid in sta_ids:
+        if sid not in assoc:
             rec.append("")
         else:
-            parent = row.associations[sid]
+            parent = assoc[sid]
             rec.append("none" if parent is None else str(parent))
     return rec
 
 
 def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
+    """One line per row: its fields, then a ``sta_<id>`` column per station
+    id found in any row, holding the serving node, ``none`` when the station
+    is unassociated, or nothing when the row has no such station."""
+    sta_ids = sorted({sid for row in rows for sid in row.associations})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_COLUMNS)
+        writer.writerow(_ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
         for row in rows:
-            writer.writerow(_row_record(row))
+            writer.writerow(_row_record(row, sta_ids))
 
 
 def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
@@ -746,31 +708,11 @@ def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGGREGATE_COLUMNS)
         for a in aggs:
-            writer.writerow(
-                [
-                    _cell(a.test_id),
-                    _cell(a.rssi_ap_e_dbm),
-                    _cell(a.n_ext),
-                    _cell(a.channel_plan),
-                    _cell(a.b_ext_bps),
-                    _cell(a.mechanism),
-                    _cell(a.alpha),
-                    _cell(a.beta_pct),
-                    _cell(a.b_t_bps),
-                    _cell(a.k),
-                    _cell(a.mean_throughput_pct),
-                    _cell(a.mean_delay_ms),
-                    _cell(a.congested_pct),
-                    _cell(a.association_rate_pct),
-                ]
-            )
-
-
-_ROW_JSON_COLUMNS = tuple(c for c in ROW_COLUMNS if not c.startswith("sta_"))
+            writer.writerow(_cells(_aggregate_fields(a)))
 
 
 def _row_json(row: ResultRow) -> dict:
-    rec = {c: getattr(row, c) for c in _ROW_JSON_COLUMNS}
+    rec = {c: getattr(row, c) for c in _ROW_FIELDS}
     rec["associations"] = {str(k): v for k, v in sorted(row.associations.items())}
     return rec
 

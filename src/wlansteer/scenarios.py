@@ -132,6 +132,8 @@ def extender_distance_m(
 def _plan_channels(plan: str, count: int, kind: str) -> list[int]:
     if plan == "single":
         return [1] * count
+    if plan != "multi":
+        raise ValueError(f"unknown channel plan {plan!r}")
     if kind == "circle":
         # opposite pairs share a channel: +x/-x then +y/-y
         return [6, 6, 11, 11][:count]

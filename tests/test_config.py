@@ -2,8 +2,11 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wlansteer.config import (
     ConfigError,
@@ -14,13 +17,11 @@ from wlansteer.config import (
     overheads_from,
     run_config_from,
     save_config,
-    selection_from,
     topology_from_scenario,
 )
-from wlansteer import cli
+from wlansteer import cli, runner
 from wlansteer.cli import main
 from wlansteer.model import Band, NodeKind
-from wlansteer.selection import Mechanism
 from wlansteer.perf import DEFAULT_OVERHEADS
 from wlansteer.radio import DEFAULT_MCS_TABLES
 from wlansteer.runner import RunResult
@@ -45,13 +46,13 @@ def test_default_sections_reconstruct_the_builtin_tables():
 
 def test_selection_and_run_sections():
     cfg = default_config()
-    sel = selection_from(cfg)
-    assert sel.mechanism is Mechanism.LOAD_AWARE
-    assert (sel.alpha, sel.beta_pct, sel.passes) == (0.5, 100.0, 1)
     rc = run_config_from(cfg)
     assert rc.test_id == "1.3"
     assert rc.workers == 1
     assert rc.mechanism is None
+    assert (rc.alpha, rc.beta_pct) == (None, None)
+    rc = run_config_from({"selection": {"alpha": 0.25, "beta_pct": 40}})
+    assert (rc.alpha, rc.beta_pct) == (0.25, 40.0)
 
 
 def test_malformed_inputs_raise_config_errors(tmp_path):
@@ -173,3 +174,208 @@ def test_cli_validate(tmp_path):
     rc2, _, err = _run_cli(["validate", "--scenario", str(tmp_path / "no.json")])
     assert rc2 == 1
     assert "error" in err
+
+
+# every section of default_config() has a typo'd, mistyped or rejected variant
+# that must come back as a ConfigError starting with its dotted key
+_BAD_DOCUMENTS = [
+    ({"mcs_tables": [1]}, "mcs_tables"),
+    ({"band_mhz": [1]}, "band_mhz"),
+    ({"mac_overheads": [1]}, "mac_overheads"),
+    ({"band_mhz": {"2.4": "abc"}}, "band_mhz.2.4"),
+    ({"band_mhz": {"6": 6000.0}}, "band_mhz.6"),
+    ({"propagation": {"min_distance_m": "1"}}, "propagation.min_distance_m"),
+    ({"propagation": {"floor_penetration_db": True}}, "propagation.floor_penetration_db"),
+    ({"propagation": {"min_distance_m": 0}}, "propagation"),
+    ({"congested_hop_delay_ms": [1]}, "congested_hop_delay_ms"),
+    ({"congested_hop_delay_ms": 0}, "congested_hop_delay_ms"),
+    ({"mac_overheads": {"2.4": {"difs_us": "x"}}}, "mac_overheads.2.4.difs_us"),
+    ({"mac_overheads": {"5": {"slot_us": -9.0}}}, "mac_overheads.5"),
+    ({"mcs_tables": {"5": {"entries": "x"}}}, "mcs_tables.5.entries"),
+    ({"mcs_tables": {"5": {"entries": [[0, -90.0, 1.0]]}}}, "mcs_tables.5.entries.0"),
+    ({"mcs_tables": {"5": {"entries": [[0.5, -90.0, 1.0, 2.0]]}}}, "mcs_tables.5.entries.0.0"),
+    ({"mcs_tables": {"2.4": {"channel_width_mhz": 20.0}}}, "mcs_tables.2.4.channel_width_mhz"),
+    ({"mcs_tables": {"2.4": {"entries": [[0, -90.0, -1.0, 2.0]]}}}, "mcs_tables.2.4"),
+    ({"runn": {}}, "runn"),
+    ({"traffic": {}}, "traffic"),
+    ({"selection": {"passes": 2}}, "selection.passes"),
+    ({"selection": {"mechanism": "loadaware"}}, "selection.mechanism"),
+    ({"selection": {"alpha": 1.5}}, "selection"),
+    ({"selection": {"beta_pct": "50"}}, "selection.beta_pct"),
+    ({"selection": None}, "selection"),
+    ({"run": {"seed": 1.0}}, "run.seed"),
+    ({"run": {"out_dir": 3}}, "run.out_dir"),
+    ({"propagation": {"min_distance_m": 10**400}}, "propagation.min_distance_m"),
+]
+
+
+@pytest.mark.parametrize("doc, key", _BAD_DOCUMENTS, ids=[k for _, k in _BAD_DOCUMENTS])
+def test_bad_config_documents_name_their_key(doc, key, tmp_path, monkeypatch):
+    pattern = rf"^{re.escape(key)}[ :]"
+    with pytest.raises(ConfigError, match=pattern):
+        run_config_from(doc)
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("run must not start"))
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps(doc))
+    rc, _, err = _run_cli(["run", "--config", str(conf)])
+    assert rc == 1
+    assert re.match(pattern, err.removeprefix("error: "))
+    assert err.count("\n") == 1
+
+
+def test_numbers_accept_integers_and_keep_the_defaults_elsewhere():
+    params = engine_params_from({
+        "propagation": {"floor_penetration_db": 3},
+        "band_mhz": {"5": 5200},
+        "mac_overheads": {"5": {"ack_us": 30}},
+    })
+    assert params.propagation.floor_penetration_db == 3.0
+    assert type(params.propagation.floor_penetration_db) is float
+    assert params.propagation.distance_power_loss_coeff == 31.0
+    assert params.band_mhz == {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5200.0}
+    assert params.overheads[Band.GHZ_5].ack_us == 30.0
+    assert params.overheads[Band.GHZ_5].difs_us == 34.0
+    assert params.overheads[Band.GHZ_2_4] == DEFAULT_OVERHEADS[Band.GHZ_2_4]
+    assert params.mcs_tables == DEFAULT_MCS_TABLES
+
+
+def test_selection_section_rewrites_every_load_aware_point(tmp_path, monkeypatch):
+    results = []
+
+    def recording_run(cfg):
+        results.append(runner.run(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    conf = tmp_path / "alpha.json"
+    conf.write_text(json.dumps({"selection": {"alpha": 0.0}, "run": {"test": "2.4"}}))
+    assert _run_cli(["run", "--config", str(conf)])[0] == 0
+    assert _run_cli(["run", "--config", str(conf), "--alpha", "0.75"])[0] == 0
+    stock = {a.alpha for r in results for a in r.aggregates if a.mechanism == "rssi"}
+    assert stock == {0.5}
+    for res, alpha in zip(results, (0.0, 0.75)):
+        steered = [a for a in res.aggregates if a.mechanism == "loadaware"]
+        assert steered and {a.alpha for a in steered} == {alpha}
+        assert {r.alpha for r in res.rows if r.mechanism == "loadaware"} == {alpha}
+
+
+def _explicit(**extra):
+    """An AP, an extender and a station, the station carrying ``extra``."""
+    return {"kind": "explicit", "nodes": [
+        {"id": 0, "kind": "ap", "position": [0, 0]},
+        {"id": 1, "kind": "extender", "position": [10, 0], "backhaul_parent": 0},
+        {"id": 10, "kind": "sta", "position": [5, 0], **extra},
+    ]}
+
+
+_BAD_SCENARIOS = [
+    ({"kind": "explicit", "nodes": [1]}, "scenario.nodes.0"),
+    (_explicit(tx_power_dbm=[20]), "scenario.nodes.2.tx_power_dbm"),
+    (_explicit(position=[1, 2, 3]), "scenario.nodes.2.position"),
+    (_explicit(position="ab"), "scenario.nodes.2.position"),
+    (_explicit(spatial_streams=2.0), "scenario.nodes.2.spatial_streams"),
+    (_explicit(spatial_streams=9), "scenario.nodes.2"),
+    (_explicit(supports_11kv="yes"), "scenario.nodes.2.supports_11kv"),
+    (_explicit(txpower=20), "scenario.nodes.2.txpower"),
+    (_explicit(kind="phone"), "scenario.nodes.2.kind"),
+    ({**_explicit(), "associations": [10]}, "scenario.associations"),
+    ({**_explicit(), "associations": {"ten": 0}}, "scenario.associations.ten"),
+    ({**_explicit(), "associations": {"10": "0"}}, "scenario.associations.10"),
+    ({**_explicit(), "associations": {"10": True}}, "scenario.associations.10"),
+    ({**_explicit(), "layout": 1}, "scenario.layout"),
+    ({"kind": "explicit", "nodes": [{"kind": "ap", "position": [0, 0]}]}, "scenario.nodes.0.id"),
+    ({"kind": "explicit", "nodes": [{"id": 0, "kind": "ap", "position": [0, 0]},
+                                    {"id": 0, "kind": "ap", "position": [1, 0]}]},
+     "scenario.nodes"),
+    ({"kind": "circle", "n_extenders": [1]}, "scenario.n_extenders"),
+    ({"kind": "circle", "n_extenders": 3}, "scenario"),
+    ({"kind": "home", "channel_plan": "triple"}, "scenario"),
+    ({"kind": "home", "n_extenders": 1, "extender_rssi_dbm": -1e6}, "scenario"),
+    ({"kind": "home", "extenders": 1}, "scenario.extenders"),
+]
+
+
+@pytest.mark.parametrize("section, key", _BAD_SCENARIOS,
+                         ids=[f"{i}-{k}" for i, (_, k) in enumerate(_BAD_SCENARIOS)])
+def test_bad_scenarios_name_the_node_and_key(section, key, tmp_path):
+    pattern = rf"^{re.escape(key)}[ :]"
+    with pytest.raises(ConfigError, match=pattern):
+        topology_from_scenario(section)
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"scenario": section}))
+    rc, _, err = _run_cli(["validate", "--scenario", str(sc)])
+    assert rc == 1
+    assert re.match(pattern, err.removeprefix("error: "))
+
+
+def _paths(node, prefix=()):
+    """Every key path into ``node``, through objects and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_CONFIG_PATHS = list(_paths(default_config()))
+_SCENARIO = {"scenario": {**_explicit(supports_11kv=True), "associations": {"10": 1}}}
+_SCENARIO_PATHS = list(_paths(_SCENARIO)) + [
+    ("scenario", "kind"), ("scenario", "n_extenders"), ("scenario", "channel_plan"),
+    ("scenario", "extender_rssi_dbm"),
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, template, paths):
+    """``template`` with a few random JSON values put at known keys, at list
+    indices and at unknown keys beside them."""
+    doc = json.loads(json.dumps(template))
+    for _ in range(draw(st.integers(1, 3))):
+        path = list(draw(st.sampled_from(paths)))
+        if draw(st.booleans()):
+            path[-1] = draw(st.text(max_size=4) | st.sampled_from(["kind", "2.4", "5"]))
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(_JSON | st.sampled_from(["home", "circle", "explicit"]))
+        except (KeyError, IndexError, TypeError):
+            continue
+    return doc
+
+
+_FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(doc=_mutated(default_config(), _CONFIG_PATHS))
+def test_fuzzed_configs_fail_only_with_config_errors(doc, tmp_path, monkeypatch):
+    try:
+        run_config_from(doc)
+    except ConfigError:
+        pass
+    monkeypatch.setattr(cli, "run", lambda cfg: RunResult(points=(), rows=(), aggregates=()))
+    conf = tmp_path / "fuzz.json"
+    conf.write_text(json.dumps(doc))
+    assert _run_cli(["run", "--config", str(conf)])[0] in (0, 1)
+    assert _run_cli(["validate", "--scenario", str(conf)])[0] in (0, 1)
+
+
+@_FUZZ
+@given(doc=_mutated(_SCENARIO, _SCENARIO_PATHS))
+def test_fuzzed_scenarios_fail_only_with_config_errors(doc, tmp_path):
+    try:
+        topology_from_scenario(doc["scenario"])
+    except ConfigError:
+        pass
+    sc = tmp_path / "fuzz.json"
+    sc.write_text(json.dumps(doc))
+    assert _run_cli(["validate", "--scenario", str(sc)])[0] in (0, 1)

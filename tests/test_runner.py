@@ -72,6 +72,22 @@ def test_csv_headers_are_stable(small_run):
     assert ROW_COLUMNS[-10:] == tuple(f"sta_{i}" for i in range(10, 20))
 
 
+def test_rows_csv_has_a_column_per_station(tmp_path):
+    point = build_test("1.2")[0]
+    point = replace(point, scenario=replace(point.scenario, n_sta=12, k=3))
+    rows, _ = evaluate_point(0, point, EngineParams())
+    path = tmp_path / "rows.csv"
+    export_rows_csv(rows, str(path))
+    header, *lines = path.read_text().splitlines()
+    sta_ids = range(STA_ID_BASE, STA_ID_BASE + 12)
+    assert header.split(",")[-12:] == [f"sta_{i}" for i in sta_ids]
+    assert len(lines) == 3
+    for row, line in zip(rows, lines):
+        cells = line.split(",")[-12:]
+        assert cells == ["none" if row.associations[sid] is None
+                         else str(row.associations[sid]) for sid in sta_ids]
+
+
 def test_aggregates_are_row_means(small_run):
     res, _ = small_run
     for agg in res.aggregates:
