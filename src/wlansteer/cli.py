@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .config import ConfigError, load_config, run_config_from, topology_from_scenario
 from .model import validate_topology
-from .runner import RunConfig, run
+from .runner import MAX_WORKERS, RunConfig, run
 from .scenarios import GRID_MANIFEST, TEST_IDS
 from .selection import Mechanism
 
@@ -37,7 +37,8 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    help="run only these total demands (Mbps)")
     p.add_argument("--out", help="directory for rows.csv / aggregates.csv / results.json")
     p.add_argument("--workers", type=int,
-                   help="worker processes (default: the config's, else 1)")
+                   help=f"worker processes, at most {MAX_WORKERS}"
+                   " (default: the config's, else 1)")
     p.add_argument("--emit-events", action="store_true",
                    help="write per-deployment message traces (ndjson)")
 
@@ -62,6 +63,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     for flag, value in (("--k", args.k), ("--workers", args.workers)):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be at least 1")
+    if args.workers is not None and args.workers > MAX_WORKERS:
+        raise ConfigError(f"--workers must be at most {MAX_WORKERS}")
     if args.config is not None:
         cfg = run_config_from(load_config(args.config))
     else:

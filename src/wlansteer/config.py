@@ -42,7 +42,7 @@ from .radio import (
     McsTable,
     PropagationParams,
 )
-from .runner import RunConfig
+from .runner import MAX_WORKERS, RunConfig
 from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, gen_circle, gen_home
 from .selection import SelectionConfig
 
@@ -234,6 +234,8 @@ def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
     for key in ("k", "workers"):
         if run[key] is not None and run[key] < 1:
             raise ConfigError(f"run.{key} must be at least 1")
+    if run["workers"] > MAX_WORKERS:
+        raise ConfigError(f"run.workers must be at most {MAX_WORKERS}")
     _build("selection", SelectionConfig, **{k: v for k, v in sel.items() if v is not None})
     return RunConfig(
         test_id=run["test"],

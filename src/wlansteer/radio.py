@@ -24,6 +24,16 @@ from typing import Optional
 from .model import Band, Position, RadioConfig
 
 
+# (low, high) of each term, which keep every range the model gives,
+# 10 ** (budget_dB / N), a finite float for any link budget under 1000 dB;
+# N = 10 is a path-loss exponent of 1, below any measured indoor value
+_BOUNDS = {
+    "distance_power_loss_coeff": (10.0, 1000.0),
+    "floor_penetration_db": (-1000.0, 1000.0),
+    "constant_offset_db": (-1000.0, 1000.0),
+}
+
+
 @dataclass(frozen=True)
 class PropagationParams:
     distance_power_loss_coeff: float = 31.0
@@ -32,8 +42,10 @@ class PropagationParams:
     min_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.distance_power_loss_coeff <= 0:
-            raise ValueError("distance power loss coefficient must be positive")
+        for name, (low, high) in _BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"{name} must lie in [{low:g}, {high:g}], got {value!r}")
         if self.min_distance_m <= 0:
             raise ValueError("min_distance_m must be positive")
 

@@ -15,7 +15,7 @@ once; each link geometry of the group (``_Geometry``: what
 computes its RSSI table, strongest-signal association and access airtimes
 once; then each point (``_Demand``) does only what its demand and selection
 change: utilization terms, the load-aware pass on its own copy of the
-association, the evaluation and its row.  This flat kernel on plain lists
+association, the evaluation and its results.  This flat kernel on plain lists
 computes what ``initial_association``, ``reassociation_pass`` and
 ``evaluate`` compute, to the last bit; those functions remain the
 single-topology interface and the oracle the tests hold the kernel to.
@@ -23,26 +23,38 @@ single-topology interface and the oracle the tests hold the kernel to.
 A worker pool gets (draw group, contiguous deployment range) tasks, a few
 ranges per worker, so that points of unequal cost share the load; a group
 with fewer deployments than that is cut into slices of its points as well.
-The parent puts the rows back in (point, deployment) order and sums each
-aggregate over its rows in deployment order, as a single process would.
+
+Results are columnar.  Each task returns, per point, a block: the point's
+constant fields once, then a column each of throughput, delay and congestion
+and one int8 serving index per station and deployment.  The parent keeps the
+blocks in (point, deployment) order and sums each aggregate over them in
+deployment order, as a single process would.  ``RunResult.rows`` and
+``evaluate_point``'s rows are a ``ResultRows`` that builds each ``ResultRow``
+only when it is read.  The exports read blocks too, and turn a plain list of
+rows into blocks first: a block's constant cells are encoded once, and each
+distinct association vector once for the consecutive points that share it.
 
 Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
 ``SimEnv`` per deployment: it runs ``initial_association`` and
 ``reassociation_pass`` once more, through ``protocol.run_mechanism``, with
 an ``EventLog`` recording their frames, and checks that they land where the
-kernel's row says.
+kernel's serving indices say.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing
 import operator
 import os
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Optional, Sequence
+from itertools import accumulate, count
+from typing import Optional, Sequence
 
 from .model import NodeKind, Position, backhaul_path
 from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
@@ -141,6 +153,108 @@ class Aggregate:
     association_rate_pct: float
 
 
+# the row fields each deployment sets; the others, in _ROW_FIELDS order, are
+# its sweep point's, and they open an Aggregate in the same order
+_PER_ROW = ("deployment_index", "throughput_pct", "avg_delay_ms", "congested")
+_CONSTANT = tuple(f for f in _ROW_FIELDS if f not in _PER_ROW)
+_constant = operator.attrgetter(*_CONSTANT)
+
+
+class _Block:
+    """Consecutive rows that differ only in what each deployment sets, held
+    as columns.  ``const`` holds the ``_CONSTANT`` fields and ``nodes`` the
+    serving node of each serving index.  Row ``i`` is deployment ``first + i``:
+    float64 throughput and delay, a congestion byte and an int8 serving index
+    per station of ``sta_ids``, -1 when unassociated."""
+
+    def __init__(self, const: tuple, sta_ids: tuple[int, ...], nodes: list, first: int):
+        self.const, self.sta_ids, self.nodes, self.first = const, sta_ids, nodes, first
+        self.thr, self.delay, self.congested = array("d"), array("d"), bytearray()
+        self.serving = array("b")
+
+    def __len__(self) -> int:
+        return len(self.thr)
+
+    def append(self, thr: float, delay: float, congested: bool, serving: list[int]) -> None:
+        self.thr.append(thr)
+        self.delay.append(delay)
+        self.congested.append(congested)
+        self.serving.extend(serving)
+
+    def vectors(self) -> list[bytes]:
+        """Each row's serving indices as bytes, -1 as 0xff."""
+        raw, n = self.serving.tobytes(), len(self.sta_ids)
+        return [raw[i * n : (i + 1) * n] for i in range(len(self))]
+
+    def associations(self, serving) -> dict[int, Optional[int]]:
+        """A row's associations from its serving indices."""
+        nodes = self.nodes
+        return {sid: (nodes[j] if j >= 0 else None) for sid, j in zip(self.sta_ids, serving)}
+
+    def row(self, i: int) -> ResultRow:
+        n = len(self.sta_ids)
+        return ResultRow(
+            **dict(zip(_CONSTANT, self.const)), deployment_index=self.first + i,
+            throughput_pct=self.thr[i], avg_delay_ms=self.delay[i],
+            congested=bool(self.congested[i]),
+            associations=self.associations(self.serving[i * n : (i + 1) * n]),
+        )
+
+
+def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
+    """A run's blocks, or a list's rows cut into blocks wherever a row stops
+    sharing the last one's constant fields (by value and type), station ids
+    or deployment sequence."""
+    if isinstance(rows, ResultRows):
+        return rows.blocks
+    blocks: list[_Block] = []
+    last = None
+    for row in rows:
+        const, sta_ids = _constant(row), tuple(sorted(row.associations))
+        key = (const, tuple(map(type, const)), sta_ids)
+        if (key, row.deployment_index) != last:
+            blocks.append(_Block(const, sta_ids, [], row.deployment_index))
+        block = blocks[-1]
+        nodes = [row.associations[sid] for sid in sta_ids]
+        block.nodes.extend({n for n in nodes if n is not None}.difference(block.nodes))
+        serving = [-1 if n is None else block.nodes.index(n) for n in nodes]
+        block.append(row.throughput_pct, row.avg_delay_ms, row.congested, serving)
+        last = (key, row.deployment_index + 1)
+    return blocks
+
+
+class ResultRows(Sequence):
+    """A run's rows in (point, deployment) order, held as blocks of columns;
+    each ``ResultRow`` is built when it is read."""
+
+    def __init__(self, blocks: list[_Block]) -> None:
+        self.blocks = blocks
+        self._ends = list(accumulate(map(len, blocks)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("row index out of range")
+        i %= len(self)
+        b = bisect_right(self._ends, i)
+        return self.blocks[b].row(i - self._ends[b] + len(self.blocks[b]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ResultRows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+# the most worker processes a run may start, the same on every machine so
+# that a config that validates on one validates on all
+MAX_WORKERS = 64
+
+
 @dataclass
 class RunConfig:
     """What to run and how; None leaves the grid's own value untouched.
@@ -166,6 +280,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
         if isinstance(self.mechanism, str):
             self.mechanism = Mechanism(self.mechanism)
         if self.b_t_bps is not None:
@@ -175,7 +291,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     points: tuple[SweepPoint, ...]
-    rows: tuple[ResultRow, ...]
+    rows: Sequence[ResultRow]  # a ResultRows when run() made it
     aggregates: tuple[Aggregate, ...]
 
 
@@ -468,19 +584,21 @@ class _Demand:
         self,
         positions: Sequence[Position],
         capable: frozenset[int],
-        associations: Mapping[int, Optional[int]],
+        parent: list[int],
         path: str,
     ) -> None:
         """Write the deployment's 802.11k/v frame trace through ``run_mechanism``.
 
         The trace must describe the outcome the row reports, so an
-        association map that differs from the kernel's is an error.
+        association map that differs from the kernel's serving indices
+        ``parent`` is an error.
         """
         point = self.point
         env = replace(self.geom.env, traffic=point.traffic, external=tuple(point.external))
         topo = add_stations(self.geom.base, positions, capable)
         steered, log = run_mechanism(topo, with_link_cache(topo, env), self.selection)
-        want = {sid: node for sid, node in associations.items() if node is not None}
+        serving = self.geom.serving
+        want = {STA_ID_BASE + s: serving[j] for s, j in enumerate(parent) if j >= 0}
         if dict(steered.associations) != want:
             raise RuntimeError(f"frame trace {path} disagrees with the deployment's row")
         export_events(log, path)
@@ -506,16 +624,17 @@ def _evaluate_range(
     events_dir: Optional[str],
     lo: int,
     hi: int,
-) -> list[list[ResultRow]]:
-    """Rows of deployments ``lo`` to ``hi - 1`` of each of ``points``, which
-    are (grid index, point) pairs sharing one deployment draw.
+) -> list[_Block]:
+    """One block per point of ``points``, which are (grid index, point) pairs
+    sharing one deployment draw, holding deployments ``lo`` to ``hi - 1``.
 
     The walk is deployment-major: one draw per deployment, one ``links`` per
     link geometry, then each point's demand-dependent work.
     """
     spec = points[0][1].scenario
+    sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
     geoms: dict[tuple, tuple[_Geometry, list]] = {}
-    rows: list[list[ResultRow]] = []
+    blocks: list[_Block] = []
     for pi, point in points:
         key = (
             topology_key(point.scenario, point.rssi_ap_e_dbm),
@@ -524,10 +643,15 @@ def _evaluate_range(
         if key not in geoms:
             geoms[key] = (_Geometry(point, params), [])
         geom, members = geoms[key]
-        point_rows: list[ResultRow] = []
-        members.append((pi, _Demand(point, geom), point_rows))
-        rows.append(point_rows)
-    sta_ids = [STA_ID_BASE + i for i in range(spec.n_sta)]
+        sel = point.selection
+        const = (  # in _CONSTANT order
+            point.test_id, point.rssi_ap_e_dbm, point.scenario.n_extenders,
+            point.scenario.channel_plan, point.b_ext_bps, sel.mechanism.value, sel.alpha,
+            sel.beta_pct, point.b_t_bps,
+        )
+        block = _Block(const, sta_ids, geom.serving, lo)
+        members.append((pi, _Demand(point, geom), block))
+        blocks.append(block)
     walks = [
         (geom, any(demand.steer for _, demand, _ in members), members)
         for geom, members in geoms.values()
@@ -536,72 +660,43 @@ def _evaluate_range(
         positions, perm = deployment_draw(spec, dep, params.propagation)
         for geom, steer, members in walks:
             links = geom.links(positions, steer)
-            serving = geom.serving
-            for pi, demand, point_rows in members:
+            for pi, demand, block in members:
                 point = demand.point
-                sel = point.selection
                 capable: frozenset[int] = frozenset()
                 if demand.steer or events_dir is not None:
-                    capable = capable_set_for(spec, perm, sel.beta_pct)
+                    capable = capable_set_for(spec, perm, point.selection.beta_pct)
                 thr, avg_delay, congested, parent = demand.deployment(links, capable)
-                assoc = {
-                    sid: (serving[j] if j >= 0 else None)
-                    for sid, j in zip(sta_ids, parent)
-                }
                 if events_dir is not None:
                     demand.trace(
                         positions,
                         capable,
-                        assoc,
+                        parent,
                         os.path.join(
                             events_dir,
                             f"t{point.test_id}_p{pi:04d}_d{dep:05d}.ndjson",
                         ),
                     )
-                point_rows.append(
-                    ResultRow(
-                        test_id=point.test_id,
-                        rssi_ap_e_dbm=point.rssi_ap_e_dbm,
-                        n_ext=point.scenario.n_extenders,
-                        channel_plan=point.scenario.channel_plan,
-                        b_ext_bps=point.b_ext_bps,
-                        deployment_index=dep,
-                        mechanism=sel.mechanism.value,
-                        alpha=sel.alpha,
-                        beta_pct=sel.beta_pct,
-                        b_t_bps=point.b_t_bps,
-                        throughput_pct=thr,
-                        avg_delay_ms=avg_delay,
-                        congested=congested,
-                        associations=assoc,
-                    )
-                )
-    return rows
+                block.append(thr, avg_delay, congested, parent)
+    return blocks
 
 
-def _aggregate(point: SweepPoint, rows: Sequence[ResultRow]) -> Aggregate:
-    """Mean outcome of one point's rows, summed in deployment order."""
+def _aggregate(point: SweepPoint, blocks: Sequence[_Block]) -> Aggregate:
+    """Mean outcome of one point's blocks, each sum a float loop in deployment
+    order (numpy sums pairwise, and ``sum`` compensates from Python 3.12)."""
     spec = point.scenario
-    sel = point.selection
     thr_sum = delay_sum = assoc_sum = 0.0
     congested_n = 0
-    for row in rows:
-        thr_sum += row.throughput_pct
-        delay_sum += row.avg_delay_ms
-        n_assoc = sum(1 for node in row.associations.values() if node is not None)
-        assoc_sum += n_assoc / spec.n_sta
-        congested_n += 1 if row.congested else 0
+    for block in blocks:
+        for thr in block.thr:
+            thr_sum += thr
+        for delay in block.delay:
+            delay_sum += delay
+        for vector in block.vectors():
+            assoc_sum += (spec.n_sta - vector.count(0xFF)) / spec.n_sta
+        congested_n += block.congested.count(1)
     k = spec.k
     return Aggregate(
-        test_id=point.test_id,
-        rssi_ap_e_dbm=point.rssi_ap_e_dbm,
-        n_ext=spec.n_extenders,
-        channel_plan=spec.channel_plan,
-        b_ext_bps=point.b_ext_bps,
-        mechanism=sel.mechanism.value,
-        alpha=sel.alpha,
-        beta_pct=sel.beta_pct,
-        b_t_bps=point.b_t_bps,
+        *blocks[0].const,
         k=k,
         mean_throughput_pct=thr_sum / k,
         mean_delay_ms=delay_sum / k,
@@ -615,12 +710,10 @@ def evaluate_point(
     point: SweepPoint,
     params: EngineParams,
     events_dir: Optional[str] = None,
-) -> tuple[list[ResultRow], Aggregate]:
+) -> tuple[ResultRows, Aggregate]:
     """All deployments of one sweep point, plus their aggregate."""
-    (rows,) = _evaluate_range(
-        ((point_index, point),), params, events_dir, 0, point.scenario.k
-    )
-    return rows, _aggregate(point, rows)
+    blocks = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
+    return ResultRows(blocks), _aggregate(point, blocks)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -650,86 +743,110 @@ def run(cfg: RunConfig) -> RunResult:
             results = pool.starmap(_evaluate_range, tasks)
     else:
         results = [_evaluate_range(*t) for t in tasks]
-    per_point: list[list[ResultRow]] = [[] for _ in points]
-    for task, task_rows in zip(tasks, results):
-        for (i, _), point_rows in zip(task[0], task_rows):
-            per_point[i].extend(point_rows)
-    rows: list[ResultRow] = []
-    aggregates: list[Aggregate] = []
-    for point, point_rows in zip(points, per_point):
-        rows.extend(point_rows)
-        aggregates.append(_aggregate(point, point_rows))
+    per_point: list[list[_Block]] = [[] for _ in points]
+    for task, task_blocks in zip(tasks, results):
+        for (i, _), block in zip(task[0], task_blocks):
+            per_point[i].append(block)
+    rows = ResultRows([block for blocks in per_point for block in blocks])
+    aggregates = [_aggregate(point, blocks) for point, blocks in zip(points, per_point)]
     if cfg.out_dir is not None:
         export_rows_csv(rows, os.path.join(cfg.out_dir, "rows.csv"))
         export_aggregates_csv(aggregates, os.path.join(cfg.out_dir, "aggregates.csv"))
         export_json(rows, aggregates, os.path.join(cfg.out_dir, "results.json"))
-    return RunResult(points=tuple(points), rows=tuple(rows), aggregates=tuple(aggregates))
+    return RunResult(points=tuple(points), rows=rows, aggregates=tuple(aggregates))
 
 
 # --- exports ----------------------------------------------------------------
 
-
-def _cells(values: Sequence) -> list:
-    """``values`` as ``csv.writer`` cells.  The writer itself writes None as an
-    empty cell and ``str`` of the rest, so only booleans need spelling out."""
-    return [("true" if v else "false") if v.__class__ is bool else v for v in values]
-
-
-_row_fields = operator.attrgetter(*_ROW_FIELDS)
-_aggregate_fields = operator.attrgetter(*AGGREGATE_COLUMNS)
+_FLAGS = ("false", "true")
+_SLOT = "\0"  # where the per-row values go while a block's constants are encoded
+# distinct association vectors an export holds encoded, which bounds its
+# memory; the consecutive points of one geometry come well within it
+_ENCODED_VECTORS = 1 << 14
 
 
-def _row_record(row: ResultRow, sta_ids: Sequence[int]) -> list:
-    rec = _cells(_row_fields(row))
-    assoc = row.associations
-    for sid in sta_ids:
-        if sid not in assoc:
-            rec.append("")
-        else:
-            parent = assoc[sid]
-            rec.append("none" if parent is None else str(parent))
-    return rec
+def _encoded(blocks: Sequence[_Block], encode):
+    """Each block with the text ``encode(associations)`` of each row.  A
+    vector is encoded once while consecutive blocks share their stations and
+    nodes, as one geometry's stock points share one vector per deployment."""
+    layout, texts = None, {}
+    for block in blocks:
+        if (block.sta_ids, block.nodes) != layout or len(texts) > _ENCODED_VECTORS:
+            layout, texts = (block.sta_ids, block.nodes), {}
+        vectors = block.vectors()
+        for vector in set(vectors).difference(texts):
+            texts[vector] = encode(block.associations(array("b", vector)))
+        yield block, map(texts.__getitem__, vectors)
 
 
 def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
     """One line per row: its fields, then a ``sta_<id>`` column per station
     id found in any row, holding the serving node, ``none`` when the station
     is unassociated, or nothing when the row has no such station."""
-    sta_ids = sorted({sid for row in rows for sid in row.associations})
+    blocks = _blocks(rows)
+    sta_ids = sorted({sid for block in blocks for sid in block.sta_ids})
+
+    def cells(assoc: dict) -> str:
+        return "".join(
+            "," if sid not in assoc else ",none" if assoc[sid] is None else f",{assoc[sid]}"
+            for sid in sta_ids
+        )
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
-        for row in rows:
-            writer.writerow(_row_record(row, sta_ids))
+        for block, texts in _encoded(blocks, cells):
+            const = dict(zip(_CONSTANT, block.const))
+            line = io.StringIO()
+            csv.writer(line, lineterminator="").writerow([const.get(f, _SLOT) for f in _ROW_FIELDS])
+            p0, p1, p2, p3, p4 = line.getvalue().split(_SLOT)
+            fh.write("".join([
+                f"{p0}{dep}{p1}{t!r}{p2}{d!r}{p3}{_FLAGS[c]}{p4}{text}\n"
+                for dep, t, d, c, text in zip(
+                    count(block.first), block.thr, block.delay, block.congested, texts
+                )
+            ]))
 
 
 def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGGREGATE_COLUMNS)
-        for a in aggs:
-            writer.writerow(_cells(_aggregate_fields(a)))
+        writer.writerows(map(operator.attrgetter(*AGGREGATE_COLUMNS), aggs))
 
 
-def _row_json(row: ResultRow) -> dict:
-    rec = {c: getattr(row, c) for c in _ROW_FIELDS}
-    rec["associations"] = {str(k): v for k, v in sorted(row.associations.items())}
-    return rec
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
     """``{"aggregates": [...], "rows": [...]}`` as ``json.dumps`` writes it with
-    sorted keys and no spaces, encoded a record at a time so that the C
-    encoder does the work without the whole document in memory."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    sorted keys and no spaces, a row's associations keyed by station id as a
+    string.  One C encoder call writes each block's floats and constants."""
+
+    def associations(assoc: dict) -> str:
+        return _encode({str(sid): node for sid, node in assoc.items()})
+
+    slot = _encode(_SLOT)
     with open(path, "w") as fh:
-        fh.write('{"aggregates":[')
-        fh.write(",".join(encode({c: getattr(a, c) for c in AGGREGATE_COLUMNS}) for a in aggs))
-        fh.write('],"rows":[')
-        for i, row in enumerate(rows):
-            if i:
-                fh.write(",")
-            fh.write(encode(_row_json(row)))
+        fh.write('{"aggregates":')
+        fh.write(_encode([{c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs]))
+        fh.write(',"rows":[')
+        for b, (block, texts) in enumerate(_encoded(_blocks(rows), associations)):
+            record = dict(zip(_CONSTANT, block.const))
+            record.update(dict.fromkeys(_PER_ROW + ("associations",), _SLOT))
+            n = len(block)
+            # float spellings hold no comma, so the first 2n commas part them
+            *values, record = _encode(
+                block.thr.tolist() + block.delay.tolist() + [record]
+            )[1:-1].split(",", 2 * n)
+            # the per-row values go in between, in sorted key order
+            q0, q1, q2, q3, q4, q5 = record.split(slot)
+            fh.write("," * (b > 0) + ",".join([
+                f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
+                for text, d, c, dep, t in zip(
+                    texts, values[n:], block.congested, count(block.first), values[:n]
+                )
+            ]))
         fh.write("]}\n")
 
 

@@ -24,7 +24,7 @@ from wlansteer.cli import main
 from wlansteer.model import Band, NodeKind
 from wlansteer.perf import DEFAULT_OVERHEADS
 from wlansteer.radio import DEFAULT_MCS_TABLES
-from wlansteer.runner import RunResult
+from wlansteer.runner import MAX_WORKERS, RunConfig, RunResult
 
 
 def test_default_config_survives_a_save_load_cycle(tmp_path):
@@ -159,6 +159,15 @@ def test_cli_workers_flag_overrides_the_config_only_when_given(tmp_path, monkeyp
     assert seen == [4, 2, 1]
 
 
+def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("run must not start"))
+    rc, _, err = _run_cli(["run", "--test", "1.2", "--workers", str(MAX_WORKERS + 1)])
+    assert (rc, err) == (1, f"error: --workers must be at most {MAX_WORKERS}\n")
+    with pytest.raises(ValueError, match=f"^workers must be at most {MAX_WORKERS}$"):
+        RunConfig(test_id="1.2", workers=MAX_WORKERS + 1)
+    assert run_config_from({"run": {"workers": MAX_WORKERS}}).workers == MAX_WORKERS
+
+
 def test_cli_reports_unknown_test_ids():
     rc, _, err = _run_cli(["run", "--test", "9.9", "--k", "1"])
     assert rc == 1
@@ -206,6 +215,11 @@ _BAD_DOCUMENTS = [
     ({"run": {"seed": 1.0}}, "run.seed"),
     ({"run": {"out_dir": 3}}, "run.out_dir"),
     ({"propagation": {"min_distance_m": 10**400}}, "propagation.min_distance_m"),
+    # values whose ranges, 10 ** (budget / coeff), would overflow a float
+    ({"propagation": {"distance_power_loss_coeff": 1e-300}, "run": {"test": "1.2", "k": 1}},
+     "propagation: distance_power_loss_coeff"),
+    ({"propagation": {"floor_penetration_db": -1e300}}, "propagation: floor_penetration_db"),
+    ({"run": {"workers": MAX_WORKERS + 1}}, "run.workers"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Campaign runner: sweep filtering, exports, parallel determinism, and its
 agreement with the single-topology API."""
+import csv
 import json
+import math
 import os
 from dataclasses import asdict, replace
 
@@ -411,3 +413,138 @@ def test_shared_draws_match_point_by_point_evaluation(monkeypatch, workers, k):
     results = [evaluate_point(i, p, EngineParams()) for i, p in enumerate(grid)]
     assert list(res.rows) == [r for rows, _ in results for r in rows]
     assert list(res.aggregates) == [agg for _, agg in results]
+
+
+# --- columnar results --------------------------------------------------------
+
+_FIELDS = ROW_COLUMNS[:13]
+
+
+def _reference_exports(rows, aggs, csv_path, json_path):
+    """rows.csv and results.json written a row at a time, field by field."""
+    sta_ids = sorted({sid for r in rows for sid in r.associations})
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
+        for r in rows:
+            cells = [("true" if v else "false") if isinstance(v, bool) else v
+                     for v in (getattr(r, f) for f in _FIELDS)]
+            for sid in sta_ids:
+                node = r.associations.get(sid, "")
+                cells.append("none" if node is None else node)
+            writer.writerow(cells)
+    records = []
+    for r in rows:
+        rec = asdict(r)
+        rec["associations"] = {str(k): v for k, v in r.associations.items()}
+        records.append(rec)
+    payload = {"rows": records, "aggregates": [asdict(a) for a in aggs]}
+    with open(json_path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _exports(rows, aggs, out):
+    export_rows_csv(rows, os.path.join(out, "rows.csv"))
+    export_json(rows, aggs, os.path.join(out, "results.json"))
+    return [open(os.path.join(out, f), "rb").read() for f in ("rows.csv", "results.json")]
+
+
+def _row(dep, stations, **fields):
+    base = dict(test_id="1.2", rssi_ap_e_dbm=None, n_ext=2, channel_plan="multi",
+                b_ext_bps=0.0, mechanism="rssi", alpha=0.5, beta_pct=100.0,
+                b_t_bps=6e6, throughput_pct=0.1 + 0.2, avg_delay_ms=1 / 3,
+                congested=False)
+    base.update(fields)
+    return ResultRow(deployment_index=dep, associations=stations, **base)
+
+
+def _hand_built_rows():
+    """Rows that cut into blocks every way: a gap in the deployments, a
+    change of point and back, 10 and 12 stations, unassociated stations,
+    17-digit floats and station ids whose string order is not numeric."""
+    ten = {sid: (sid % 3 or None) for sid in range(10, 20)}
+    twelve = {sid: (0 if sid % 4 else None) for sid in range(5, 17)}
+    steered = dict(mechanism="loadaware", rssi_ap_e_dbm=-70.0, n_ext=0, beta_pct=25.0,
+                   b_t_bps=2.0 / 3.0 * 1e7)
+    return [
+        _row(0, ten),
+        _row(1, {**ten, 12: 7}, congested=True, throughput_pct=100.0),
+        _row(5, ten, avg_delay_ms=1e-7),
+        _row(0, twelve, **steered),
+        _row(1, twelve, **steered, congested=True, avg_delay_ms=0.1 * 3),
+        _row(6, ten),
+    ]
+
+
+def test_hand_built_rows_export_the_reference_bytes(tmp_path):
+    rows = _hand_built_rows()
+    aggs = [_agg(6e6, 100.0, 1.0, 0.0)]
+    _reference_exports(rows, aggs, tmp_path / "ref.csv", tmp_path / "ref.json")
+    got_csv, got_json = _exports(rows, aggs, str(tmp_path))
+    assert got_csv == (tmp_path / "ref.csv").read_bytes()
+    assert got_json == (tmp_path / "ref.json").read_bytes()
+    lines = got_csv.decode().splitlines()
+    assert lines[0].split(",")[13:] == [f"sta_{i}" for i in range(5, 20)]
+    # no rssi, n_ext and deployment index as ints, 17 digits, missing stations
+    assert lines[1].startswith("1.2,,2,multi,0.0,0,rssi,0.5,100.0,6000000.0,"
+                               "0.30000000000000004,0.3333333333333333,false,,,,,,")
+    assert lines[4].startswith("1.2,-70.0,0,multi,0.0,0,loadaware,0.5,25.0,6666666.666666666,")
+    assert lines[4].endswith(",false,0,0,0,none,0,0,0,none,0,0,0,none,,,")
+    record = json.loads(got_json)["rows"][3]
+    assert list(record["associations"])[:3] == ["10", "11", "12"]
+    assert b'"associations":{"10":0,"11":0,"12":null,' in got_json
+    assert b'"n_ext":2,"rssi_ap_e_dbm":null,' in got_json
+
+
+def test_run_rows_and_their_list_export_the_same_bytes(small_run, tmp_path):
+    res, out = small_run
+    listed = list(res.rows)
+    assert _exports(listed, res.aggregates, str(tmp_path)) == [
+        open(os.path.join(out, f), "rb").read() for f in ("rows.csv", "results.json")
+    ]
+    _reference_exports(listed, res.aggregates, tmp_path / "ref.csv", tmp_path / "ref.json")
+    assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "ref.json").read_bytes() == (tmp_path / "results.json").read_bytes()
+
+
+def test_run_rows_read_like_the_point_rows(small_run):
+    res, _ = small_run
+    want = [r for i, p in enumerate(res.points)
+            for r in evaluate_point(i, p, EngineParams())[0]]
+    assert len(res.rows) == len(want) == 15
+    assert [res.rows[i] for i in range(-15, 15)] == want + want
+    assert res.rows[3:11:2] == want[3:11:2]
+    assert res.rows[::-1] == want[::-1]
+    assert list(res.rows) == want
+    assert res.rows == want and want == res.rows
+    assert res.rows == tuple(want)
+    assert res.rows != want[:-1]
+    with pytest.raises(IndexError):
+        res.rows[15]
+    assert isinstance(res.rows[0].n_ext, int)
+    assert isinstance(res.rows[4].deployment_index, int)
+
+
+def test_runs_build_no_result_row(monkeypatch, tmp_path):
+    def refuse(self, i):
+        raise AssertionError("a ResultRow was built")
+
+    monkeypatch.setattr(runner._Block, "row", refuse)
+    res = run(RunConfig(test_id="1.2", k=3, out_dir=str(tmp_path)))
+    assert len(res.rows) == 15
+    assert len(evaluate_point(0, res.points[0], EngineParams())[0]) == 3
+
+
+def test_aggregate_sums_in_deployment_order():
+    """A left-to-right float sum: numpy's pairwise sum, ``math.fsum`` and
+    Python 3.12's ``sum`` each give another mean for these throughputs."""
+    point = _point("1.2", 16, _stock)
+    thr = [1e16] + [1.0] * 14 + [-1e16]
+    stations = {sid: 0 for sid in range(10, 20)}
+    rows = [_row(i, stations, throughput_pct=t) for i, t in enumerate(thr)]
+    blocks = runner._blocks(rows)
+    total = 0.0
+    for t in thr:
+        total += t
+    assert total == 0.0 != math.fsum(thr)
+    assert runner._aggregate(point, blocks).mean_throughput_pct == total / 16
