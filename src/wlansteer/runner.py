@@ -836,11 +836,11 @@ def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str)
             record.update(dict.fromkeys(_PER_ROW + ("associations",), _SLOT))
             n = len(block)
             # float spellings hold no comma, so the first 2n commas part them
-            *values, record = _encode(
+            *values, template = _encode(
                 block.thr.tolist() + block.delay.tolist() + [record]
             )[1:-1].split(",", 2 * n)
             # the per-row values go in between, in sorted key order
-            q0, q1, q2, q3, q4, q5 = record.split(slot)
+            q0, q1, q2, q3, q4, q5 = template.split(slot)
             fh.write("," * (b > 0) + ",".join([
                 f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
                 for text, d, c, dep, t in zip(

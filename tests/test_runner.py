@@ -460,8 +460,10 @@ def _row(dep, stations, **fields):
 
 def _hand_built_rows():
     """Rows that cut into blocks every way: a gap in the deployments, a
-    change of point and back, 10 and 12 stations, unassociated stations,
-    17-digit floats and station ids whose string order is not numeric."""
+    change of point and back, a constant of another type, 10 and 12
+    stations, unassociated stations, 17-digit floats, station ids whose
+    string order is not numeric, and one association vector standing for
+    other nodes in another block."""
     ten = {sid: (sid % 3 or None) for sid in range(10, 20)}
     twelve = {sid: (0 if sid % 4 else None) for sid in range(5, 17)}
     steered = dict(mechanism="loadaware", rssi_ap_e_dbm=-70.0, n_ext=0, beta_pct=25.0,
@@ -473,6 +475,9 @@ def _hand_built_rows():
         _row(0, twelve, **steered),
         _row(1, twelve, **steered, congested=True, avg_delay_ms=0.1 * 3),
         _row(6, ten),
+        _row(7, ten, n_ext=2.0),
+        _row(0, {sid: (3 if node == 0 else node) for sid, node in twelve.items()},
+             **steered, alpha=0.25),
     ]
 
 
