@@ -26,9 +26,9 @@ with fewer deployments than that is cut into slices of its points as well.
 
 Results are columnar.  Each task returns, per point, a block: the point's
 constant fields once, then a column each of throughput, delay and congestion
-and one int8 serving index per station and deployment.  The parent keeps the
-blocks in (point, deployment) order and sums each aggregate over them in
-deployment order, as a single process would.  ``RunResult.rows`` and
+and one int8 serving index per station and deployment.  The parent joins
+each point's blocks in deployment order and sums its aggregate over them in
+that order, as a single process would.  ``RunResult.rows`` and
 ``evaluate_point``'s rows are a ``ResultRows`` that builds each ``ResultRow``
 only when it is read.  The exports read blocks too, and turn a plain list of
 rows into blocks first: a block's constant cells are encoded once, and each
@@ -180,6 +180,13 @@ class _Block:
         self.delay.append(delay)
         self.congested.append(congested)
         self.serving.extend(serving)
+
+    def extend(self, other: _Block) -> None:
+        """Add the rows of the deployment range that follows."""
+        self.thr.extend(other.thr)
+        self.delay.extend(other.delay)
+        self.congested.extend(other.congested)
+        self.serving.extend(other.serving)
 
     def vectors(self) -> list[bytes]:
         """Each row's serving indices as bytes, -1 as 0xff."""
@@ -680,27 +687,24 @@ def _evaluate_range(
     return blocks
 
 
-def _aggregate(point: SweepPoint, blocks: Sequence[_Block]) -> Aggregate:
-    """Mean outcome of one point's blocks, each sum a float loop in deployment
+def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
+    """Mean outcome of one point's block, each sum a float loop in deployment
     order (numpy sums pairwise, and ``sum`` compensates from Python 3.12)."""
     spec = point.scenario
     thr_sum = delay_sum = assoc_sum = 0.0
-    congested_n = 0
-    for block in blocks:
-        for thr in block.thr:
-            thr_sum += thr
-        for delay in block.delay:
-            delay_sum += delay
-        for vector in block.vectors():
-            assoc_sum += (spec.n_sta - vector.count(0xFF)) / spec.n_sta
-        congested_n += block.congested.count(1)
+    for thr in block.thr:
+        thr_sum += thr
+    for delay in block.delay:
+        delay_sum += delay
+    for vector in block.vectors():
+        assoc_sum += (spec.n_sta - vector.count(0xFF)) / spec.n_sta
     k = spec.k
     return Aggregate(
-        *blocks[0].const,
+        *block.const,
         k=k,
         mean_throughput_pct=thr_sum / k,
         mean_delay_ms=delay_sum / k,
-        congested_pct=100.0 * congested_n / k,
+        congested_pct=100.0 * block.congested.count(1) / k,
         association_rate_pct=100.0 * assoc_sum / k,
     )
 
@@ -712,8 +716,8 @@ def evaluate_point(
     events_dir: Optional[str] = None,
 ) -> tuple[ResultRows, Aggregate]:
     """All deployments of one sweep point, plus their aggregate."""
-    blocks = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
-    return ResultRows(blocks), _aggregate(point, blocks)
+    (block,) = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
+    return ResultRows([block]), _aggregate(point, block)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -743,12 +747,16 @@ def run(cfg: RunConfig) -> RunResult:
             results = pool.starmap(_evaluate_range, tasks)
     else:
         results = [_evaluate_range(*t) for t in tasks]
-    per_point: list[list[_Block]] = [[] for _ in points]
+    # one block per point: its ranges come in deployment order
+    blocks: list[Optional[_Block]] = [None] * len(points)
     for task, task_blocks in zip(tasks, results):
         for (i, _), block in zip(task[0], task_blocks):
-            per_point[i].append(block)
-    rows = ResultRows([block for blocks in per_point for block in blocks])
-    aggregates = [_aggregate(point, blocks) for point, blocks in zip(points, per_point)]
+            if blocks[i] is None:
+                blocks[i] = block
+            else:
+                blocks[i].extend(block)
+    rows = ResultRows(blocks)
+    aggregates = [_aggregate(point, block) for point, block in zip(points, blocks)]
     if cfg.out_dir is not None:
         export_rows_csv(rows, os.path.join(cfg.out_dir, "rows.csv"))
         export_aggregates_csv(aggregates, os.path.join(cfg.out_dir, "aggregates.csv"))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -446,7 +447,7 @@ def _reference_exports(rows, aggs, csv_path, json_path):
 def _exports(rows, aggs, out):
     export_rows_csv(rows, os.path.join(out, "rows.csv"))
     export_json(rows, aggs, os.path.join(out, "results.json"))
-    return [open(os.path.join(out, f), "rb").read() for f in ("rows.csv", "results.json")]
+    return [Path(out, f).read_bytes() for f in ("rows.csv", "results.json")]
 
 
 def _row(dep, stations, **fields):
@@ -505,7 +506,7 @@ def test_run_rows_and_their_list_export_the_same_bytes(small_run, tmp_path):
     res, out = small_run
     listed = list(res.rows)
     assert _exports(listed, res.aggregates, str(tmp_path)) == [
-        open(os.path.join(out, f), "rb").read() for f in ("rows.csv", "results.json")
+        Path(out, f).read_bytes() for f in ("rows.csv", "results.json")
     ]
     _reference_exports(listed, res.aggregates, tmp_path / "ref.csv", tmp_path / "ref.json")
     assert (tmp_path / "ref.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -547,9 +548,9 @@ def test_aggregate_sums_in_deployment_order():
     thr = [1e16] + [1.0] * 14 + [-1e16]
     stations = {sid: 0 for sid in range(10, 20)}
     rows = [_row(i, stations, throughput_pct=t) for i, t in enumerate(thr)]
-    blocks = runner._blocks(rows)
+    (block,) = runner._blocks(rows)
     total = 0.0
     for t in thr:
         total += t
     assert total == 0.0 != math.fsum(thr)
-    assert runner._aggregate(point, blocks).mean_throughput_pct == total / 16
+    assert runner._aggregate(point, block).mean_throughput_pct == total / 16
