@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import ConfigError, load_config, run_config_from, topology_from_scenario
@@ -60,42 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    for flag, value in (("--k", args.k), ("--workers", args.workers)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be at least 1")
-    if args.workers is not None and args.workers > MAX_WORKERS:
-        raise ConfigError(f"--workers must be at most {MAX_WORKERS}")
     if args.config is not None:
         cfg = run_config_from(load_config(args.config))
+    elif args.test is None:
+        raise ConfigError("either --test or --config is required")
     else:
-        if args.test is None:
-            raise ConfigError("either --test or --config is required")
         cfg = RunConfig(test_id=args.test)
-    if args.test is not None:
-        cfg.test_id = args.test
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.beta_pct is not None:
-        cfg.beta_pct = args.beta_pct
-    if args.k is not None:
-        cfg.k = args.k
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mechanism is not None:
-        cfg.mechanism = Mechanism(args.mechanism)
-    if args.channel_plan is not None:
-        cfg.channel_plan = args.channel_plan
-    if args.n_ext is not None:
-        cfg.n_ext = args.n_ext
-    if args.b_t is not None:
-        cfg.b_t_bps = tuple(x * 1e6 for x in args.b_t)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.emit_events:
-        cfg.emit_events = True
-    return cfg
+    flags = dict(
+        test_id=args.test, alpha=args.alpha, beta_pct=args.beta_pct, k=args.k,
+        seed=args.seed, mechanism=args.mechanism, channel_plan=args.channel_plan,
+        n_ext=args.n_ext, out_dir=args.out, workers=args.workers,
+        b_t_bps=None if args.b_t is None else tuple(x * 1e6 for x in args.b_t),
+        emit_events=args.emit_events or None,
+    )
+    try:  # RunConfig checks k and workers; its message opens with the field's name
+        return replace(cfg, **{f: v for f, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ list, checked the same way.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any, Callable, Mapping
 
 from .model import (
@@ -42,7 +43,7 @@ from .radio import (
     McsTable,
     PropagationParams,
 )
-from .runner import MAX_WORKERS, RunConfig
+from .runner import RunConfig
 from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, gen_circle, gen_home
 from .selection import SelectionConfig
 
@@ -54,12 +55,7 @@ class ConfigError(ValueError):
 def default_config() -> dict[str, Any]:
     """The full built-in configuration as a JSON-ready dict."""
     return {
-        "propagation": {
-            "distance_power_loss_coeff": DEFAULT_PROPAGATION.distance_power_loss_coeff,
-            "floor_penetration_db": DEFAULT_PROPAGATION.floor_penetration_db,
-            "constant_offset_db": DEFAULT_PROPAGATION.constant_offset_db,
-            "min_distance_m": DEFAULT_PROPAGATION.min_distance_m,
-        },
+        "propagation": asdict(DEFAULT_PROPAGATION),
         "band_mhz": {band.value: mhz for band, mhz in DEFAULT_BAND_MHZ.items()},
         "mcs_tables": {
             band.value: {
@@ -71,17 +67,7 @@ def default_config() -> dict[str, Any]:
             }
             for band, table in DEFAULT_MCS_TABLES.items()
         },
-        "mac_overheads": {
-            band.value: {
-                "difs_us": o.difs_us,
-                "sifs_us": o.sifs_us,
-                "slot_us": o.slot_us,
-                "avg_backoff_slots": o.avg_backoff_slots,
-                "preamble_us": o.preamble_us,
-                "ack_us": o.ack_us,
-            }
-            for band, o in DEFAULT_OVERHEADS.items()
-        },
+        "mac_overheads": {band.value: asdict(o) for band, o in DEFAULT_OVERHEADS.items()},
         "congested_hop_delay_ms": CONGESTED_HOP_DELAY_MS,
         "selection": {"alpha": None, "beta_pct": None},
         "run": {
@@ -231,23 +217,22 @@ def engine_params_from(cfg: Mapping[str, Any]) -> EngineParams:
 def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
     d = _checked(cfg)
     run, sel = d["run"], d["selection"]
-    for key in ("k", "workers"):
-        if run[key] is not None and run[key] < 1:
-            raise ConfigError(f"run.{key} must be at least 1")
-    if run["workers"] > MAX_WORKERS:
-        raise ConfigError(f"run.workers must be at most {MAX_WORKERS}")
     _build("selection", SelectionConfig, **{k: v for k, v in sel.items() if v is not None})
-    return RunConfig(
-        test_id=run["test"],
-        alpha=sel["alpha"],
-        beta_pct=sel["beta_pct"],
-        k=run["k"],
-        seed=run["seed"],
-        workers=run["workers"],
-        out_dir=run["out_dir"],
-        emit_events=run["emit_events"],
-        params=engine_params_from(cfg),
-    )
+    params = engine_params_from(cfg)
+    try:
+        return RunConfig(
+            test_id=run["test"],
+            alpha=sel["alpha"],
+            beta_pct=sel["beta_pct"],
+            k=run["k"],
+            seed=run["seed"],
+            workers=run["workers"],
+            out_dir=run["out_dir"],
+            emit_events=run["emit_events"],
+            params=params,
+        )
+    except ValueError as exc:  # its message opens with the field's name
+        raise ConfigError(f"run.{exc}") from None
 
 
 # --- scenario parsing -------------------------------------------------------

@@ -153,8 +153,7 @@ class Aggregate:
     association_rate_pct: float
 
 
-# the row fields each deployment sets; the others, in _ROW_FIELDS order, are
-# its sweep point's, and they open an Aggregate in the same order
+# the row fields each deployment sets; the others are its sweep point's
 _PER_ROW = ("deployment_index", "throughput_pct", "avg_delay_ms", "congested")
 _CONSTANT = tuple(f for f in _ROW_FIELDS if f not in _PER_ROW)
 _constant = operator.attrgetter(*_CONSTANT)
@@ -162,12 +161,13 @@ _constant = operator.attrgetter(*_CONSTANT)
 
 class _Block:
     """Consecutive rows that differ only in what each deployment sets, held
-    as columns.  ``const`` holds the ``_CONSTANT`` fields and ``nodes`` the
-    serving node of each serving index.  Row ``i`` is deployment ``first + i``:
-    float64 throughput and delay, a congestion byte and an int8 serving index
-    per station of ``sta_ids``, -1 when unassociated."""
+    as columns.  ``const`` maps each ``_CONSTANT`` field to its value and
+    ``nodes`` gives the serving node of each serving index.  Row ``i`` is
+    deployment ``first + i``: float64 throughput and delay, a congestion byte
+    and an int8 serving index per station of ``sta_ids``, -1 when
+    unassociated."""
 
-    def __init__(self, const: tuple, sta_ids: tuple[int, ...], nodes: list, first: int):
+    def __init__(self, const: dict, sta_ids: tuple[int, ...], nodes: list, first: int):
         self.const, self.sta_ids, self.nodes, self.first = const, sta_ids, nodes, first
         self.thr, self.delay, self.congested = array("d"), array("d"), bytearray()
         self.serving = array("b")
@@ -201,7 +201,7 @@ class _Block:
     def row(self, i: int) -> ResultRow:
         n = len(self.sta_ids)
         return ResultRow(
-            **dict(zip(_CONSTANT, self.const)), deployment_index=self.first + i,
+            **self.const, deployment_index=self.first + i,
             throughput_pct=self.thr[i], avg_delay_ms=self.delay[i],
             congested=bool(self.congested[i]),
             associations=self.associations(self.serving[i * n : (i + 1) * n]),
@@ -211,7 +211,9 @@ class _Block:
 def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
     """A run's blocks, or a list's rows cut into blocks wherever a row stops
     sharing the last one's constant fields (by value and type), station ids
-    or deployment sequence."""
+    or deployment sequence.  The columns hold throughput and delay as floats
+    and congestion as a flag, as a run makes them, so a hand-built row's
+    throughput ``100`` reads back, and is exported, as ``100.0``."""
     if isinstance(rows, ResultRows):
         return rows.blocks
     blocks: list[_Block] = []
@@ -220,12 +222,12 @@ def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
         const, sta_ids = _constant(row), tuple(sorted(row.associations))
         key = (const, tuple(map(type, const)), sta_ids)
         if (key, row.deployment_index) != last:
-            blocks.append(_Block(const, sta_ids, [], row.deployment_index))
+            blocks.append(_Block(dict(zip(_CONSTANT, const)), sta_ids, [], row.deployment_index))
         block = blocks[-1]
         nodes = [row.associations[sid] for sid in sta_ids]
         block.nodes.extend({n for n in nodes if n is not None}.difference(block.nodes))
         serving = [-1 if n is None else block.nodes.index(n) for n in nodes]
-        block.append(row.throughput_pct, row.avg_delay_ms, row.congested, serving)
+        block.append(row.throughput_pct, row.avg_delay_ms, bool(row.congested), serving)
         last = (key, row.deployment_index + 1)
     return blocks
 
@@ -285,8 +287,11 @@ class RunConfig:
     params: EngineParams = field(default_factory=EngineParams)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        # each message opens with the field's name, which config and cli
+        # turn into the key or the flag that set it
+        for name, value in (("k", self.k), ("workers", self.workers)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
         if isinstance(self.mechanism, str):
@@ -651,10 +656,11 @@ def _evaluate_range(
             geoms[key] = (_Geometry(point, params), [])
         geom, members = geoms[key]
         sel = point.selection
-        const = (  # in _CONSTANT order
-            point.test_id, point.rssi_ap_e_dbm, point.scenario.n_extenders,
-            point.scenario.channel_plan, point.b_ext_bps, sel.mechanism.value, sel.alpha,
-            sel.beta_pct, point.b_t_bps,
+        const = dict(
+            test_id=point.test_id, rssi_ap_e_dbm=point.rssi_ap_e_dbm,
+            n_ext=point.scenario.n_extenders, channel_plan=point.scenario.channel_plan,
+            b_ext_bps=point.b_ext_bps, mechanism=sel.mechanism.value, alpha=sel.alpha,
+            beta_pct=sel.beta_pct, b_t_bps=point.b_t_bps,
         )
         block = _Block(const, sta_ids, geom.serving, lo)
         members.append((pi, _Demand(point, geom), block))
@@ -700,7 +706,7 @@ def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
         assoc_sum += (spec.n_sta - vector.count(0xFF)) / spec.n_sta
     k = spec.k
     return Aggregate(
-        *block.const,
+        **block.const,
         k=k,
         mean_throughput_pct=thr_sum / k,
         mean_delay_ms=delay_sum / k,
@@ -767,7 +773,6 @@ def run(cfg: RunConfig) -> RunResult:
 # --- exports ----------------------------------------------------------------
 
 _FLAGS = ("false", "true")
-_SLOT = "\0"  # where the per-row values go while a block's constants are encoded
 # distinct association vectors an export holds encoded, which bounds its
 # memory; the consecutive points of one geometry come well within it
 _ENCODED_VECTORS = 1 << 14
@@ -800,16 +805,27 @@ def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
             for sid in sta_ids
         )
 
+    # the file's dialect: what csv quotes depends on the line terminator too
+    line = io.StringIO()
+    line_writer = csv.writer(line, lineterminator="\n")
+
+    def constant_cells(const: dict, names: Sequence[str]) -> str:
+        """The cells of ``names`` as the file's writer writes them, then a comma."""
+        line.seek(0)
+        line.truncate()
+        line_writer.writerow([const[f] for f in names])
+        return line.getvalue()[:-1] + ","
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
         for block, texts in _encoded(blocks, cells):
-            const = dict(zip(_CONSTANT, block.const))
-            line = io.StringIO()
-            csv.writer(line, lineterminator="").writerow([const.get(f, _SLOT) for f in _ROW_FIELDS])
-            p0, p1, p2, p3, p4 = line.getvalue().split(_SLOT)
+            # _ROW_FIELDS: five constants, the deployment index, four
+            # constants, then throughput, delay and congestion
+            head = constant_cells(block.const, _CONSTANT[:5])
+            mid = constant_cells(block.const, _CONSTANT[5:])
             fh.write("".join([
-                f"{p0}{dep}{p1}{t!r}{p2}{d!r}{p3}{_FLAGS[c]}{p4}{text}\n"
+                f"{head}{dep},{mid}{t!r},{d!r},{_FLAGS[c]}{text}\n"
                 for dep, t, d, c, text in zip(
                     count(block.first), block.thr, block.delay, block.congested, texts
                 )
@@ -826,33 +842,40 @@ def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _json_record(const: dict) -> list[str]:
+    """``_encode`` of a row's record cut where each per-row value goes.  In
+    sorted key order associations and avg_delay_ms follow alpha, congested
+    and deployment_index come before mechanism, and throughput_pct is last."""
+    text = _encode(const)
+    a, m = text.index(',"b_ext_bps":'), text.index(',"mechanism":')
+    return [
+        text[:a] + ',"associations":', ',"avg_delay_ms":',
+        text[a:m] + ',"congested":', ',"deployment_index":',
+        text[m:-1] + ',"throughput_pct":', "}",
+    ]
+
+
 def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
     """``{"aggregates": [...], "rows": [...]}`` as ``json.dumps`` writes it with
     sorted keys and no spaces, a row's associations keyed by station id as a
-    string.  One C encoder call writes each block's floats and constants."""
+    string."""
 
     def associations(assoc: dict) -> str:
         return _encode({str(sid): node for sid, node in assoc.items()})
 
-    slot = _encode(_SLOT)
     with open(path, "w") as fh:
         fh.write('{"aggregates":')
         fh.write(_encode([{c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs]))
         fh.write(',"rows":[')
         for b, (block, texts) in enumerate(_encoded(_blocks(rows), associations)):
-            record = dict(zip(_CONSTANT, block.const))
-            record.update(dict.fromkeys(_PER_ROW + ("associations",), _SLOT))
-            n = len(block)
-            # float spellings hold no comma, so the first 2n commas part them
-            *values, template = _encode(
-                block.thr.tolist() + block.delay.tolist() + [record]
-            )[1:-1].split(",", 2 * n)
-            # the per-row values go in between, in sorted key order
-            q0, q1, q2, q3, q4, q5 = template.split(slot)
+            q0, q1, q2, q3, q4, q5 = _json_record(block.const)
+            finite = all(map(math.isfinite, block.thr)) and all(map(math.isfinite, block.delay))
+            spell = repr if finite else _encode  # json's float spellings
             fh.write("," * (b > 0) + ",".join([
                 f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
                 for text, d, c, dep, t in zip(
-                    texts, values[n:], block.congested, count(block.first), values[:n]
+                    texts, map(spell, block.delay), block.congested, count(block.first),
+                    map(spell, block.thr),
                 )
             ]))
         fh.write("]}\n")

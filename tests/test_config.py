@@ -165,6 +165,8 @@ def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
     assert (rc, err) == (1, f"error: --workers must be at most {MAX_WORKERS}\n")
     with pytest.raises(ValueError, match=f"^workers must be at most {MAX_WORKERS}$"):
         RunConfig(test_id="1.2", workers=MAX_WORKERS + 1)
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        RunConfig(test_id="1.2", k=0)
     assert run_config_from({"run": {"workers": MAX_WORKERS}}).workers == MAX_WORKERS
 
 

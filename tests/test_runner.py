@@ -422,7 +422,11 @@ _FIELDS = ROW_COLUMNS[:13]
 
 
 def _reference_exports(rows, aggs, csv_path, json_path):
-    """rows.csv and results.json written a row at a time, field by field."""
+    """rows.csv and results.json written a row at a time, field by field,
+    with throughput and delay as floats and congestion as a flag."""
+    rows = [replace(r, throughput_pct=float(r.throughput_pct),
+                    avg_delay_ms=float(r.avg_delay_ms), congested=bool(r.congested))
+            for r in rows]
     sta_ids = sorted({sid for r in rows for sid in r.associations})
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -463,8 +467,9 @@ def _hand_built_rows():
     """Rows that cut into blocks every way: a gap in the deployments, a
     change of point and back, a constant of another type, 10 and 12
     stations, unassociated stations, 17-digit floats, station ids whose
-    string order is not numeric, and one association vector standing for
-    other nodes in another block."""
+    string order is not numeric, one association vector standing for other
+    nodes in another block, an int throughput and delay, an int congestion
+    flag, NaN and infinity, and constants that csv quotes."""
     ten = {sid: (sid % 3 or None) for sid in range(10, 20)}
     twelve = {sid: (0 if sid % 4 else None) for sid in range(5, 17)}
     steered = dict(mechanism="loadaware", rssi_ap_e_dbm=-70.0, n_ext=0, beta_pct=25.0,
@@ -479,6 +484,9 @@ def _hand_built_rows():
         _row(7, ten, n_ext=2.0),
         _row(0, {sid: (3 if node == 0 else node) for sid, node in twelve.items()},
              **steered, alpha=0.25),
+        _row(8, ten, n_ext=2.0, throughput_pct=100, avg_delay_ms=0, congested=1),
+        _row(9, ten, n_ext=2.0, throughput_pct=math.nan, avg_delay_ms=-math.inf),
+        _row(0, ten, test_id='2,"x"', channel_plan="a\nb"),
     ]
 
 
@@ -500,6 +508,11 @@ def test_hand_built_rows_export_the_reference_bytes(tmp_path):
     assert list(record["associations"])[:3] == ["10", "11", "12"]
     assert b'"associations":{"10":0,"11":0,"12":null,' in got_json
     assert b'"n_ext":2,"rssi_ap_e_dbm":null,' in got_json
+    # per-row values as a run makes them: floats and a flag
+    assert lines[9].startswith("1.2,,2.0,multi,0.0,8,rssi,0.5,100.0,6000000.0,100.0,0.0,true,")
+    assert lines[10].startswith("1.2,,2.0,multi,0.0,9,rssi,0.5,100.0,6000000.0,nan,-inf,false,")
+    assert b'"avg_delay_ms":-Infinity,' in got_json and b'"throughput_pct":NaN}' in got_json
+    assert lines[11] == '"2,""x""",,2,"a'
 
 
 def test_run_rows_and_their_list_export_the_same_bytes(small_run, tmp_path):
