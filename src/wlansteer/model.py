@@ -262,14 +262,7 @@ def set_association(t: Topology, sta_id: int, parent_id: int) -> Topology:
         raise ValueError(f"node {sta_id} is not a station")
     if pn.kind is NodeKind.STA:
         raise ValueError(f"node {parent_id} cannot serve stations")
-    assoc = dict(t.associations)
-    assoc[sta_id] = parent_id
-    return Topology(
-        nodes=t.nodes,
-        associations=assoc,
-        backhaul_parent=t.backhaul_parent,
-        max_chain=t.max_chain,
-    )
+    return replace(t, associations={**t.associations, sta_id: parent_id})
 
 
 @dataclass(frozen=True)

@@ -192,20 +192,13 @@ def link_rssi(env: SimEnv, t: Topology, rx_id: int, tx_id: int, band: Band) -> f
 
 
 def link_rate(env: SimEnv, t: Topology, rx_id: int, tx_id: int, band: Band) -> float:
-    if env.link_cache is not None:
-        key = (rx_id, tx_id, band)
-        hit = env.link_cache.get(key)
-        if hit is not None:
-            rssi, rate = hit
-            if rate is _RATE_UNSET:
-                rate = _computed_rate(env, t, rx_id, tx_id, band, rssi)
-                env.link_cache[key] = (rssi, rate)
-        else:
-            rssi = _computed_rssi(env, t, rx_id, tx_id, band)
-            rate = _computed_rate(env, t, rx_id, tx_id, band, rssi)
-    else:
-        rssi = _computed_rssi(env, t, rx_id, tx_id, band)
+    key = (rx_id, tx_id, band)
+    hit = None if env.link_cache is None else env.link_cache.get(key)
+    rssi, rate = hit or (_computed_rssi(env, t, rx_id, tx_id, band), _RATE_UNSET)
+    if rate is _RATE_UNSET:
         rate = _computed_rate(env, t, rx_id, tx_id, band, rssi)
+        if hit is not None:  # links outside the cache stay out of it
+            env.link_cache[key] = (rssi, rate)
     if rate is None:
         raise ValueError(
             f"link {tx_id}->{rx_id} at {rssi:.1f} dBm is below the lowest MCS; "

@@ -73,6 +73,11 @@ def _backhaul_radio() -> RadioConfig:
     return RadioConfig(band=Band.GHZ_5, channel=BACKHAUL_CHANNEL)
 
 
+def _serving_radios(channel_number: int) -> tuple[RadioConfig, RadioConfig]:
+    """An AP's or extender's access radio on ``channel_number``, then its backhaul radio."""
+    return (_access_radio(channel_number), _backhaul_radio())
+
+
 def _sta_radio() -> RadioConfig:
     return RadioConfig(band=Band.GHZ_2_4, channel=ChannelId(Band.GHZ_2_4, 1))
 
@@ -154,19 +159,10 @@ def gen_circle(
     d = extender_distance_m(rssi_ap_e_dbm, p)
     spots: list[Position] = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)]
     chans = _plan_channels(channel_plan, n_ext, "circle")
-    nodes = [
-        Node(0, NodeKind.AP, (0.0, 0.0), (_access_radio(1), _backhaul_radio()))
-    ]
+    nodes = [Node(0, NodeKind.AP, (0.0, 0.0), _serving_radios(1))]
     parents: dict[int, int] = {}
     for i in range(n_ext):
-        nodes.append(
-            Node(
-                i + 1,
-                NodeKind.EXTENDER,
-                spots[i],
-                (_access_radio(chans[i]), _backhaul_radio()),
-            )
-        )
+        nodes.append(Node(i + 1, NodeKind.EXTENDER, spots[i], _serving_radios(chans[i])))
         parents[i + 1] = 0
     return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
 
@@ -187,18 +183,11 @@ def gen_home(
         raise ValueError("home layouts support 0, 1 or 2 extenders")
     d = extender_distance_m(extender_rssi_dbm, p)
     chans = _plan_channels(channel_plan, n_ext, "home")
-    nodes = [Node(0, NodeKind.AP, ap_pos, (_access_radio(1), _backhaul_radio()))]
+    nodes = [Node(0, NodeKind.AP, ap_pos, _serving_radios(1))]
     parents: dict[int, int] = {}
     for i in range(n_ext):
         pos = (ap_pos[0] + d * (i + 1), ap_pos[1])
-        nodes.append(
-            Node(
-                i + 1,
-                NodeKind.EXTENDER,
-                pos,
-                (_access_radio(chans[i]), _backhaul_radio()),
-            )
-        )
+        nodes.append(Node(i + 1, NodeKind.EXTENDER, pos, _serving_radios(chans[i])))
         parents[i + 1] = i  # chain: E1 -> AP, E2 -> E1
     return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
 
@@ -417,8 +406,11 @@ def _build_11() -> list[SweepPoint]:
     return points
 
 
+# (extenders, selection) of the curves of tests 1.2 and 1.3
+_CIRCLE_ROWS = [(0, _RSSI_CFG), (2, _RSSI_CFG), (4, _RSSI_CFG), (2, _la()), (4, _la())]
+
+
 def _build_12() -> list[SweepPoint]:
-    rows = [(0, _RSSI_CFG), (2, _RSSI_CFG), (4, _RSSI_CFG), (2, _la()), (4, _la())]
     return [
         SweepPoint(
             "1.2",
@@ -426,14 +418,13 @@ def _build_12() -> list[SweepPoint]:
             cfg,
             _traffic(_B_STA_DEFAULT),
         )
-        for n_ext, cfg in rows
+        for n_ext, cfg in _CIRCLE_ROWS
     ]
 
 
 def _build_13() -> list[SweepPoint]:
-    rows = [(0, _RSSI_CFG), (2, _RSSI_CFG), (4, _RSSI_CFG), (2, _la()), (4, _la())]
     points = []
-    for n_ext, cfg in rows:
+    for n_ext, cfg in _CIRCLE_ROWS:
         for b_t in _b_t_grid(36.0):
             points.append(
                 SweepPoint(
@@ -469,32 +460,18 @@ def _build_21() -> list[SweepPoint]:
 _B_STA_WEIGHT_GRID = (1.8e6, 3.0e6, 4.2e6, 5.4e6)
 
 
-def _build_22() -> list[SweepPoint]:
+def _weight_grid(test_id: str, configs: Sequence[SelectionConfig]) -> list[SweepPoint]:
+    """Tests 2.2 and 2.3: the two-extender home under each channel plan,
+    load-aware selection and per-station demand."""
     points = []
     for plan in ("multi", "single"):
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for cfg in configs:
             for per_sta in _B_STA_WEIGHT_GRID:
                 points.append(
                     SweepPoint(
-                        "2.2",
-                        _home_spec("2.2", 2, plan, 1000),
-                        _la(alpha=alpha),
-                        _traffic(per_sta),
-                    )
-                )
-    return points
-
-
-def _build_23() -> list[SweepPoint]:
-    points = []
-    for plan in ("multi", "single"):
-        for beta in (0.0, 25.0, 50.0, 75.0, 100.0):
-            for per_sta in _B_STA_WEIGHT_GRID:
-                points.append(
-                    SweepPoint(
-                        "2.3",
-                        _home_spec("2.3", 2, plan, 1000),
-                        _la(beta_pct=beta),
+                        test_id,
+                        _home_spec(test_id, 2, plan, 1000),
+                        cfg,
                         _traffic(per_sta),
                     )
                 )
@@ -563,8 +540,8 @@ _BUILDERS = {
     "1.2": _build_12,
     "1.3": _build_13,
     "2.1": _build_21,
-    "2.2": _build_22,
-    "2.3": _build_23,
+    "2.2": lambda: _weight_grid("2.2", [_la(alpha=a) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]),
+    "2.3": lambda: _weight_grid("2.3", [_la(beta_pct=b) for b in (0.0, 25.0, 50.0, 75.0, 100.0)]),
     "2.4": _build_24,
 }
 
@@ -660,13 +637,11 @@ def fixture_topology(
     open space, so every access link and the backhaul link carry explicit
     RSSI overrides; positions are only placeholders.
     """
-    nodes = [Node(0, NodeKind.AP, (0.0, 0.0), (_access_radio(1), _backhaul_radio()))]
+    nodes = [Node(0, NodeKind.AP, (0.0, 0.0), _serving_radios(1))]
     parents: dict[int, int] = {}
     overrides: dict[tuple[int, int, Band], float] = {}
     if with_extender:
-        nodes.append(
-            Node(1, NodeKind.EXTENDER, (10.0, 0.0), (_access_radio(6), _backhaul_radio()))
-        )
+        nodes.append(Node(1, NodeKind.EXTENDER, (10.0, 0.0), _serving_radios(6)))
         parents[1] = 0
         overrides[(1, 0, Band.GHZ_5)] = TESTBED_BACKHAUL_RSSI
     for sta_no in stas:
