@@ -22,6 +22,7 @@ list, checked the same way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from typing import Any, Callable, Mapping
 
@@ -127,7 +128,7 @@ def _overlay(value: Any, default: Any, where: str) -> Any:
 
     A list of lists or objects is a table whose rows are shaped like its
     first row; any other list is one row of fixed length.  Integers come back
-    as floats where the schema has a float.
+    as floats where the schema has a float, which must be finite.
     """
     if value is None and where in _NULLABLE:
         return None
@@ -150,9 +151,12 @@ def _overlay(value: Any, default: Any, where: str) -> Any:
         return [_overlay(v, d, f"{where}.{i}") for i, (v, d) in enumerate(zip(value, default))]
     if kind is float:
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise ConfigError(f"{where} is out of range") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{where} must be a finite number, got {number}")
+        return number
     return value
 
 

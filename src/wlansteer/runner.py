@@ -9,16 +9,17 @@ merged in grid order.
 
 Sweep points that read the same inputs of ``deployment_draw`` (and have the
 same ``k``) form a draw group: every demand step of a curve replays the same
-stations.  A group is walked deployment-major.  Each deployment is drawn
-once; each link geometry of the group (``_Geometry``: what
+stations.  A group is walked in slices of deployments.  Each deployment is
+drawn once; each link geometry of the group (``_Geometry``: what
 ``build_topology`` reads, the engine parameters and the packet length)
-computes its RSSI table, strongest-signal association and access airtimes
-once; then each point (``_Demand``) does only what its demand and selection
-change: utilization terms, the load-aware pass on its own copy of the
-association, the evaluation and its results.  This flat kernel on plain lists
-computes what ``initial_association``, ``reassociation_pass`` and
-``evaluate`` compute, to the last bit; those functions remain the
-single-topology interface and the oracle the tests hold the kernel to.
+computes the slice's RSSI tables, strongest-signal associations and
+airtimes at once.  Then one numpy kernel (``_Batch``) steers and evaluates
+the geometry's points that share the pass flags together, on rows of
+(point, deployment) pairs laid out point-major, so that each point's rows
+are one contiguous run.  It computes what ``initial_association``,
+``reassociation_pass`` and ``evaluate`` compute, to the last bit; those
+functions remain the single-topology interface and the oracle the tests
+hold the kernel to.
 
 A worker pool gets (draw group, contiguous deployment range) tasks, a few
 ranges per worker, so that points of unequal cost share the load; a group
@@ -31,8 +32,9 @@ each point's blocks in deployment order and sums its aggregate over them in
 that order, as a single process would.  ``RunResult.rows`` and
 ``evaluate_point``'s rows are a ``ResultRows`` that builds each ``ResultRow``
 only when it is read.  The exports read blocks too, and turn a plain list of
-rows into blocks first: a block's constant cells are encoded once, and each
-distinct association vector once for the consecutive points that share it.
+rows into blocks first; a run writes both row files in one walk.  A block's
+constant cells are encoded once, and each distinct association vector once
+for the consecutive points that share it.
 
 Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
 ``SimEnv`` per deployment: it runs ``initial_association`` and
@@ -52,14 +54,17 @@ import operator
 import os
 from array import array
 from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .model import NodeKind, Position, backhaul_path
 from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
-from .radio import mcs_for_rssi, path_loss_db
-from .selection import Mechanism, weighted_rssi
+from .radio import path_loss_db
+from .selection import Mechanism, capable_count
 from .protocol import export_events, run_mechanism
 from .scenarios import (
     STA_ID_BASE,
@@ -181,12 +186,13 @@ class _Block:
         self.congested.append(congested)
         self.serving.extend(serving)
 
-    def extend(self, other: _Block) -> None:
-        """Add the rows of the deployment range that follows."""
-        self.thr.extend(other.thr)
-        self.delay.extend(other.delay)
-        self.congested.extend(other.congested)
-        self.serving.extend(other.serving)
+    def extend(self, thr, delay, congested, serving) -> None:
+        """Add the rows of the deployments that follow from buffers of the
+        columns' types, as another block's columns or numpy arrays are."""
+        self.thr.frombytes(bytes(thr))
+        self.delay.frombytes(bytes(delay))
+        self.congested.extend(bytes(congested))
+        self.serving.frombytes(bytes(serving))
 
     def vectors(self) -> list[bytes]:
         """Each row's serving indices as bytes, -1 as 0xff."""
@@ -342,14 +348,13 @@ class _Geometry:
 
     A link geometry is what ``build_topology`` reads, plus the engine
     parameters and the packet length; the station count comes with the draw
-    group.  Fixed here: serving nodes in AP-first order, access and backhaul
-    channels as indices into the sorted ``topology_channels`` list (external
-    loads aside), tx powers, MCS tables, station sensitivities and spatial
-    streams, backhaul paths and the airtimes of the fixed backhaul links.
-    ``links`` then gives, once per deployment, what no demand changes: the
-    RSSI table, the strongest-signal association, the access airtime of each
-    associated station and, for steering, each station's in-range candidates
-    with their weighted RSSI.
+    group.  Fixed here: serving nodes in AP-first order, tx powers, MCS
+    tables, station sensitivities and spatial streams, and the backhaul
+    links: their airtimes, and which serving nodes' traffic rides each.
+    Channels are columns 1 and up, in sorted ``topology_channels`` order
+    (external loads aside).  Tables by serving index have a last row, which
+    index -1 (unassociated) reads: column 0, a sentinel channel that only
+    ever holds 0.0, and no backhaul hops.
     """
 
     def __init__(self, point: SweepPoint, params: EngineParams) -> None:
@@ -368,237 +373,100 @@ class _Geometry:
         self.serving = serving = sorted(
             t.serving_nodes(), key=lambda j: (t.nodes[j].kind is not NodeKind.AP, j)
         )
-        self.channels = chans = {c: i for i, c in enumerate(topology_channels(t, env))}
+        self.channels = chans = {c: i + 1 for i, c in enumerate(topology_channels(t, env))}
         self.L = L = env.traffic.packet_length_bits
         self.cap_ms = env.congested_hop_delay_ms
         self.fixed_s = fixed_s = {b: o.total_us * 1e-6 for b, o in env.overheads.items()}
 
         radios = [t.nodes[j].access_radio for j in serving]
-        self.acc_ch = [chans[r.channel] for r in radios]
         self.tx = [
             (t.nodes[j].position, r.tx_power_dbm, env.band_mhz[r.channel.band])
             for j, r in zip(serving, radios)
         ]
-        self.access_mcs = [env.mcs_tables[r.channel.band] for r in radios]
-        self.access_fixed_s = [fixed_s[r.channel.band] for r in radios]
-        self.sens = [n.access_radio.sensitivity_dbm for n in stations]
+        self.tx_power = np.array([r.tx_power_dbm for r in radios])
+        self.sens = np.array([[n.access_radio.sensitivity_dbm] for n in stations])
         sta_ss = [min(r.spatial_streams for r in n.radios) for n in stations]
-        srv_ss = [min(r.spatial_streams for r in t.nodes[j].radios) for j in serving]
-        self.streams = [[min(a, b) for b in srv_ss] for a in sta_ss]
+        # per serving node: MCS thresholds, a rate column per station, fixed airtime
+        self.mcs = []
+        for j, r in zip(serving, radios):
+            table = env.mcs_tables[r.channel.band]
+            ss = min(x.spatial_streams for x in t.nodes[j].radios)
+            rates = [[e.rate_bps_1ss if min(a, ss) == 1 else e.rate_bps_2ss for a in sta_ss]
+                     for e in table.entries]
+            self.mcs.append((np.array(table.thresholds), np.array(rates), fixed_s[r.channel.band]))
 
         exts = t.extenders()
-        uplink = [[exts.index(c) for c, _ in backhaul_path(t, j)] for j in serving]
-        self.backhaul = []
-        bh_hop = []
-        for e, ext in enumerate(exts):
+        uplink = [[exts.index(c) for c, _ in backhaul_path(t, j)] for j in serving] + [[]]
+        self.bh_ch, self.bh_air = [], []
+        for ext in exts:
             ch = t.nodes[ext].backhaul_radio.channel
             rate = link_rate(env, t, ext, t.backhaul_parent[ext], ch.band)
-            air = fixed_s[ch.band] + L / rate
-            users = [j for j, up in enumerate(uplink) if e in up]
-            self.backhaul.append((chans[ch], users, air))
-            bh_hop.append((air, chans[ch]))
-        self.bh_hops = [[bh_hop[e] for e in up] for up in uplink]
+            self.bh_ch.append(chans[ch])
+            self.bh_air.append(fixed_s[ch.band] + L / rate)
+        self.acc = np.array([chans[r.channel] for r in radios] + [0])
+        H = max(map(len, uplink))
+        hops = np.array([
+            [(self.bh_ch[e], self.bh_air[e]) for e in up] + [(0, 0.0)] * (H - len(up))
+            for up in uplink
+        ]).reshape(len(uplink), H, 2)
+        self.hop_ch, self.hop_air = hops[:, :, 0].astype(np.intp), hops[:, :, 1]
+        self.uses = np.array([[e in up for up in uplink] for e in range(len(exts))],
+                             dtype=bool).reshape(len(exts), len(uplink))
 
-    def airtime(self, s: int, j: int, rssi: float) -> float:
-        """Airtime of one packet of station ``s`` to serving ``j``."""
-        got = mcs_for_rssi(self.access_mcs[j], rssi, self.streams[s][j])
-        if got is None:
-            raise ValueError(
-                f"link {self.serving[j]}->{STA_ID_BASE + s} at {rssi:.1f} dBm is below"
-                " the lowest MCS; table floor must cover the association sensitivity"
-            )
-        return self.access_fixed_s[j] + self.L / got[1]
+    def below_mcs(self, s: int, j: int, rssi: float) -> ValueError:
+        return ValueError(
+            f"link {self.serving[j]}->{STA_ID_BASE + s} at {rssi:.1f} dBm is below"
+            " the lowest MCS; table floor must cover the association sensitivity"
+        )
 
-    def links(self, positions: Sequence[Position], steer: bool) -> tuple:
-        """RSSI table, each station's strongest in-range serving index (-1 when
-        unassociated), its access airtime (0.0 when unassociated) and, when
-        ``steer``, its (serving index, weighted RSSI) candidates in index order
-        (else None)."""
+    def links(self, positions: Sequence[Sequence[Position]]) -> tuple:
+        """What no demand changes, for the station positions of a slice's
+        deployments, as arrays over (deployment, station[, serving index]):
+        the RSSI table and its in-range mask; each station's strongest
+        in-range serving index, -1 when unassociated; the airtime of each
+        pair, NaN below the lowest MCS, with a last column of 0.0 that index
+        -1 reads; and each station's access airtime."""
         p = self.propagation
-        rssi = [
-            [
-                tx_power - path_loss_db(f, math.hypot(tx[0] - x, tx[1] - y), p)
-                for tx, tx_power, f in self.tx
-            ]
-            for x, y in positions
-        ]
-        parent: list[int] = []
-        for s, row in enumerate(rssi):
-            sens = self.sens[s]
-            best, best_r = -1, 0.0
-            for j, r in enumerate(row):
-                if r >= sens and (best < 0 or r > best_r):
-                    best, best_r = j, r
-            parent.append(best)
-        air = [
-            self.airtime(s, j, rssi[s][j]) if j >= 0 else 0.0
-            for s, j in enumerate(parent)
-        ]
-        candidates = None
-        if steer:
-            candidates = [
-                [
-                    (j, weighted_rssi(r, self.tx[j][1], sens))
-                    for j, r in enumerate(row)
-                    if r >= sens
-                ]
-                for row, sens in zip(rssi, self.sens)
-            ]
-        return rssi, parent, air, candidates
+        rssi = np.array([[[tx_power - path_loss_db(f, math.hypot(tx[0] - x, tx[1] - y), p)
+                           for tx, tx_power, f in self.tx] for x, y in stations]
+                         for stations in positions])
+        in_range = rssi >= self.sens
+        # argmax keeps the first maximum: ties go to the lower serving index
+        strongest = np.where(in_range, rssi, -np.inf).argmax(axis=2)
+        parent = np.where(in_range.any(axis=2), strongest, -1)
+        air = np.zeros(parent.shape + (len(self.serving) + 1,))
+        sta = np.arange(parent.shape[1])
+        for j, (thresholds, rates, fixed) in enumerate(self.mcs):
+            idx = np.searchsorted(thresholds, rssi[:, :, j], side="right") - 1
+            air[:, :, j] = np.where(idx >= 0, fixed + self.L / rates[idx, sta], np.nan)
+        access = np.take_along_axis(air, parent[:, :, None], axis=2)[:, :, 0]
+        for d, s in np.argwhere(np.isnan(access))[:1]:
+            raise self.below_mcs(s, parent[d, s], rssi[d, s, parent[d, s]])
+        return rssi, in_range, parent, air, access
 
 
 class _Demand:
-    """One sweep point's demand on its link geometry.
-
-    It holds what the demand and the selection change: the per-station load,
-    the through-load terms of the backhaul links, the external loads and the
-    selection.  ``deployment`` then repeats ``initial_association``,
-    ``reassociation_pass`` and ``evaluate`` on a deployment's shared links
-    with the same scalar calls and the same float operation order as those
-    functions, summing utilization over access flows by station id, then
-    backhaul flows by extender id, then external loads.  So every number it
-    returns is bit for bit the one the ``Topology`` path gives.
-    """
+    """One sweep point's demand on its link geometry: the per-station load,
+    the through-load terms of the backhaul links and the external loads,
+    which a ``_Batch`` stacks with its other points', and its frame trace."""
 
     def __init__(self, point: SweepPoint, geom: _Geometry) -> None:
-        self.point = point
-        self.geom = geom
-        self.selection = sel = point.selection
-        self.steer = sel.mechanism is Mechanism.LOAD_AWARE
+        self.point, self.geom, self.selection = point, geom, point.selection
+        self.steer = point.selection.mechanism is Mechanism.LOAD_AWARE
         L = geom.L
         self.per_sta = per_sta = point.traffic.per_sta_load_bps
         self.offered_per_bit = per_sta / L
         # through-load of a backhaul link carrying n stations, summed one
         # station at a time as build_flows does
-        through = [0.0]
-        for _ in geom.sens:
-            through.append(through[-1] + per_sta)
-        self.backhaul = [
-            (ch, users, [(b / L) * air for b in through])
-            for ch, users, air in geom.backhaul
+        through = list(accumulate([per_sta] * len(geom.sens), initial=0.0))
+        self.backhaul = [[(b / L) * air for b in through] for air in geom.bh_air]
+        self.external = [
+            (x.channel, (x.load_bps / L) * (geom.fixed_s[x.channel.band] + L / x.phy_rate_bps))
+            for x in point.external
         ]
-        chans = dict(geom.channels)
-        self.external = []
-        for x in point.external:
-            ch = chans.setdefault(x.channel, len(chans))
-            air = geom.fixed_s[x.channel.band] + L / x.phy_rate_bps
-            self.external.append((ch, (x.load_bps / L) * air))
-        self.n_channels = len(chans)
 
-    def _util(self, parent: list[int], term: list[float], skip: int = -1) -> list[float]:
-        """Channel utilization, as ``channel_utilization(build_flows(...))``."""
-        util = [0.0] * self.n_channels
-        count = [0] * len(self.geom.serving)
-        acc_ch = self.geom.acc_ch
-        for s, j in enumerate(parent):
-            if j >= 0 and s != skip:
-                util[acc_ch[j]] += term[s]
-                count[j] += 1
-        for ch, users, terms in self.backhaul:
-            util[ch] += terms[sum(count[j] for j in users)]
-        for ch, x in self.external:
-            util[ch] += x
-        return util
-
-    def _loads(self, parent: list[int], term: list[float], skip: int = -1) -> list[float]:
-        return [min(1.0, u) for u in self._util(parent, term, skip)]
-
-    def _best(self, candidates: list[tuple[int, float]], loads: list[float]) -> int:
-        """Lowest-scoring candidate serving index, as ``rank_candidates`` ranks."""
-        a = self.selection.alpha
-        geom = self.geom
-        best, best_y = -1, 0.0
-        for j, w in candidates:
-            c_backhaul = 0.0
-            for _, ch in geom.bh_hops[j]:
-                c_backhaul += loads[ch]
-            y = a * (w + loads[geom.acc_ch[j]]) + (1.0 - a) * c_backhaul
-            if best < 0 or y < best_y:
-                best, best_y = j, y
-        return best
-
-    def _reassociate(self, links, parent, air, term, order) -> None:
-        """``reassociation_pass`` over the capable station indices ``order``."""
-        sel = self.selection
-        rssi, _, _, candidates = links
-        for _ in range(sel.passes):
-            start, start_term = list(parent), list(term)
-            snapshot = None
-            if not sel.refresh_loads and sel.include_self_load:
-                snapshot = self._loads(parent, term)
-            fresh = None
-            for s in order:
-                current = parent[s]
-                if current < 0:
-                    continue
-                if sel.refresh_loads:
-                    if sel.include_self_load:
-                        if fresh is None:
-                            fresh = self._loads(parent, term)
-                        loads = fresh
-                    else:
-                        loads = self._loads(parent, term, s)
-                elif sel.include_self_load:
-                    loads = snapshot
-                else:
-                    loads = self._loads(start, start_term, s)
-                best = self._best(candidates[s], loads)
-                if best >= 0 and best != current:
-                    parent[s] = best
-                    air[s] = self.geom.airtime(s, best, rssi[s][best])
-                    term[s] = self.offered_per_bit * air[s]
-                    fresh = None
-
-    def deployment(
-        self, links: tuple, capable: frozenset[int]
-    ) -> tuple[float, float, bool, list[int]]:
-        """Throughput %, mean delay (ms), congestion flag and each station's
-        serving index (-1 when unassociated) for one deployment.
-
-        The serving indices are the shared list of ``links`` itself when no
-        station was steered."""
-        _, parent, air, _ = links
-        opb = self.offered_per_bit
-        term = [opb * a for a in air]
-        if self.steer and capable:
-            # the links are shared with the geometry's other points
-            parent, air = list(parent), list(air)
-            order = sorted(sid - STA_ID_BASE for sid in capable)
-            self._reassociate(links, parent, air, term, order)
-        return self._evaluate(parent, air, term) + (parent,)
-
-    def _evaluate(self, parent, air, term) -> tuple[float, float, bool]:
-        """``evaluate``'s network throughput %, mean delay and congestion flag."""
-        util = self._util(parent, term)
-        share = [(min(1.0, 1.0 / u) if u > 0 else 1.0) for u in util]
-        geom = self.geom
-        cap = geom.cap_ms
-        delivered_sum = offered_sum = delay_sum = 0.0
-        n_assoc = 0
-        for s, j in enumerate(parent):
-            if j < 0:
-                continue
-            frac = 1.0
-            delay_ms = 0.0
-            for at, ch in [(air[s], geom.acc_ch[j])] + geom.bh_hops[j]:
-                frac *= share[ch]
-                u = util[ch]
-                delay_ms += cap if u >= 1.0 else min(cap, at * 1e3 / (1.0 - u))
-            delivered_sum += self.per_sta * frac
-            offered_sum += self.per_sta
-            delay_sum += delay_ms
-            n_assoc += 1
-        thr = 100.0 if offered_sum == 0 else 100.0 * delivered_sum / offered_sum
-        avg_delay = delay_sum / n_assoc if n_assoc else 0.0
-        return thr, avg_delay, any(u > 1.0 for u in util)
-
-    def trace(
-        self,
-        positions: Sequence[Position],
-        capable: frozenset[int],
-        parent: list[int],
-        path: str,
-    ) -> None:
+    def trace(self, positions: Sequence[Position], capable: frozenset[int],
+              parent: list[int], path: str) -> None:
         """Write the deployment's 802.11k/v frame trace through ``run_mechanism``.
 
         The trace must describe the outcome the row reports, so an
@@ -616,9 +484,160 @@ class _Demand:
         export_events(log, path)
 
 
+class _Batch:
+    """The points of one link geometry that share the pass flags, steered and
+    evaluated at once on rows of (point, deployment) pairs, point-major: row
+    ``p * D + d`` is point ``p`` on deployment ``d`` of a slice.
+
+    Rows compute what ``initial_association``, ``reassociation_pass`` and
+    ``evaluate`` compute, to the last bit.  Elementwise float64 arithmetic
+    rounds as scalar Python does, so it is enough that every sum over
+    stations, hops and flows runs in the scalar order, as an ordered loop
+    over columns and never as a numpy reduction.  A term that does not apply
+    to a row adds 0.0 or multiplies by 1.0, which is exact: every sum starts
+    at +0.0 and no term is negative.
+    """
+
+    def __init__(self, geom: _Geometry, demands: Sequence[_Demand]) -> None:
+        self.geom, self.demands = geom, demands
+        self.selection = demands[0].selection  # its pass flags
+        # one channel map for the batch, its points' external loads included
+        chans = {**geom.channels, None: 0}
+        for demand in demands:
+            for ch, _ in demand.external:
+                chans.setdefault(ch, len(chans))
+        self.n_columns = len(chans)
+        self.per_sta = np.array([d.per_sta for d in demands])
+        self.opb = np.array([d.offered_per_bit for d in demands])
+        self.alpha = np.array([d.selection.alpha for d in demands])
+        self.through = [np.array(link) for link in zip(*(d.backhaul for d in demands))]
+        # external loads by slot; a point with fewer adds 0.0 to column 0
+        slots = max(len(d.external) for d in demands)
+        pads = [d.external + [(None, 0.0)] * (slots - len(d.external)) for d in demands]
+        self.external = [
+            (np.array([chans[ch] for ch, _ in slot]), np.array([x for _, x in slot]))
+            for slot in zip(*pads)
+        ]
+
+    def run(self, links: tuple, capable: np.ndarray) -> tuple:
+        """Throughput %, mean delay (ms) and congestion flag of every row as
+        ``(R,)`` arrays, and its serving indices ``(R, n_sta)``, for a slice's
+        ``links`` and each row's capable stations ``(R, n_sta)``."""
+        parent, access = links[2], links[4]
+        D, P = len(parent), len(self.demands)
+        point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
+        parent, air = parent[dep], access[dep]
+        term = self.opb[point][:, None] * air
+        if capable.any():
+            self._steer(links, point, dep, parent, air, term, capable)
+        return self._evaluate(point, parent, air, term) + (parent,)
+
+    def _util(self, point, parent, term, skip: int = -1) -> np.ndarray:
+        """Each row's channel utilization, summed as ``build_flows`` lists
+        flows: access by station, backhaul by extender, then external."""
+        util = np.zeros((len(point), self.n_columns))
+        flat = util.reshape(-1)
+        base = np.arange(len(point)) * self.n_columns
+        cell = base[:, None] + self.geom.acc[parent]
+        for s in range(parent.shape[1]):
+            if s != skip:
+                flat[cell[:, s]] += term[:, s]
+        on = self.geom.uses[:, parent]
+        if skip >= 0:
+            on[:, :, skip] = False
+        for e, n_on in enumerate(np.count_nonzero(on, axis=2)):
+            util[:, self.geom.bh_ch[e]] += self.through[e][point, n_on]
+        for chs, loads in self.external:
+            flat[base + chs[point]] += loads[point]
+        return util
+
+    def _steer(self, links, point, dep, parent, air, term, capable) -> None:
+        """``reassociation_pass`` on every row, in place: stations in
+        ascending index, each capable associated one scored as
+        ``rank_candidates`` scores; out of range never wins, and the first
+        minimum does, as the lowest serving index wins ties there."""
+        geom = self.geom
+        rssi, in_range, _, air_tab, _ = links
+        tx, sens = geom.tx_power, geom.sens
+        if (in_range & (sens >= tx)).any():
+            raise ValueError("sensitivity must lie below tx power")
+        with np.errstate(divide="ignore", invalid="ignore"):  # out of range
+            w = (np.minimum(np.maximum(rssi, sens), tx) - tx) / (sens - tx)  # weighted_rssi
+        J = len(geom.serving)
+        acc, hops = geom.acc[:J], geom.hop_ch[:J]
+        a, opb = self.alpha[point][:, None], self.opb[point]
+        refresh = self.selection.refresh_loads
+
+        def loads(parent, term, skip=-1):
+            return np.minimum(1.0, self._util(point, parent, term, skip))
+
+        for _ in range(self.selection.passes):
+            # without refresh_loads every decision sees the pass's start
+            state = (parent, term) if refresh else (parent.copy(), term.copy())
+            shared = None
+            for s in range(parent.shape[1]):
+                current = parent[:, s]
+                active = capable[:, s] & (current >= 0)
+                if not active.any():
+                    continue
+                if not self.selection.include_self_load:
+                    load = loads(*state, s)
+                else:
+                    load = shared = loads(*state) if shared is None else shared
+                c_backhaul = np.zeros((len(point), J))
+                for h in range(hops.shape[1]):
+                    c_backhaul = c_backhaul + load[:, hops[:, h]]
+                y = a * (w[dep, s] + load[:, acc]) + (1.0 - a) * c_backhaul
+                best = np.where(in_range[dep, s], y, np.inf).argmin(axis=1)
+                move = active & (best != current)
+                if not move.any():
+                    continue
+                new_air = air_tab[dep, s, best]
+                for r in np.flatnonzero(move & np.isnan(new_air))[:1]:
+                    raise geom.below_mcs(s, best[r], rssi[dep[r], s, best[r]])
+                parent[:, s] = np.where(move, best, current)
+                air[:, s] = np.where(move, new_air, air[:, s])
+                term[:, s] = np.where(move, opb * new_air, term[:, s])
+                if refresh:
+                    shared = None
+
+    def _evaluate(self, point, parent, air, term) -> tuple:
+        """``evaluate``'s network throughput %, mean delay and congestion flag."""
+        geom = self.geom
+        util = self._util(point, parent, term)
+        share = np.minimum(1.0, np.divide(1.0, util, out=np.ones_like(util), where=util > 0.0))
+        cap = geom.cap_ms
+        frac, delay = np.ones(parent.shape), np.zeros(parent.shape)
+        # each station's access hop, then its serving node's backhaul hops
+        for h in range(-1, geom.hop_ch.shape[1]):
+            ch = geom.acc[parent] if h < 0 else geom.hop_ch[parent, h]
+            at = air if h < 0 else geom.hop_air[parent, h]
+            u = np.take_along_axis(util, ch, axis=1)
+            frac *= np.take_along_axis(share, ch, axis=1)
+            wait = np.divide(at * 1e3, 1.0 - u, out=np.full(u.shape, cap), where=u < 1.0)
+            delay += np.minimum(cap, wait, out=wait)
+        assoc = parent >= 0
+        per_sta = self.per_sta[point]
+        delivered_sta = per_sta[:, None] * frac
+        delivered = offered = delay_sum = np.zeros(len(point))
+        for s in range(parent.shape[1]):
+            m = assoc[:, s]
+            delivered = delivered + np.where(m, delivered_sta[:, s], 0.0)
+            offered = np.where(m, offered + per_sta, offered)
+            delay_sum = delay_sum + np.where(m, delay[:, s], 0.0)
+        n_assoc = np.count_nonzero(assoc, axis=1)
+        thr = np.divide(100.0 * delivered, offered, out=np.full(len(point), 100.0),
+                        where=offered != 0.0)
+        avg_delay = np.divide(delay_sum, n_assoc, out=np.zeros(len(point)), where=n_assoc > 0)
+        return thr, avg_delay, (util[:, 1:] > 1.0).any(axis=1)
+
+
 # tasks per worker and draw group: enough for a pool to even out sweep points
 # of unequal cost, few enough that each task amortizes its set-up
 _CHUNKS_PER_WORKER = 4
+# rows a batch holds at once: a task walks its deployments in slices of this
+# many rows over its widest batch, which bounds its memory
+_ROWS = 4096
 
 
 def _draw_groups(points: Sequence[SweepPoint]) -> list[list[int]]:
@@ -640,12 +659,13 @@ def _evaluate_range(
     """One block per point of ``points``, which are (grid index, point) pairs
     sharing one deployment draw, holding deployments ``lo`` to ``hi - 1``.
 
-    The walk is deployment-major: one draw per deployment, one ``links`` per
-    link geometry, then each point's demand-dependent work.
+    The walk goes by slices of deployments: each is drawn once and linked
+    once per link geometry, then each batch steers and evaluates its rows.
     """
     spec = points[0][1].scenario
     sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
-    geoms: dict[tuple, tuple[_Geometry, list]] = {}
+    geoms: dict[tuple, _Geometry] = {}
+    groups: dict[tuple, list] = {}
     blocks: list[_Block] = []
     for pi, point in points:
         key = (
@@ -653,8 +673,8 @@ def _evaluate_range(
             point.traffic.packet_length_bits,
         )
         if key not in geoms:
-            geoms[key] = (_Geometry(point, params), [])
-        geom, members = geoms[key]
+            geoms[key] = _Geometry(point, params)
+        demand = _Demand(point, geoms[key])
         sel = point.selection
         const = dict(
             test_id=point.test_id, rssi_ap_e_dbm=point.rssi_ap_e_dbm,
@@ -662,34 +682,38 @@ def _evaluate_range(
             b_ext_bps=point.b_ext_bps, mechanism=sel.mechanism.value, alpha=sel.alpha,
             beta_pct=sel.beta_pct, b_t_bps=point.b_t_bps,
         )
-        block = _Block(const, sta_ids, geom.serving, lo)
-        members.append((pi, _Demand(point, geom), block))
+        block = _Block(const, sta_ids, geoms[key].serving, lo)
+        # stock points form their own batch, which skips the pass
+        flags = demand.steer and (sel.passes, sel.refresh_loads, sel.include_self_load)
+        groups.setdefault((key, flags), []).append((pi, demand, block))
         blocks.append(block)
-    walks = [
-        (geom, any(demand.steer for _, demand, _ in members), members)
-        for geom, members in geoms.values()
+    batches = [
+        (key, _Batch(geoms[key], [d for _, d, _ in group]), group)
+        for (key, _), group in groups.items()
     ]
-    for dep in range(lo, hi):
-        positions, perm = deployment_draw(spec, dep, params.propagation)
-        for geom, steer, members in walks:
-            links = geom.links(positions, steer)
-            for pi, demand, block in members:
-                point = demand.point
-                capable: frozenset[int] = frozenset()
-                if demand.steer or events_dir is not None:
-                    capable = capable_set_for(spec, perm, point.selection.beta_pct)
-                thr, avg_delay, congested, parent = demand.deployment(links, capable)
-                if events_dir is not None:
-                    demand.trace(
-                        positions,
-                        capable,
-                        parent,
-                        os.path.join(
-                            events_dir,
-                            f"t{point.test_id}_p{pi:04d}_d{dep:05d}.ndjson",
-                        ),
-                    )
-                block.append(thr, avg_delay, congested, parent)
+    step = max(1, _ROWS // max(map(len, groups.values())))
+    for first in range(lo, hi, step):
+        draws = [deployment_draw(spec, dep, params.propagation)
+                 for dep in range(first, min(first + step, hi))]
+        links = {key: geom.links([pos for pos, _ in draws]) for key, geom in geoms.items()}
+        # station s is in capable_set_for's set iff it comes within the
+        # first capable_count entries of the deployment's permutation
+        rank, D = np.argsort([perm for _, perm in draws], axis=1), len(draws)
+        for key, batch, group in batches:
+            capable = np.concatenate([
+                rank < (capable_count(d.selection.beta_pct, spec.n_sta) if d.steer else 0)
+                for _, d, _ in group
+            ])
+            thr, delay, congested, serving = batch.run(links[key], capable)
+            serving = serving.astype(np.int8)
+            for p, (pi, demand, block) in enumerate(group):
+                rows = slice(p * D, (p + 1) * D)
+                block.extend(thr[rows], delay[rows], congested[rows], serving[rows])
+                for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
+                    name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
+                    capable = capable_set_for(spec, perm, demand.selection.beta_pct)
+                    demand.trace(positions, capable, serving[p * D + d].tolist(),
+                                 os.path.join(events_dir, name))
     return blocks
 
 
@@ -702,8 +726,10 @@ def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
         thr_sum += thr
     for delay in block.delay:
         delay_sum += delay
-    for vector in block.vectors():
-        assoc_sum += (spec.n_sta - vector.count(0xFF)) / spec.n_sta
+    n = spec.n_sta
+    serving = np.frombuffer(block.serving, np.int8).reshape(-1, n)
+    for unassociated in np.count_nonzero(serving < 0, axis=1).tolist():
+        assoc_sum += (n - unassociated) / n
     k = spec.k
     return Aggregate(
         **block.const,
@@ -721,7 +747,8 @@ def evaluate_point(
     params: EngineParams,
     events_dir: Optional[str] = None,
 ) -> tuple[ResultRows, Aggregate]:
-    """All deployments of one sweep point, plus their aggregate."""
+    """All deployments of one sweep point, plus their aggregate: the batch
+    of one point, whose rows are its deployments."""
     (block,) = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
     return ResultRows([block]), _aggregate(point, block)
 
@@ -760,13 +787,13 @@ def run(cfg: RunConfig) -> RunResult:
             if blocks[i] is None:
                 blocks[i] = block
             else:
-                blocks[i].extend(block)
+                blocks[i].extend(block.thr, block.delay, block.congested, block.serving)
     rows = ResultRows(blocks)
     aggregates = [_aggregate(point, block) for point, block in zip(points, blocks)]
     if cfg.out_dir is not None:
-        export_rows_csv(rows, os.path.join(cfg.out_dir, "rows.csv"))
         export_aggregates_csv(aggregates, os.path.join(cfg.out_dir, "aggregates.csv"))
-        export_json(rows, aggregates, os.path.join(cfg.out_dir, "results.json"))
+        out = os.path.join(cfg.out_dir, "rows.csv"), os.path.join(cfg.out_dir, "results.json")
+        _export_rows(blocks, aggregates, *out)
     return RunResult(points=tuple(points), rows=rows, aggregates=tuple(aggregates))
 
 
@@ -778,58 +805,8 @@ _FLAGS = ("false", "true")
 _ENCODED_VECTORS = 1 << 14
 
 
-def _encoded(blocks: Sequence[_Block], encode):
-    """Each block with the text ``encode(associations)`` of each row.  A
-    vector is encoded once while consecutive blocks share their stations and
-    nodes, as one geometry's stock points share one vector per deployment."""
-    layout, texts = None, {}
-    for block in blocks:
-        if (block.sta_ids, block.nodes) != layout or len(texts) > _ENCODED_VECTORS:
-            layout, texts = (block.sta_ids, block.nodes), {}
-        vectors = block.vectors()
-        for vector in set(vectors).difference(texts):
-            texts[vector] = encode(block.associations(array("b", vector)))
-        yield block, map(texts.__getitem__, vectors)
-
-
 def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
-    """One line per row: its fields, then a ``sta_<id>`` column per station
-    id found in any row, holding the serving node, ``none`` when the station
-    is unassociated, or nothing when the row has no such station."""
-    blocks = _blocks(rows)
-    sta_ids = sorted({sid for block in blocks for sid in block.sta_ids})
-
-    def cells(assoc: dict) -> str:
-        return "".join(
-            "," if sid not in assoc else ",none" if assoc[sid] is None else f",{assoc[sid]}"
-            for sid in sta_ids
-        )
-
-    # the file's dialect: what csv quotes depends on the line terminator too
-    line = io.StringIO()
-    line_writer = csv.writer(line, lineterminator="\n")
-
-    def constant_cells(const: dict, names: Sequence[str]) -> str:
-        """The cells of ``names`` as the file's writer writes them, then a comma."""
-        line.seek(0)
-        line.truncate()
-        line_writer.writerow([const[f] for f in names])
-        return line.getvalue()[:-1] + ","
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
-        for block, texts in _encoded(blocks, cells):
-            # _ROW_FIELDS: five constants, the deployment index, four
-            # constants, then throughput, delay and congestion
-            head = constant_cells(block.const, _CONSTANT[:5])
-            mid = constant_cells(block.const, _CONSTANT[5:])
-            fh.write("".join([
-                f"{head}{dep},{mid}{t!r},{d!r},{_FLAGS[c]}{text}\n"
-                for dep, t, d, c, text in zip(
-                    count(block.first), block.thr, block.delay, block.congested, texts
-                )
-            ]))
+    _export_rows(_blocks(rows), (), path, None)
 
 
 def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
@@ -837,6 +814,10 @@ def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGGREGATE_COLUMNS)
         writer.writerows(map(operator.attrgetter(*AGGREGATE_COLUMNS), aggs))
+
+
+def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
+    _export_rows(_blocks(rows), aggs, None, path)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -855,30 +836,92 @@ def _json_record(const: dict) -> list[str]:
     ]
 
 
-def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
-    """``{"aggregates": [...], "rows": [...]}`` as ``json.dumps`` writes it with
-    sorted keys and no spaces, a row's associations keyed by station id as a
-    string."""
+def _texts(block: _Block, vectors: list[bytes], known: dict, encode) -> map:
+    """The text ``encode(associations)`` of each row, from its serving
+    ``vectors``, encoding only those ``known`` does not hold yet."""
+    for vector in set(vectors).difference(known):
+        known[vector] = encode(block.associations(array("b", vector)))
+    return map(known.__getitem__, vectors)
+
+
+def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
+                 csv_path: Optional[str], json_path: Optional[str]) -> None:
+    """Write rows.csv to ``csv_path`` and results.json to ``json_path``, each
+    when given, in one walk that slices each block's serving column once.
+
+    rows.csv has a line per row: its fields, then a ``sta_<id>`` column per
+    station id of any block, holding the serving node, ``none`` when the
+    station is unassociated, or nothing when the row has no such station.
+    results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
+    writes it with sorted keys and no spaces, a row's associations keyed by
+    station id as a string.  Each file encodes a vector once while
+    consecutive blocks share their stations and nodes, as one geometry's
+    stock points share one vector per deployment.
+    """
+    sta_ids = sorted({sid for block in blocks for sid in block.sta_ids})
+
+    def cells(assoc: dict) -> str:
+        return "".join(
+            "," if sid not in assoc else ",none" if assoc[sid] is None else f",{assoc[sid]}"
+            for sid in sta_ids
+        )
 
     def associations(assoc: dict) -> str:
         return _encode({str(sid): node for sid, node in assoc.items()})
 
-    with open(path, "w") as fh:
-        fh.write('{"aggregates":')
-        fh.write(_encode([{c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs]))
-        fh.write(',"rows":[')
-        for b, (block, texts) in enumerate(_encoded(_blocks(rows), associations)):
-            q0, q1, q2, q3, q4, q5 = _json_record(block.const)
-            finite = all(map(math.isfinite, block.thr)) and all(map(math.isfinite, block.delay))
-            spell = repr if finite else _encode  # json's float spellings
-            fh.write("," * (b > 0) + ",".join([
-                f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
-                for text, d, c, dep, t in zip(
-                    texts, map(spell, block.delay), block.congested, count(block.first),
-                    map(spell, block.thr),
-                )
-            ]))
-        fh.write("]}\n")
+    # the file's dialect: what csv quotes depends on the line terminator too
+    line = io.StringIO()
+    line_writer = csv.writer(line, lineterminator="\n")
+
+    def constant_cells(const: dict, names: Sequence[str]) -> str:
+        """The cells of ``names`` as the file's writer writes them, then a comma."""
+        line.seek(0)
+        line.truncate()
+        line_writer.writerow([const[f] for f in names])
+        return line.getvalue()[:-1] + ","
+
+    with ExitStack() as files:
+        rows_csv = csv_path and files.enter_context(open(csv_path, "w", newline=""))
+        results = json_path and files.enter_context(open(json_path, "w"))
+        if rows_csv:
+            header = _ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids)
+            csv.writer(rows_csv, lineterminator="\n").writerow(header)
+        if results:
+            results.write('{"aggregates":')
+            results.write(_encode([{c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs]))
+            results.write(',"rows":[')
+        layout = None
+        for b, block in enumerate(blocks):
+            if (block.sta_ids, block.nodes) != layout or len(csv_texts) > _ENCODED_VECTORS \
+                    or len(json_texts) > _ENCODED_VECTORS:
+                layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
+            vectors = block.vectors()
+            if rows_csv:
+                # _ROW_FIELDS: five constants, the deployment index, four
+                # constants, then throughput, delay and congestion
+                head = constant_cells(block.const, _CONSTANT[:5])
+                mid = constant_cells(block.const, _CONSTANT[5:])
+                rows_csv.write("".join([
+                    f"{head}{dep},{mid}{t!r},{d!r},{_FLAGS[c]}{text}\n"
+                    for dep, t, d, c, text in zip(
+                        count(block.first), block.thr, block.delay, block.congested,
+                        _texts(block, vectors, csv_texts, cells),
+                    )
+                ]))
+            if results:
+                q0, q1, q2, q3, q4, q5 = _json_record(block.const)
+                finite = all(map(math.isfinite, chain(block.thr, block.delay)))
+                spell = repr if finite else _encode  # json's float spellings
+                results.write("," * (b > 0) + ",".join([
+                    f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
+                    for text, d, c, dep, t in zip(
+                        _texts(block, vectors, json_texts, associations),
+                        map(spell, block.delay), block.congested, count(block.first),
+                        map(spell, block.thr),
+                    )
+                ]))
+        if results:
+            results.write("]}\n")
 
 
 # --- derived summaries ------------------------------------------------------

@@ -222,6 +222,12 @@ _BAD_DOCUMENTS = [
      "propagation: distance_power_loss_coeff"),
     ({"propagation": {"floor_penetration_db": -1e300}}, "propagation: floor_penetration_db"),
     ({"run": {"workers": MAX_WORKERS + 1}}, "run.workers"),
+    # json reads Infinity, -Infinity and NaN
+    ({"congested_hop_delay_ms": float("inf")}, "congested_hop_delay_ms"),
+    ({"mac_overheads": {"5": {"slot_us": float("-inf")}}}, "mac_overheads.5.slot_us"),
+    ({"propagation": {"distance_power_loss_coeff": float("nan")}},
+     "propagation.distance_power_loss_coeff"),
+    ({"run": {"alpha": float("nan")}}, "run.alpha"),
 ]
 
 
@@ -237,6 +243,23 @@ def test_bad_config_documents_name_their_key(doc, key, tmp_path, monkeypatch):
     assert rc == 1
     assert re.match(pattern, err.removeprefix("error: "))
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, key, shown", [
+    ({"congested_hop_delay_ms": float("inf")}, "congested_hop_delay_ms", "inf"),
+    ({"mac_overheads": {"2.4": {"ack_us": float("-inf")}}}, "mac_overheads.2.4.ack_us", "-inf"),
+    ({"propagation": {"constant_offset_db": float("nan")}}, "propagation.constant_offset_db",
+     "nan"),
+])
+def test_non_finite_numbers_are_rejected(doc, key, shown, tmp_path):
+    message = f"{key} must be a finite number, got {shown}"
+    with pytest.raises(ConfigError) as err:
+        run_config_from(doc)
+    assert str(err.value) == message
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps(doc))
+    assert "Infinity" in conf.read_text() or "NaN" in conf.read_text()
+    assert _run_cli(["run", "--config", str(conf)])[::2] == (1, f"error: {message}\n")
 
 
 def test_numbers_accept_integers_and_keep_the_defaults_elsewhere():

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from wlansteer import runner
+from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
 from wlansteer.perf import SimEnv, evaluate
+from wlansteer.radio import DEFAULT_MCS_TABLES
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
     Aggregate,
@@ -567,3 +569,139 @@ def test_aggregate_sums_in_deployment_order():
         total += t
     assert total == 0.0 != math.fsum(thr)
     assert runner._aggregate(point, block).mean_throughput_pct == total / 16
+
+
+# --- the batched kernel against the single-topology API ----------------------
+
+
+def _retuned(point, b_t=None, **selection):
+    """``point`` at total demand ``b_t`` (bps), with ``selection`` changed."""
+    if b_t is not None:
+        point = replace(point, traffic=TrafficProfile.for_stations(b_t / 10.0, 10, 12000))
+    return replace(point, selection=replace(point.selection, **selection))
+
+
+def _batch_grid(k):
+    """Points of three draw groups at ``k``.  On the home's two-extender
+    geometry: stock points, one of them with no demand at all (every channel
+    at zero utilization, nothing offered) and one whose per-station load
+    sums to other values than its multiples; load-aware points of several
+    demands, alphas as in 2.2 and capable shares as in 2.3, beta 0 among them
+    (rows with nobody to steer inside a steering batch); two passes; every
+    refresh_loads x include_self_load pair, twice each; points with external
+    loads on distinct channels, one of them outside the topology, and one
+    point with two of them.  A one-point geometry, and a wider circle whose stations
+    may hear nobody."""
+    home = _point("2.1", k, lambda p: _la(p) and p.scenario.n_extenders == 2
+                  and p.scenario.channel_plan == "multi")
+    stock = _retuned(home, mechanism=Mechanism.RSSI_BASED)
+    grid = [_retuned(stock, b_t) for b_t in (0.0, 25.0e6 / 3, 30.0e6, 54.0e6)]
+    grid += [_retuned(home, b_t, alpha=a, beta_pct=b)
+             for b_t, a, b in ((42.0e6, 0.5, 100.0), (30.0e6, 0.0, 100.0),
+                               (54.0e6, 0.75, 25.0), (36.0e6, 1.0, 50.0),
+                               (48.0e6, 0.5, 0.0), (25.0e6 / 3, 0.5, 100.0))]
+    grid += [_retuned(home, b_t, passes=2) for b_t in (36.0e6, 54.0e6)]
+    for refresh in (True, False):
+        for self_load in (True, False):
+            grid += [_retuned(home, b_t, refresh_loads=refresh, include_self_load=self_load,
+                              alpha=0.25) for b_t in (30.0e6, 48.0e6)]
+    six, eleven, thirteen = (ExternalLoad(ChannelId(Band.GHZ_2_4, n), 3.0e6, 6.0e6)
+                             for n in (6, 11, 13))
+    for loads in ((six,), (thirteen,), (six, eleven)):
+        grid.append(replace(_retuned(home, 36.0e6), external=loads))
+    grid.append(_point("2.1", k, lambda p: _stock(p) and p.scenario.n_extenders == 0
+                       and p.b_t_bps == 42.0e6))
+    wide = _point("1.2", k, lambda p: _la(p) and p.scenario.n_extenders == 4)
+    grid += [wide, _retuned(wide, 30.0e6), _retuned(wide, mechanism=Mechanism.RSSI_BASED)]
+    return grid
+
+
+# a hop delay cap that hops with utilization below 1 reach as well
+_CAPPED = EngineParams(congested_hop_delay_ms=1.5)
+BATCH_GRID = _batch_grid(5)
+
+
+def test_batch_grid_covers_the_kernel_branches():
+    """The grid is not vacuous: stations hear nobody, channels sit idle,
+    hops are capped below and at full utilization, and stations move."""
+    unassociated = idle = capped_free = capped_full = moved = False
+    for point in BATCH_GRID:
+        spec = point.scenario
+        env = SimEnv(traffic=point.traffic, external=tuple(point.external),
+                     congested_hop_delay_ms=_CAPPED.congested_hop_delay_ms)
+        for dep in range(spec.k):
+            positions, perm = deployment_draw(spec, dep)
+            topo = add_stations(build_topology(spec, point.rssi_ap_e_dbm), positions,
+                                capable_set_for(spec, perm, point.selection.beta_pct))
+            start = initial_association(topo, env)
+            steered, moves = reassociation_pass(start, env, point.selection)
+            report = evaluate(steered, env)
+            unassociated |= bool(report.unassociated)
+            idle |= any(c.utilization == 0.0 for c in report.per_channel.values())
+            full = any(c.utilization >= 1.0 for c in report.per_channel.values())
+            capped = any(s.delay_ms >= _CAPPED.congested_hop_delay_ms
+                         for s in report.per_sta.values())
+            capped_full |= capped and full
+            capped_free |= capped and not full
+            moved |= bool(moves)
+    assert unassociated and idle and capped_free and capped_full and moved
+
+
+# the home's widest batch has eleven points: rows for slices of five (all
+# of k), of one, and of two, two and one deployments
+@pytest.mark.parametrize("rows, slices", [(10**6, {5}), (1, {1}), (22, {1, 2, 5})])
+def test_batched_run_matches_the_topology_api(monkeypatch, rows, slices):
+    links, seen = runner._Geometry.links, []
+
+    def spy(geom, positions):
+        seen.append(len(positions))
+        return links(geom, positions)
+
+    monkeypatch.setattr(runner._Geometry, "links", spy)
+    monkeypatch.setattr(runner, "build_test", lambda test_id: list(BATCH_GRID))
+    monkeypatch.setattr(runner, "_ROWS", rows)
+    res = run(RunConfig(test_id="2.1", params=_CAPPED))
+    assert set(seen) == slices
+    want = [_scalar_point(p, _CAPPED) for p in BATCH_GRID]
+    assert list(res.rows) == [r for rows, _ in want for r in rows]
+    assert list(res.aggregates) == [agg for _, agg in want]
+
+
+def test_one_point_batches_match_the_topology_api():
+    for point in (BATCH_GRID[5], BATCH_GRID[-3], BATCH_GRID[-1]):
+        rows, agg = evaluate_point(0, point, _CAPPED)
+        assert (list(rows), agg) == _scalar_point(point, _CAPPED)
+
+
+def _raised_floor(floor_dbm):
+    """Engine parameters whose 2.4 GHz access links carry nothing below
+    ``floor_dbm``, the rates above it unchanged."""
+    table = DEFAULT_MCS_TABLES[Band.GHZ_2_4]
+    first = replace(table.entries[0], min_rssi_dbm=floor_dbm)
+    return EngineParams(mcs_tables={
+        **DEFAULT_MCS_TABLES,
+        Band.GHZ_2_4: replace(table, entries=(first,) + table.entries[1:]),
+    })
+
+
+def test_a_link_below_the_lowest_mcs_raises_only_when_a_row_uses_it(monkeypatch):
+    # deployment 3 of test 1.3's two-extender curve at its lowest demand:
+    # every station's strongest link lies above -89 dBm, and steering moves
+    # one station onto a link below it, which is in range but carries nothing
+    steer = _point("1.3", 4, lambda p: _la(p) and p.scenario.n_extenders == 2
+                   and p.b_t_bps == 0.12e6)
+    positions, _ = deployment_draw(steer.scenario, 3)
+    steer = replace(steer, scenario=replace(steer.scenario, fixed_positions=tuple(positions),
+                                            k=1))
+    params = _raised_floor(-89.0)
+    unused = [_retuned(steer, mechanism=Mechanism.RSSI_BASED), _retuned(steer, beta_pct=0.0)]
+    monkeypatch.setattr(runner, "build_test", lambda test_id: list(unused))
+    res = run(RunConfig(test_id="1.3", params=params))
+    want = [_scalar_point(p, params) for p in unused]
+    assert list(res.rows) == [r for rows, _ in want for r in rows]
+    for grid in ([steer], unused + [steer]):
+        monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
+        with pytest.raises(ValueError, match="below the lowest MCS"):
+            run(RunConfig(test_id="1.3", params=params))
+    with pytest.raises(ValueError, match="below the lowest MCS"):
+        _scalar_point(steer, params)
