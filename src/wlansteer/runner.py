@@ -637,7 +637,7 @@ class _Batch:
 _CHUNKS_PER_WORKER = 4
 # rows a batch holds at once: a task walks its deployments in slices of this
 # many rows over its widest batch, which bounds its memory
-_ROWS = 4096
+_ROWS = 2048
 
 
 def _draw_groups(points: Sequence[SweepPoint]) -> list[list[int]]:
@@ -707,13 +707,12 @@ def _evaluate_range(
             thr, delay, congested, serving = batch.run(links[key], capable)
             serving = serving.astype(np.int8)
             for p, (pi, demand, block) in enumerate(group):
-                rows = slice(p * D, (p + 1) * D)
+                rows, sel = slice(p * D, (p + 1) * D), demand.selection
                 block.extend(thr[rows], delay[rows], congested[rows], serving[rows])
                 for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
                     name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
-                    capable = capable_set_for(spec, perm, demand.selection.beta_pct)
-                    demand.trace(positions, capable, serving[p * D + d].tolist(),
-                                 os.path.join(events_dir, name))
+                    demand.trace(positions, capable_set_for(spec, perm, sel.beta_pct),
+                                 serving[p * D + d].tolist(), os.path.join(events_dir, name))
     return blocks
 
 
