@@ -523,7 +523,7 @@ class _Batch:
         """Throughput %, mean delay (ms) and congestion flag of every row as
         ``(R,)`` arrays, and its serving indices ``(R, n_sta)``, for a slice's
         ``links`` and each row's capable stations ``(R, n_sta)``."""
-        parent, access = links[2], links[4]
+        _, _, parent, _, access = links
         D, P = len(parent), len(self.demands)
         point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
         parent, air = parent[dep], access[dep]
@@ -568,8 +568,8 @@ class _Batch:
         a, opb = self.alpha[point][:, None], self.opb[point]
         refresh = self.selection.refresh_loads
 
-        def loads(parent, term, skip=-1):
-            return np.minimum(1.0, self._util(point, parent, term, skip))
+        def loads(serving, terms, skip=-1):
+            return np.minimum(1.0, self._util(point, serving, terms, skip))
 
         for _ in range(self.selection.passes):
             # without refresh_loads every decision sees the pass's start
@@ -619,7 +619,7 @@ class _Batch:
         assoc = parent >= 0
         per_sta = self.per_sta[point]
         delivered_sta = per_sta[:, None] * frac
-        delivered = offered = delay_sum = np.zeros(len(point))
+        delivered, offered, delay_sum = (np.zeros(len(point)) for _ in range(3))
         for s in range(parent.shape[1]):
             m = assoc[:, s]
             delivered = delivered + np.where(m, delivered_sta[:, s], 0.0)
@@ -725,10 +725,9 @@ def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
         thr_sum += thr
     for delay in block.delay:
         delay_sum += delay
-    n = spec.n_sta
-    serving = np.frombuffer(block.serving, np.int8).reshape(-1, n)
-    for unassociated in np.count_nonzero(serving < 0, axis=1).tolist():
-        assoc_sum += (n - unassociated) / n
+    n, serving = spec.n_sta, block.serving.tobytes()
+    for i in range(0, len(serving), n):  # a row's unassociated stations are 0xff
+        assoc_sum += (n - serving.count(0xFF, i, i + n)) / n
     k = spec.k
     return Aggregate(
         **block.const,

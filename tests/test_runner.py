@@ -582,7 +582,7 @@ def _retuned(point, b_t=None, **selection):
 
 
 def _batch_grid(k):
-    """Points of three draw groups at ``k``.  On the home's two-extender
+    """Points of two draw groups at ``k``.  On the home's two-extender
     geometry: stock points, one of them with no demand at all (every channel
     at zero utilization, nothing offered) and one whose per-station load
     sums to other values than its multiples; load-aware points of several
@@ -590,8 +590,8 @@ def _batch_grid(k):
     (rows with nobody to steer inside a steering batch); two passes; every
     refresh_loads x include_self_load pair, twice each; points with external
     loads on distinct channels, one of them outside the topology, and one
-    point with two of them.  A one-point geometry, and a wider circle whose stations
-    may hear nobody."""
+    point with two of them.  A one-point geometry of the same home, and a
+    wider circle whose stations may hear nobody."""
     home = _point("2.1", k, lambda p: _la(p) and p.scenario.n_extenders == 2
                   and p.scenario.channel_plan == "multi")
     stock = _retuned(home, mechanism=Mechanism.RSSI_BASED)
