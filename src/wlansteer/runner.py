@@ -15,11 +15,10 @@ drawn once; each link geometry of the group (``_Geometry``: what
 computes the slice's RSSI tables, strongest-signal associations and
 airtimes at once.  Then one numpy kernel (``_Batch``) steers and evaluates
 the geometry's points that share the pass flags together, on rows of
-(point, deployment) pairs laid out point-major, so that each point's rows
-are one contiguous run.  It computes what ``initial_association``,
+(point, deployment) pairs laid out point-major, so that a point's rows are
+one contiguous run.  It computes what ``initial_association``,
 ``reassociation_pass`` and ``evaluate`` compute, to the last bit; those
-functions remain the single-topology interface and the oracle the tests
-hold the kernel to.
+functions stay the single-topology interface and the kernel's oracle.
 
 A worker pool gets (draw group, contiguous deployment range) tasks, a few
 ranges per worker, so that points of unequal cost share the load; a group
@@ -170,12 +169,15 @@ class _Block:
     ``nodes`` gives the serving node of each serving index.  Row ``i`` is
     deployment ``first + i``: float64 throughput and delay, a congestion byte
     and an int8 serving index per station of ``sta_ids``, -1 when
-    unassociated."""
+    unassociated.  A block made with room for ``rows`` rows holds zeros there
+    until ``put`` writes them; sized once, its columns never grow in between
+    the kernel's arrays, which would leave the heap fragmented."""
 
-    def __init__(self, const: dict, sta_ids: tuple[int, ...], nodes: list, first: int):
+    def __init__(self, const: dict, sta_ids: tuple[int, ...], nodes: list, first: int,
+                 rows: int = 0):
         self.const, self.sta_ids, self.nodes, self.first = const, sta_ids, nodes, first
-        self.thr, self.delay, self.congested = array("d"), array("d"), bytearray()
-        self.serving = array("b")
+        self.thr, self.delay = array("d", bytes(8 * rows)), array("d", bytes(8 * rows))
+        self.congested, self.serving = bytearray(rows), array("b", bytes(rows * len(sta_ids)))
 
     def __len__(self) -> int:
         return len(self.thr)
@@ -186,13 +188,20 @@ class _Block:
         self.congested.append(congested)
         self.serving.extend(serving)
 
-    def extend(self, thr, delay, congested, serving) -> None:
-        """Add the rows of the deployments that follow from buffers of the
-        columns' types, as another block's columns or numpy arrays are."""
-        self.thr.frombytes(bytes(thr))
-        self.delay.frombytes(bytes(delay))
-        self.congested.extend(bytes(congested))
-        self.serving.frombytes(bytes(serving))
+    def put(self, i: int, thr, delay, congested, serving) -> None:
+        """Write rows ``i`` on from numpy columns: float64 throughput and
+        delay, bool congestion and int8 serving indices ``(rows, n_sta)``."""
+        j, n = i + len(thr), len(self.sta_ids)
+        memoryview(self.thr)[i:j], memoryview(self.delay)[i:j] = thr, delay
+        self.congested[i:j] = congested.tobytes()
+        memoryview(self.serving)[i * n : j * n] = serving.reshape(-1)
+
+    def extend(self, other: _Block) -> None:
+        """Add the rows of the deployment range that follows."""
+        self.thr.extend(other.thr)
+        self.delay.extend(other.delay)
+        self.congested.extend(other.congested)
+        self.serving.extend(other.serving)
 
     def vectors(self) -> list[bytes]:
         """Each row's serving indices as bytes, -1 as 0xff."""
@@ -542,9 +551,7 @@ class _Batch:
         for s in range(parent.shape[1]):
             if s != skip:
                 flat[cell[:, s]] += term[:, s]
-        on = self.geom.uses[:, parent]
-        if skip >= 0:
-            on[:, :, skip] = False
+        on = self.geom.uses[:, parent] & (np.arange(parent.shape[1]) != skip)
         for e, n_on in enumerate(np.count_nonzero(on, axis=2)):
             util[:, self.geom.bh_ch[e]] += self.through[e][point, n_on]
         for chs, loads in self.external:
@@ -682,7 +689,7 @@ def _evaluate_range(
             b_ext_bps=point.b_ext_bps, mechanism=sel.mechanism.value, alpha=sel.alpha,
             beta_pct=sel.beta_pct, b_t_bps=point.b_t_bps,
         )
-        block = _Block(const, sta_ids, geoms[key].serving, lo)
+        block = _Block(const, sta_ids, geoms[key].serving, lo, hi - lo)
         # stock points form their own batch, which skips the pass
         flags = demand.steer and (sel.passes, sel.refresh_loads, sel.include_self_load)
         groups.setdefault((key, flags), []).append((pi, demand, block))
@@ -708,7 +715,7 @@ def _evaluate_range(
             serving = serving.astype(np.int8)
             for p, (pi, demand, block) in enumerate(group):
                 rows, sel = slice(p * D, (p + 1) * D), demand.selection
-                block.extend(thr[rows], delay[rows], congested[rows], serving[rows])
+                block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
                 for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
                     name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
                     demand.trace(positions, capable_set_for(spec, perm, sel.beta_pct),
@@ -785,7 +792,7 @@ def run(cfg: RunConfig) -> RunResult:
             if blocks[i] is None:
                 blocks[i] = block
             else:
-                blocks[i].extend(block.thr, block.delay, block.congested, block.serving)
+                blocks[i].extend(block)
     rows = ResultRows(blocks)
     aggregates = [_aggregate(point, block) for point, block in zip(points, blocks)]
     if cfg.out_dir is not None:
@@ -846,16 +853,14 @@ def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
                  csv_path: Optional[str], json_path: Optional[str]) -> None:
     """Write rows.csv to ``csv_path`` and results.json to ``json_path``, each
     when given, in one walk that slices each block's serving column once.
-
     rows.csv has a line per row: its fields, then a ``sta_<id>`` column per
     station id of any block, holding the serving node, ``none`` when the
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
     station id as a string.  Each file encodes a vector once while
-    consecutive blocks share their stations and nodes, as one geometry's
-    stock points share one vector per deployment.
-    """
+    consecutive blocks share their stations and nodes (one geometry's stock
+    points share one vector per deployment)."""
     sta_ids = sorted({sid for block in blocks for sid in block.sta_ids})
 
     def cells(assoc: dict) -> str:
@@ -890,8 +895,8 @@ def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
             results.write(',"rows":[')
         layout = None
         for b, block in enumerate(blocks):
-            if (block.sta_ids, block.nodes) != layout or len(csv_texts) > _ENCODED_VECTORS \
-                    or len(json_texts) > _ENCODED_VECTORS:
+            if (block.sta_ids, block.nodes) != layout \
+                    or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
                 layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
             vectors = block.vectors()
             if rows_csv:
