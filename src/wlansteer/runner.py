@@ -20,9 +20,9 @@ one contiguous run.  It computes what ``initial_association``,
 ``reassociation_pass`` and ``evaluate`` compute, to the last bit; those
 functions stay the single-topology interface and the kernel's oracle.
 
-A worker pool gets (draw group, contiguous deployment range) tasks, a few
-ranges per worker, so that points of unequal cost share the load; a group
-with fewer deployments than that is cut into slices of its points as well.
+A worker pool gets (draw group, contiguous deployment range) tasks, one range
+per worker; each range holds all of the group's points, so all cost the same.
+A group with fewer deployments than workers is dealt out by its points too.
 
 Results are columnar.  Each task returns, per point, a block: the point's
 constant fields once, then a column each of throughput, delay and congestion
@@ -31,9 +31,10 @@ each point's blocks in deployment order and sums its aggregate over them in
 that order, as a single process would.  ``RunResult.rows`` and
 ``evaluate_point``'s rows are a ``ResultRows`` that builds each ``ResultRow``
 only when it is read.  The exports read blocks too, and turn a plain list of
-rows into blocks first; a run writes both row files in one walk.  A block's
-constant cells are encoded once, and each distinct association vector once
-for the consecutive points that share it.
+rows into blocks first; a run writes both row files in one walk.  Each
+distinct constant is spelled once per export, each row's floats once for
+both files, and each distinct association vector once, joined from pieces
+made per layout, for the consecutive points that share it.
 
 Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
 ``SimEnv`` per deployment: it runs ``initial_association`` and
@@ -55,7 +56,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,24 +209,21 @@ class _Block:
         raw, n = self.serving.tobytes(), len(self.sta_ids)
         return [raw[i * n : (i + 1) * n] for i in range(len(self))]
 
-    def associations(self, serving) -> dict[int, Optional[int]]:
-        """A row's associations from its serving indices."""
-        nodes = self.nodes
-        return {sid: (nodes[j] if j >= 0 else None) for sid, j in zip(self.sta_ids, serving)}
-
     def row(self, i: int) -> ResultRow:
-        n = len(self.sta_ids)
+        n, nodes = len(self.sta_ids), self.nodes
+        serving = self.serving[i * n : (i + 1) * n]
         return ResultRow(
             **self.const, deployment_index=self.first + i,
             throughput_pct=self.thr[i], avg_delay_ms=self.delay[i],
             congested=bool(self.congested[i]),
-            associations=self.associations(self.serving[i * n : (i + 1) * n]),
+            associations={sid: (nodes[j] if j >= 0 else None)
+                          for sid, j in zip(self.sta_ids, serving)},
         )
 
 
 def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
     """A run's blocks, or a list's rows cut into blocks wherever a row stops
-    sharing the last one's constant fields (by value and type), station ids
+    sharing the last one's constant fields (by type and repr), station ids
     or deployment sequence.  The columns hold throughput and delay as floats
     and congestion as a flag, as a run makes them, so a hand-built row's
     throughput ``100`` reads back, and is exported, as ``100.0``."""
@@ -235,7 +233,7 @@ def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
     last = None
     for row in rows:
         const, sta_ids = _constant(row), tuple(sorted(row.associations))
-        key = (const, tuple(map(type, const)), sta_ids)
+        key = (tuple(map(type, const)), tuple(map(repr, const)), sta_ids)
         if (key, row.deployment_index) != last:
             blocks.append(_Block(dict(zip(_CONSTANT, const)), sta_ids, [], row.deployment_index))
         block = blocks[-1]
@@ -327,6 +325,11 @@ def _b_t_matches(value: float, wanted: Sequence[float]) -> bool:
 
 
 def apply_overrides(points: Sequence[SweepPoint], cfg: RunConfig) -> list[SweepPoint]:
+    """The points ``cfg`` keeps, rewritten: each distinct ``ScenarioSpec``
+    once, and a point that no rewrite touches not at all."""
+    retune = {f: v for f, v in (("alpha", cfg.alpha), ("beta_pct", cfg.beta_pct)) if v is not None}
+    respec = {f: v for f, v in (("k", cfg.k), ("seed", cfg.seed)) if v is not None}
+    specs: dict = {}
     out = []
     for point in points:
         if cfg.mechanism is not None and point.selection.mechanism is not cfg.mechanism:
@@ -337,18 +340,12 @@ def apply_overrides(points: Sequence[SweepPoint], cfg: RunConfig) -> list[SweepP
             continue
         if cfg.b_t_bps is not None and not _b_t_matches(point.b_t_bps, cfg.b_t_bps):
             continue
-        sel = point.selection
-        if sel.mechanism is Mechanism.LOAD_AWARE:
-            if cfg.alpha is not None:
-                sel = replace(sel, alpha=cfg.alpha)
-            if cfg.beta_pct is not None:
-                sel = replace(sel, beta_pct=cfg.beta_pct)
-        spec = point.scenario
-        if cfg.k is not None:
-            spec = replace(spec, k=cfg.k)
-        if cfg.seed is not None:
-            spec = replace(spec, seed=cfg.seed)
-        out.append(replace(point, selection=sel, scenario=spec))
+        if respec and point.scenario not in specs:
+            specs[point.scenario] = replace(point.scenario, **respec)
+        changes = {"scenario": specs[point.scenario]} if respec else {}
+        if retune and point.selection.mechanism is Mechanism.LOAD_AWARE:
+            changes["selection"] = replace(point.selection, **retune)
+        out.append(replace(point, **changes) if changes else point)
     return out
 
 
@@ -639,9 +636,6 @@ class _Batch:
         return thr, avg_delay, (util[:, 1:] > 1.0).any(axis=1)
 
 
-# tasks per worker and draw group: enough for a pool to even out sweep points
-# of unequal cost, few enough that each task amortizes its set-up
-_CHUNKS_PER_WORKER = 4
 # rows a batch holds at once: a task walks its deployments in slices of this
 # many rows over its widest batch, which bounds its memory
 _ROWS = 2048
@@ -767,15 +761,15 @@ def run(cfg: RunConfig) -> RunResult:
             events_dir = os.path.join(cfg.out_dir, "events")
             os.makedirs(events_dir, exist_ok=True)
     tasks = []
-    wanted = cfg.workers * _CHUNKS_PER_WORKER if cfg.workers > 1 else 1
     for group in _draw_groups(points):
         k = points[group[0]].scenario.k
-        n = min(k, wanted)
+        n = min(k, cfg.workers)
         bounds = [k * c // n for c in range(n + 1)]
-        # a group with fewer deployments than wanted ranges is cut by points too
-        size = math.ceil(len(group) / math.ceil(wanted / n))
-        for first in range(0, len(group), size):
-            members = tuple((i, points[i]) for i in group[first : first + size])
+        # a group with fewer deployments than workers is dealt out by points
+        # too, every parts-th point to a task, so that a run of costly ones spreads
+        parts = min(len(group), math.ceil(cfg.workers / n))
+        for first in range(parts):
+            members = tuple((i, points[i]) for i in group[first::parts])
             tasks.extend(
                 (members, cfg.params, events_dir, lo, hi)
                 for lo, hi in zip(bounds, bounds[1:])
@@ -826,26 +820,48 @@ def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# a row's record in results.json, keys sorted: "{i}" is _CONSTANT[i], and a
+# NUL (json writes \u0000) cuts it where associations, avg_delay_ms,
+# congested, deployment_index and throughput_pct go
+_RECORD = "{{%s}}" % ",".join(
+    f'"{f}":' + (f"{{{_CONSTANT.index(f)}}}" if f in _CONSTANT else "\0")
+    for f in sorted((*_ROW_FIELDS, "associations"))
+)
 
 
-def _json_record(const: dict) -> list[str]:
-    """``_encode`` of a row's record cut where each per-row value goes.  In
-    sorted key order associations and avg_delay_ms follow alpha, congested
-    and deployment_index come before mechanism, and throughput_pct is last."""
-    text = _encode(const)
-    a, m = text.index(',"b_ext_bps":'), text.index(',"mechanism":')
-    return [
-        text[:a] + ',"associations":', ',"avg_delay_ms":',
-        text[a:m] + ',"congested":', ',"deployment_index":',
-        text[m:-1] + ',"throughput_pct":', "}",
-    ]
+def _layout(sta_ids: tuple[int, ...], nodes: list, columns: list[int]) -> tuple:
+    """rows.csv's and results.json's text of a layout's association vector.
+    Each joins pieces listed per station by serving index, unassociated from
+    ``len(nodes)`` on (0xff, index -1, too): a CSV cell per station, led by
+    the commas of the ``columns`` it skips, and a JSON ``"sid":node`` per
+    station in ``str(sid)`` order."""
+    unassociated, ids = 256 - len(nodes), set(sta_ids)
+    cells, gap = [], ""
+    for sid in columns:  # ascending, as each block's sta_ids
+        if sid in ids:
+            cells.append([f"{gap},{node}" for node in nodes] + [f"{gap},none"] * unassociated)
+            gap = ""
+        else:
+            gap += ","
+    order = sorted(range(len(sta_ids)), key=lambda s: str(sta_ids[s]))
+    keys = [f"{_encode(str(sta_ids[s]))}:" for s in order]
+    pieces = [[key + _encode(node) for node in nodes] + [key + "null"] * unassociated
+              for key in keys]
+
+    def csv_text(vector: bytes) -> str:
+        return "".join(map(list.__getitem__, cells, vector)) + gap
+
+    def json_text(vector: bytes) -> str:
+        return "{" + ",".join(map(list.__getitem__, pieces, map(vector.__getitem__, order))) + "}"
+
+    return csv_text, json_text
 
 
-def _texts(block: _Block, vectors: list[bytes], known: dict, encode) -> map:
-    """The text ``encode(associations)`` of each row, from its serving
-    ``vectors``, encoding only those ``known`` does not hold yet."""
+def _texts(vectors: list[bytes], known: dict, spell) -> map:
+    """The text ``spell`` gives each of ``vectors``, spelling only those
+    ``known`` does not hold yet."""
     for vector in set(vectors).difference(known):
-        known[vector] = encode(block.associations(array("b", vector)))
+        known[vector] = spell(vector)
     return map(known.__getitem__, vectors)
 
 
@@ -858,36 +874,33 @@ def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
-    station id as a string.  Each file encodes a vector once while
-    consecutive blocks share their stations and nodes (one geometry's stock
-    points share one vector per deployment)."""
-    sta_ids = sorted({sid for block in blocks for sid in block.sta_ids})
-
-    def cells(assoc: dict) -> str:
-        return "".join(
-            "," if sid not in assoc else ",none" if assoc[sid] is None else f",{assoc[sid]}"
-            for sid in sta_ids
-        )
-
-    def associations(assoc: dict) -> str:
-        return _encode({str(sid): node for sid, node in assoc.items()})
-
+    station id as a string.  Each file spells a vector once, from its
+    layout's pieces, while consecutive blocks share their stations and nodes
+    (one geometry's stock points share one vector per deployment)."""
+    columns = sorted({sid for block in blocks for sid in block.sta_ids})
     # the file's dialect: what csv quotes depends on the line terminator too
     line = io.StringIO()
     line_writer = csv.writer(line, lineterminator="\n")
+    spelled: dict = {}
 
-    def constant_cells(const: dict, names: Sequence[str]) -> str:
-        """The cells of ``names`` as the file's writer writes them, then a comma."""
-        line.seek(0)
-        line.truncate()
-        line_writer.writerow([const[f] for f in names])
-        return line.getvalue()[:-1] + ","
+    def spell(value) -> tuple[str, str]:
+        """A constant's rows.csv cell and results.json text, made once per
+        type and repr: -0.0 == 0.0, True == 1 and 2 == 2.0 spell apart."""
+        key = (type(value), repr(value))
+        if key not in spelled:
+            line.seek(0)
+            line.truncate()
+            text = _encode(value)
+            # flags as json has them; csv writes one lone empty field as ""
+            line_writer.writerow((text if isinstance(value, bool) else value, None))
+            spelled[key] = line.getvalue()[:-2], text
+        return spelled[key]
 
     with ExitStack() as files:
         rows_csv = csv_path and files.enter_context(open(csv_path, "w", newline=""))
         results = json_path and files.enter_context(open(json_path, "w"))
         if rows_csv:
-            header = _ROW_FIELDS + tuple(f"sta_{i}" for i in sta_ids)
+            header = _ROW_FIELDS + tuple(f"sta_{i}" for i in columns)
             csv.writer(rows_csv, lineterminator="\n").writerow(header)
         if results:
             results.write('{"aggregates":')
@@ -898,29 +911,31 @@ def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
             if (block.sta_ids, block.nodes) != layout \
                     or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
                 layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
+                csv_spell, json_spell = _layout(block.sta_ids, block.nodes, columns)
             vectors = block.vectors()
+            cells, consts = zip(*map(spell, map(block.const.__getitem__, _CONSTANT)))
+            deps = range(block.first, block.first + len(block))
+            thr, delay = list(map(repr, block.thr)), list(map(repr, block.delay))
             if rows_csv:
                 # _ROW_FIELDS: five constants, the deployment index, four
                 # constants, then throughput, delay and congestion
-                head = constant_cells(block.const, _CONSTANT[:5])
-                mid = constant_cells(block.const, _CONSTANT[5:])
+                head, mid = ",".join(cells[:5]), ",".join(cells[5:])
                 rows_csv.write("".join([
-                    f"{head}{dep},{mid}{t!r},{d!r},{_FLAGS[c]}{text}\n"
+                    f"{head},{dep},{mid},{t},{d},{_FLAGS[c]}{text}\n"
                     for dep, t, d, c, text in zip(
-                        count(block.first), block.thr, block.delay, block.congested,
-                        _texts(block, vectors, csv_texts, cells),
+                        deps, thr, delay, block.congested,
+                        _texts(vectors, csv_texts, csv_spell),
                     )
                 ]))
             if results:
-                q0, q1, q2, q3, q4, q5 = _json_record(block.const)
-                finite = all(map(math.isfinite, chain(block.thr, block.delay)))
-                spell = repr if finite else _encode  # json's float spellings
+                q0, q1, q2, q3, q4, q5 = _RECORD.format(*consts).split("\0")
+                if not all(map(math.isfinite, chain(block.thr, block.delay))):
+                    thr, delay = map(_encode, block.thr), map(_encode, block.delay)
                 results.write("," * (b > 0) + ",".join([
                     f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
                     for text, d, c, dep, t in zip(
-                        _texts(block, vectors, json_texts, associations),
-                        map(spell, block.delay), block.congested, count(block.first),
-                        map(spell, block.thr),
+                        _texts(vectors, json_texts, json_spell),
+                        delay, block.congested, deps, thr,
                     )
                 ]))
         if results:

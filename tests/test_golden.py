@@ -92,8 +92,10 @@ def test_campaign_bundles_are_pinned(test_id, tmp_path):
 
 
 def test_two_workers_write_the_serial_bytes(tmp_path):
-    run(RunConfig(test_id="1.2", k=40, workers=2, out_dir=str(tmp_path)))
-    assert _bundle(tmp_path) == REACH_K40
+    # and three, whose deployment ranges differ in length
+    for workers in (2, 3):
+        run(RunConfig(test_id="1.2", k=40, workers=workers, out_dir=str(tmp_path)))
+        assert _bundle(tmp_path) == REACH_K40
 
 
 def test_frame_traces_are_pinned(tmp_path):

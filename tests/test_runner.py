@@ -406,9 +406,10 @@ def _sharing_grid():
 SHARING_GRID = _sharing_grid()
 
 
-# k=13 is cut into 8 or 12 uneven deployment ranges; k=2 into 2 ranges, each
-# over several slices of the grid's points
-@pytest.mark.parametrize("workers, k", [(1, 13), (2, 13), (3, 13), (3, 2)])
+# each of the grid's three draw groups at k=13 is cut into one deployment
+# range per worker: 6+7, 4+4+5, or 1s and 2s on 8 workers; at k=2 on 3
+# workers, into 2 ranges, each over every other point of the group
+@pytest.mark.parametrize("workers, k", [(1, 13), (2, 13), (3, 13), (8, 13), (3, 2)])
 def test_shared_draws_match_point_by_point_evaluation(monkeypatch, workers, k):
     grid = [replace(p, scenario=replace(p.scenario, k=k)) for p in SHARING_GRID]
     monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
@@ -416,6 +417,43 @@ def test_shared_draws_match_point_by_point_evaluation(monkeypatch, workers, k):
     results = [evaluate_point(i, p, EngineParams()) for i, p in enumerate(grid)]
     assert list(res.rows) == [r for rows, _ in results for r in rows]
     assert list(res.aggregates) == [agg for _, agg in results]
+
+
+class _RecordingPool:
+    """A stand-in for ``multiprocessing.Pool`` that runs its tasks in the
+    calling process and records the grid indices and deployment range of
+    each."""
+
+    ranges: list = []
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, tasks):
+        self.ranges.extend((tuple(i for i, _ in t[0]), t[3], t[4]) for t in tasks)
+        return [fn(*t) for t in tasks]
+
+
+_FIVE = (0, 1, 2, 3, 4)  # the points of test 1.2
+
+
+@pytest.mark.parametrize("workers, k, ranges", [
+    (2, 40, [(_FIVE, 0, 20), (_FIVE, 20, 40)]),
+    (3, 40, [(_FIVE, 0, 13), (_FIVE, 13, 26), (_FIVE, 26, 40)]),
+    (2, 1, [((0, 2, 4), 0, 1), ((1, 3), 0, 1)]),
+    (8, 1, [((i,), 0, 1) for i in _FIVE]),
+])
+def test_a_draw_group_makes_at_most_one_task_per_worker(monkeypatch, workers, k, ranges):
+    monkeypatch.setattr(runner.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "ranges", [])
+    run(RunConfig(test_id="1.2", k=k, workers=workers))  # one draw group of 5 points
+    assert _RecordingPool.ranges == ranges
 
 
 # --- columnar results --------------------------------------------------------
@@ -471,7 +509,8 @@ def _hand_built_rows():
     stations, unassociated stations, 17-digit floats, station ids whose
     string order is not numeric, one association vector standing for other
     nodes in another block, an int throughput and delay, an int congestion
-    flag, NaN and infinity, and constants that csv quotes."""
+    flag, NaN and infinity, constants that csv quotes, and constants that
+    compare equal but spell apart: -0.0 after 0.0 and True after 1."""
     ten = {sid: (sid % 3 or None) for sid in range(10, 20)}
     twelve = {sid: (0 if sid % 4 else None) for sid in range(5, 17)}
     steered = dict(mechanism="loadaware", rssi_ap_e_dbm=-70.0, n_ext=0, beta_pct=25.0,
@@ -489,6 +528,10 @@ def _hand_built_rows():
         _row(8, ten, n_ext=2.0, throughput_pct=100, avg_delay_ms=0, congested=1),
         _row(9, ten, n_ext=2.0, throughput_pct=math.nan, avg_delay_ms=-math.inf),
         _row(0, ten, test_id='2,"x"', channel_plan="a\nb"),
+        _row(10, ten, alpha=0.0),
+        _row(11, ten, alpha=-0.0),
+        _row(12, ten, n_ext=1),
+        _row(13, ten, n_ext=True),
     ]
 
 
