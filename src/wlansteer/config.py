@@ -178,51 +178,34 @@ def _build(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> A
 # --- the physics bundle and the run -----------------------------------------
 
 
-def propagation_from(cfg: Mapping[str, Any]) -> PropagationParams:
-    return _build("propagation", PropagationParams, **_checked(cfg)["propagation"])
-
-
-def mcs_tables_from(cfg: Mapping[str, Any]) -> dict[Band, McsTable]:
-    return {
-        Band(key): _build(
-            f"mcs_tables.{key}",
-            McsTable,
-            band=Band(key),
-            channel_width_mhz=spec["channel_width_mhz"],
-            entries=tuple(McsEntry(*row) for row in spec["entries"]),
-        )
-        for key, spec in _checked(cfg)["mcs_tables"].items()
-    }
-
-
-def overheads_from(cfg: Mapping[str, Any]) -> dict[Band, MacOverheads]:
-    return {
-        Band(key): _build(f"mac_overheads.{key}", MacOverheads, **spec)
-        for key, spec in _checked(cfg)["mac_overheads"].items()
-    }
-
-
-def band_mhz_from(cfg: Mapping[str, Any]) -> dict[Band, float]:
-    return {Band(key): mhz for key, mhz in _checked(cfg)["band_mhz"].items()}
-
-
-def engine_params_from(cfg: Mapping[str, Any]) -> EngineParams:
-    return _build(
-        "congested_hop_delay_ms",
-        EngineParams,
-        propagation=propagation_from(cfg),
-        mcs_tables=mcs_tables_from(cfg),
-        overheads=overheads_from(cfg),
-        band_mhz=band_mhz_from(cfg),
-        congested_hop_delay_ms=_checked(cfg)["congested_hop_delay_ms"],
-    )
-
-
 def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
+    """The run a config document describes, its physics bundle included."""
     d = _checked(cfg)
     run, sel = d["run"], d["selection"]
     _build("selection", SelectionConfig, **{k: v for k, v in sel.items() if v is not None})
-    params = engine_params_from(cfg)
+    physics = dict(
+        propagation=_build("propagation", PropagationParams, **d["propagation"]),
+        mcs_tables={
+            Band(key): _build(
+                f"mcs_tables.{key}",
+                McsTable,
+                band=Band(key),
+                channel_width_mhz=spec["channel_width_mhz"],
+                entries=tuple(McsEntry(*row) for row in spec["entries"]),
+            )
+            for key, spec in d["mcs_tables"].items()
+        },
+        overheads={
+            Band(key): _build(f"mac_overheads.{key}", MacOverheads, **spec)
+            for key, spec in d["mac_overheads"].items()
+        },
+        band_mhz={Band(key): mhz for key, mhz in d["band_mhz"].items()},
+        congested_hop_delay_ms=d["congested_hop_delay_ms"],
+    )
+    try:
+        params = EngineParams(**physics)
+    except ValueError as exc:  # its message opens with the key's name
+        raise ConfigError(str(exc)) from None
     try:
         return RunConfig(
             test_id=run["test"],

@@ -130,6 +130,10 @@ class EngineParams:
     congested_hop_delay_ms: float = CONGESTED_HOP_DELAY_MS
 
     def __post_init__(self) -> None:
+        for band, mhz in self.band_mhz.items():
+            if not 0.0 < mhz < 100000.0:  # where path_loss_db is defined
+                raise ValueError(f"band_mhz.{band.value} must lie in (0, 100000) MHz,"
+                                 f" got {mhz!r}")
         if self.congested_hop_delay_ms <= 0:
             raise ValueError("congested_hop_delay_ms must be positive")
 

@@ -11,19 +11,17 @@ Stage 3: the AP answers each capable station with a steering request carrying
          the ranked candidate list.
 Stage 4: the station accepts and reassociates to the first entry.
 
-Stages 2 and 3 run once per capable station when the pass decides station by
-station (refreshed loads, or loads without the station's own airtime), and
-once for the whole capable set when it scores everyone on one frozen load
-map.  Stage 4 follows each decision when loads are refreshed, and closes the
-pass otherwise.  The stock mechanism stops after stage 1 and exchanges no
-measurement or steering frames at all.
+Stages 2 to 4 run for one capable station at a time, in ascending id and
+once per pass, each on the loads that the moves before it left.  The stock
+mechanism stops after stage 1 and exchanges no measurement or steering frames
+at all.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .model import Band, ChannelId, Topology
 from .perf import SimEnv
@@ -159,34 +157,33 @@ class EventLog:
         self,
         t: Topology,
         env: SimEnv,
-        lists: Sequence[CandidateList],
+        cl: CandidateList,
         loads: Mapping[ChannelId, float],
     ) -> None:
-        """Stages 2 and 3 for the stations the candidate lists rank.
+        """Stages 2 and 3 for the station ``cl`` ranks.
 
-        Each station reports every serving node it hears, with the RSSI its
+        The station reports every serving node it hears, with the RSSI its
         ranking used; every serving radio reports the occupation of its
-        channel from ``loads``; then each station with a candidate receives
-        its ranked list.
+        channel from ``loads``; then the station, when it has a candidate,
+        receives its ranked list.
         """
         scan_channels = tuple(
             sorted({t.node(i).access_radio.channel for i in t.serving_nodes()})
         )
-        for cl in lists:
-            self.append(2, AP_ID, cl.sta, BeaconRequest(channels=scan_channels))
-            entries = []
-            # serving-node order, which is id order
-            for s in sorted(cl.details, key=lambda s: s.target):
-                ch = t.node(s.target).access_radio.channel
-                entries.append(
-                    BeaconReportEntry(
-                        bssid=s.target,
-                        frequency_mhz=env.band_mhz[ch.band],
-                        channel=ch,
-                        rssi_dbm=s.rssi_dbm,
-                    )
+        self.append(2, AP_ID, cl.sta, BeaconRequest(channels=scan_channels))
+        entries = []
+        # serving-node order, which is id order
+        for s in sorted(cl.details, key=lambda s: s.target):
+            ch = t.node(s.target).access_radio.channel
+            entries.append(
+                BeaconReportEntry(
+                    bssid=s.target,
+                    frequency_mhz=env.band_mhz[ch.band],
+                    channel=ch,
+                    rssi_dbm=s.rssi_dbm,
                 )
-            self.append(2, cl.sta, AP_ID, BeaconReport(entries=tuple(entries)))
+            )
+        self.append(2, cl.sta, AP_ID, BeaconReport(entries=tuple(entries)))
         for node_id in t.serving_nodes():
             for radio in t.node(node_id).radios:
                 ch = radio.channel
@@ -198,9 +195,8 @@ class EventLog:
                     AP_ID,
                     ChannelLoadReport(channel=ch, busy_fraction=loads.get(ch, 0.0)),
                 )
-        for cl in lists:
-            if cl.entries:
-                self.append(3, AP_ID, cl.sta, BtmRequest(sta=cl.sta, candidates=cl))
+        if cl.entries:
+            self.append(3, AP_ID, cl.sta, BtmRequest(sta=cl.sta, candidates=cl))
 
     def steered(self, t: Topology, sta: int, old_parent: int, new_parent: int) -> None:
         """Stage 4: ``sta`` accepts; it reassociates only when it moves."""
@@ -210,8 +206,6 @@ class EventLog:
 
 
 def _jsonable(value):
-    if isinstance(value, ChannelId):
-        return str(value)
     if isinstance(value, Band):
         return value.value
     if is_dataclass(value) and not isinstance(value, type):

@@ -366,7 +366,8 @@ class _Geometry:
     def __init__(self, point: SweepPoint, params: EngineParams) -> None:
         spec = point.scenario
         self.propagation = params.propagation
-        self.base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation)
+        self.base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
+                                   band_mhz=params.band_mhz)
         # traffic only fixes the packet length here; frame traces put each
         # point's own traffic and external loads back
         self.env = env = SimEnv(
@@ -558,8 +559,9 @@ class _Batch:
     def _steer(self, links, point, dep, parent, air, term, capable) -> None:
         """``reassociation_pass`` on every row, in place: stations in
         ascending index, each capable associated one scored as
-        ``rank_candidates`` scores; out of range never wins, and the first
-        minimum does, as the lowest serving index wins ties there."""
+        ``rank_candidates`` scores, on loads that every earlier move has
+        updated; out of range never wins, and the first minimum does, as the
+        lowest serving index wins ties there."""
         geom = self.geom
         rssi, in_range, _, air_tab, _ = links
         tx, sens = geom.tx_power, geom.sens
@@ -570,24 +572,22 @@ class _Batch:
         J = len(geom.serving)
         acc, hops = geom.acc[:J], geom.hop_ch[:J]
         a, opb = self.alpha[point][:, None], self.opb[point]
-        refresh = self.selection.refresh_loads
 
-        def loads(serving, terms, skip=-1):
-            return np.minimum(1.0, self._util(point, serving, terms, skip))
+        def loads(skip=-1):
+            return np.minimum(1.0, self._util(point, parent, term, skip))
 
+        # with the station's own airtime in, the loads hold until a move
+        shared = None
         for _ in range(self.selection.passes):
-            # without refresh_loads every decision sees the pass's start
-            state = (parent, term) if refresh else (parent.copy(), term.copy())
-            shared = None
             for s in range(parent.shape[1]):
                 current = parent[:, s]
                 active = capable[:, s] & (current >= 0)
                 if not active.any():
                     continue
                 if not self.selection.include_self_load:
-                    load = loads(*state, s)
+                    load = loads(s)
                 else:
-                    load = shared = loads(*state) if shared is None else shared
+                    load = shared = loads() if shared is None else shared
                 c_backhaul = np.zeros((len(point), J))
                 for h in range(hops.shape[1]):
                     c_backhaul = c_backhaul + load[:, hops[:, h]]
@@ -602,8 +602,7 @@ class _Batch:
                 parent[:, s] = np.where(move, best, current)
                 air[:, s] = np.where(move, new_air, air[:, s])
                 term[:, s] = np.where(move, opb * new_air, term[:, s])
-                if refresh:
-                    shared = None
+                shared = None
 
     def _evaluate(self, point, parent, air, term) -> tuple:
         """``evaluate``'s network throughput %, mean delay and congestion flag."""
@@ -685,7 +684,7 @@ def _evaluate_range(
         )
         block = _Block(const, sta_ids, geoms[key].serving, lo, hi - lo)
         # stock points form their own batch, which skips the pass
-        flags = demand.steer and (sel.passes, sel.refresh_loads, sel.include_self_load)
+        flags = demand.steer and (sel.passes, sel.include_self_load)
         groups.setdefault((key, flags), []).append((pi, demand, block))
         blocks.append(block)
     batches = [
@@ -694,7 +693,7 @@ def _evaluate_range(
     ]
     step = max(1, _ROWS // max(map(len, groups.values())))
     for first in range(lo, hi, step):
-        draws = [deployment_draw(spec, dep, params.propagation)
+        draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
                  for dep in range(first, min(first + step, hi))]
         links = {key: geom.links([pos for pos, _ in draws]) for key, geom in geoms.items()}
         # station s is in capable_set_for's set iff it comes within the

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .model import (
+    DEFAULT_BAND_MHZ,
     Band,
     ChannelId,
     ExternalLoad,
@@ -118,20 +119,24 @@ class ScenarioSpec:
 
 
 def circle_radius_m(
-    area: AreaKind, p: PropagationParams = DEFAULT_PROPAGATION
+    area: AreaKind,
+    p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> float:
     """Radius of the station disk: the AP's own 2.4 GHz reach, or 1.2x it."""
-    base = max_range_m(_access_radio(1), -90.0, p)
+    base = max_range_m(_access_radio(1), -90.0, p, band_mhz[Band.GHZ_2_4])
     if area is AreaKind.CIRCLE_1P2_DMAX:
         return 1.2 * base
     return base
 
 
 def extender_distance_m(
-    rssi_target_dbm: float, p: PropagationParams = DEFAULT_PROPAGATION
+    rssi_target_dbm: float,
+    p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> float:
     """Spacing at which the 5 GHz uplink lands exactly on the target level."""
-    return max_range_m(_backhaul_radio(), rssi_target_dbm, p)
+    return max_range_m(_backhaul_radio(), rssi_target_dbm, p, band_mhz[Band.GHZ_5])
 
 
 def _plan_channels(plan: str, count: int, kind: str) -> list[int]:
@@ -150,13 +155,14 @@ def gen_circle(
     rssi_ap_e_dbm: float = DEFAULT_EXTENDER_RSSI_DBM,
     channel_plan: str = "multi",
     p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
     """AP at the origin, extenders on the axes at the 5 GHz target distance."""
     if n_ext not in (0, 2, 4):
         raise ValueError("circle layouts support 0, 2 or 4 extenders")
     if not (-90.0 <= rssi_ap_e_dbm <= -50.0):
         raise ValueError("extender placement level must lie in [-90, -50] dBm")
-    d = extender_distance_m(rssi_ap_e_dbm, p)
+    d = extender_distance_m(rssi_ap_e_dbm, p, band_mhz)
     spots: list[Position] = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)]
     chans = _plan_channels(channel_plan, n_ext, "circle")
     nodes = [Node(0, NodeKind.AP, (0.0, 0.0), _serving_radios(1))]
@@ -174,6 +180,7 @@ def gen_home(
     width_m: float = HOME_WIDTH_M,
     ap_pos: Position = HOME_AP_POS,
     p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
     """Rectangle layout: AP near the left wall, extender chain growing right.
 
@@ -181,7 +188,7 @@ def gen_home(
     """
     if n_ext not in (0, 1, 2):
         raise ValueError("home layouts support 0, 1 or 2 extenders")
-    d = extender_distance_m(extender_rssi_dbm, p)
+    d = extender_distance_m(extender_rssi_dbm, p, band_mhz)
     chans = _plan_channels(channel_plan, n_ext, "home")
     nodes = [Node(0, NodeKind.AP, ap_pos, _serving_radios(1))]
     parents: dict[int, int] = {}
@@ -202,12 +209,13 @@ def build_topology(
     spec: ScenarioSpec,
     rssi_ap_e_dbm: Optional[float] = None,
     p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
     """Infrastructure part of a scenario (stations are added per deployment)."""
     kind, n_ext, plan, level, width = topology_key(spec, rssi_ap_e_dbm)
     if kind == "circle":
-        return gen_circle(n_ext, level, plan, p)
-    return gen_home(n_ext, plan, level, width, HOME_AP_POS, p)
+        return gen_circle(n_ext, level, plan, p, band_mhz)
+    return gen_home(n_ext, plan, level, width, HOME_AP_POS, p, band_mhz)
 
 
 def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
@@ -215,7 +223,10 @@ def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
 
 
 def _draw_positions(
-    spec: ScenarioSpec, rng: np.random.Generator, p: PropagationParams
+    spec: ScenarioSpec,
+    rng: np.random.Generator,
+    p: PropagationParams,
+    band_mhz: Mapping[Band, float],
 ) -> list[Position]:
     if spec.fixed_positions is not None:
         return list(spec.fixed_positions)
@@ -224,7 +235,7 @@ def _draw_positions(
         xs = rng.uniform(0.0, spec.home_width_m, n)
         ys = rng.uniform(0.0, spec.home_height_m, n)
         return list(zip(xs.tolist(), ys.tolist()))
-    radius = circle_radius_m(spec.area, p)
+    radius = circle_radius_m(spec.area, p, band_mhz)
     if spec.sampling is SamplingKind.UNIFORM_RADIUS:
         r = rng.uniform(0.0, radius, n)
     else:
@@ -236,8 +247,9 @@ def _draw_positions(
 
 
 def draw_key(spec: ScenarioSpec) -> tuple:
-    """Everything ``deployment_draw`` reads besides the deployment index and the
-    propagation: specs with equal keys draw the same stations."""
+    """Everything ``deployment_draw`` reads besides the deployment index, the
+    propagation and the band table: specs with equal keys draw the same
+    stations."""
     return (spec.seed, spec.n_sta, spec.area, spec.sampling, spec.home_width_m,
             spec.home_height_m, spec.fixed_positions)
 
@@ -246,6 +258,7 @@ def deployment_draw(
     spec: ScenarioSpec,
     deployment_index: int,
     p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> tuple[list[Position], np.ndarray]:
     """Station positions plus the capability permutation for one deployment.
 
@@ -256,7 +269,7 @@ def deployment_draw(
     if deployment_index < 0:
         raise ValueError("deployment index must be non-negative")
     rng = deployment_rng(spec.seed, deployment_index)
-    positions = _draw_positions(spec, rng, p)
+    positions = _draw_positions(spec, rng, p, band_mhz)
     perm = rng.permutation(spec.n_sta)
     return positions, perm
 

@@ -39,7 +39,6 @@ class SelectionConfig:
     alpha: float = 0.5
     beta_pct: float = 100.0
     passes: int = 1
-    refresh_loads: bool = True
     include_self_load: bool = True
 
     def __post_init__(self) -> None:
@@ -82,7 +81,7 @@ class CandidateEntry:
 class CandidateList:
     sta: int
     entries: tuple[CandidateEntry, ...]
-    details: tuple[CandidateScore, ...] = ()
+    details: tuple[CandidateScore, ...]
 
 
 def score(
@@ -131,34 +130,22 @@ def rank_candidates(
     cfg: SelectionConfig,
     loads: Optional[Mapping[ChannelId, float]] = None,
 ) -> CandidateList:
-    """All in-range serving nodes for ``sta``, best first.
+    """All in-range serving nodes for ``sta``, best first by load-aware score,
+    each with its score breakdown.
 
-    The load-aware mechanism sorts ascending by score and carries each
-    candidate's score breakdown; the stock mechanism sorts descending by raw
-    RSSI.  Serving nodes whose signal sits below the station sensitivity never
-    appear.
+    The ranking reads ``cfg.alpha`` and never ``cfg.mechanism``: the stock
+    rule is ``initial_association``'s.  Serving nodes whose signal sits below
+    the station sensitivity never appear.
     """
     sens = t.node(sta).access_radio.sensitivity_dbm
-    in_range: list[tuple[int, float]] = []
+    if loads is None:
+        loads = busy_fractions(t, env)
+    scores = []
     for target in t.serving_nodes():
         band = t.node(target).access_radio.channel.band
         rssi = link_rssi(env, t, sta, target, band)
         if rssi >= sens:
-            in_range.append((target, rssi))
-
-    if cfg.mechanism is Mechanism.RSSI_BASED:
-        ordered = sorted(
-            in_range, key=lambda tr: (-tr[1],) + _tie_rank(t, tr[0])
-        )
-        entries = tuple(
-            CandidateEntry(tid, t.node(tid).access_radio.channel, rssi)
-            for tid, rssi in ordered
-        )
-        return CandidateList(sta=sta, entries=entries)
-
-    if loads is None:
-        loads = busy_fractions(t, env)
-    scores = [score(t, sta, tid, r, loads, cfg) for tid, r in in_range]
+            scores.append(score(t, sta, target, rssi, loads, cfg))
     scores.sort(key=lambda s: (s.score,) + _tie_rank(t, s.target))
     entries = tuple(
         CandidateEntry(s.target, t.node(s.target).access_radio.channel, s.score)
@@ -219,18 +206,16 @@ def reassociation_pass(
 ) -> tuple[Topology, list[Move]]:
     """Run the load-aware steering pass over all capable stations.
 
-    Associated capable stations are visited in ascending id.  By default
-    channel loads are recomputed from the current association state before
-    each station's decision, and the decision applies at once, so earlier
-    moves are visible to later ones.  With ``refresh_loads`` off every
-    decision scores against the association state at the start of the pass
-    and all of them apply at its end; with ``include_self_load`` off each
-    station's own airtime is left out of the loads it sees.
+    Associated capable stations are visited in ascending id.  Before each
+    station's decision the channel loads are computed from the current
+    association state, without the station's own airtime when
+    ``include_self_load`` is off, and the decision applies at once, so
+    earlier moves are visible to later ones.
 
-    ``log``, when given, observes the pass as the 802.11k/v exchange: after
-    each group of decisions ``log.measured(t, env, lists, loads)`` with the
-    candidate lists and the loads they were scored on, and for each applied
-    decision ``log.steered(t, sta, old_parent, new_parent)``.
+    ``log``, when given, observes the pass as the 802.11k/v exchange: for
+    each station ``log.measured(t, env, cl, loads)`` with its candidate list
+    and the loads it was scored on, then, when it has a candidate,
+    ``log.steered(t, sta, old_parent, new_parent)``.
     """
     if cfg.mechanism is Mechanism.RSSI_BASED:
         return t, []
@@ -239,37 +224,20 @@ def reassociation_pass(
             s for s in t.stations() if t.node(s).supports_11kv
         )
     order = [s for s in sorted(capable) if t.associations.get(s) is not None]
-    # one load map serves the whole set only when it is frozen and shared
-    per_station = cfg.refresh_loads or not cfg.include_self_load
-    groups = [[s] for s in order] if per_station else [order]
     moves: list[Move] = []
     for _ in range(cfg.passes):
-        # with refresh_loads off, t stays the pass-start state until the end
-        decided: list[CandidateList] = []
-        for group in groups:
-            skip = None if cfg.include_self_load else group[0]
+        for sta in order:
+            skip = None if cfg.include_self_load else sta
             loads = busy_fractions(t, env, skip_sta=skip)
-            lists = [rank_candidates(t, env, sta, cfg, loads) for sta in group]
+            cl = rank_candidates(t, env, sta, cfg, loads)
             if log is not None:
-                log.measured(t, env, lists, loads)
-            decided += [cl for cl in lists if cl.entries]
-            if cfg.refresh_loads:
-                t = _apply(t, decided, moves, log)
-                decided = []
-        t = _apply(t, decided, moves, log)
+                log.measured(t, env, cl, loads)
+            if not cl.entries:
+                continue
+            current, best = t.associations[sta], cl.entries[0].target
+            if log is not None:
+                log.steered(t, sta, current, best)
+            if best != current:
+                t = set_association(t, sta, best)
+                moves.append(Move(sta=sta, old_parent=current, new_parent=best))
     return t, moves
-
-
-def _apply(
-    t: Topology, decided: list[CandidateList], moves: list[Move], log: Any
-) -> Topology:
-    """Move each decided station to its best candidate."""
-    for cl in decided:
-        current = t.associations[cl.sta]
-        best = cl.entries[0].target
-        if log is not None:
-            log.steered(t, cl.sta, current, best)
-        if best != current:
-            t = set_association(t, cl.sta, best)
-            moves.append(Move(sta=cl.sta, old_parent=current, new_parent=best))
-    return t

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from wlansteer.config import (
     ConfigError,
     default_config,
-    engine_params_from,
     load_config,
-    mcs_tables_from,
-    overheads_from,
     run_config_from,
     save_config,
     topology_from_scenario,
@@ -22,7 +19,7 @@ from wlansteer.config import (
 from wlansteer import cli, runner
 from wlansteer.cli import main
 from wlansteer.model import Band, NodeKind
-from wlansteer.perf import DEFAULT_OVERHEADS
+from wlansteer.perf import DEFAULT_OVERHEADS, EngineParams
 from wlansteer.radio import DEFAULT_MCS_TABLES
 from wlansteer.runner import MAX_WORKERS, RunConfig, RunResult
 
@@ -35,10 +32,9 @@ def test_default_config_survives_a_save_load_cycle(tmp_path):
 
 
 def test_default_sections_reconstruct_the_builtin_tables():
-    cfg = default_config()
-    assert mcs_tables_from(cfg) == DEFAULT_MCS_TABLES
-    assert overheads_from(cfg) == DEFAULT_OVERHEADS
-    params = engine_params_from(cfg)
+    params = run_config_from(default_config()).params
+    assert params.mcs_tables == DEFAULT_MCS_TABLES
+    assert params.overheads == DEFAULT_OVERHEADS
     assert params.band_mhz == {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}
     assert params.propagation.distance_power_loss_coeff == 31.0
     assert params.congested_hop_delay_ms == 10000.0
@@ -61,7 +57,7 @@ def test_malformed_inputs_raise_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(bad))
     with pytest.raises(ConfigError):
-        mcs_tables_from({"mcs_tables": {"2.4": "nope"}})
+        run_config_from({"mcs_tables": {"2.4": "nope"}})
     with pytest.raises(ConfigError):
         topology_from_scenario({"kind": "mesh"})
     with pytest.raises(ConfigError):
@@ -195,6 +191,10 @@ _BAD_DOCUMENTS = [
     ({"mac_overheads": [1]}, "mac_overheads"),
     ({"band_mhz": {"2.4": "abc"}}, "band_mhz.2.4"),
     ({"band_mhz": {"6": 6000.0}}, "band_mhz.6"),
+    # path loss is defined on (0, 100000) MHz
+    ({"band_mhz": {"5": 0}}, "band_mhz.5"),
+    ({"band_mhz": {"5": -1}}, "band_mhz.5"),
+    ({"band_mhz": {"5": 1e6}}, "band_mhz.5"),
     ({"propagation": {"min_distance_m": "1"}}, "propagation.min_distance_m"),
     ({"propagation": {"floor_penetration_db": True}}, "propagation.floor_penetration_db"),
     ({"propagation": {"min_distance_m": 0}}, "propagation"),
@@ -263,11 +263,11 @@ def test_non_finite_numbers_are_rejected(doc, key, shown, tmp_path):
 
 
 def test_numbers_accept_integers_and_keep_the_defaults_elsewhere():
-    params = engine_params_from({
+    params = run_config_from({
         "propagation": {"floor_penetration_db": 3},
         "band_mhz": {"5": 5200},
         "mac_overheads": {"5": {"ack_us": 30}},
-    })
+    }).params
     assert params.propagation.floor_penetration_db == 3.0
     assert type(params.propagation.floor_penetration_db) is float
     assert params.propagation.distance_power_loss_coeff == 31.0
@@ -276,6 +276,13 @@ def test_numbers_accept_integers_and_keep_the_defaults_elsewhere():
     assert params.overheads[Band.GHZ_5].difs_us == 34.0
     assert params.overheads[Band.GHZ_2_4] == DEFAULT_OVERHEADS[Band.GHZ_2_4]
     assert params.mcs_tables == DEFAULT_MCS_TABLES
+
+
+@pytest.mark.parametrize("mhz", [0.0, -1.0, 1e6])
+def test_engine_params_reject_frequencies_the_path_loss_model_lacks(mhz):
+    message = rf"^band_mhz\.2\.4 must lie in \(0, 100000\) MHz, got {mhz!r}$"
+    with pytest.raises(ValueError, match=message):
+        EngineParams(band_mhz={Band.GHZ_2_4: mhz, Band.GHZ_5: 5000.0})
 
 
 def test_selection_section_rewrites_every_load_aware_point(tmp_path, monkeypatch):

@@ -242,33 +242,25 @@ def _deployment_13_4e():
 
 
 # sha256 of export_events(run_mechanism(...)) keyed by
-# (network, refresh_loads, include_self_load, passes)
+# (network, include_self_load, passes)
 BRANCH_TRACE_SHA256 = {
-    ("busy", True, True, 1): "bcf6ad9b214c906187796f3f46d63d9a5f44ff0f16e14755b631ea9181f21b28",
-    ("busy", True, True, 2): "8d1c98eecc6a518fd77fdfc79264ff73fc450ce863d70692481589ad32c7b5df",
-    ("busy", True, False, 1): "3343f660d9fe5ebaad71428138cd1b5f76f03d2b749de7b7bc9af13e034e3d76",
-    ("busy", True, False, 2): "48700264ca8d4eb384a3c2fff04d80354a312949a305a2241482c92f78606955",
-    ("busy", False, True, 1): "61f26be7b18e84d50a3861c666d757a3db89460583f6d0be51d0d2cf8faa4e6b",
-    ("busy", False, True, 2): "e29d49393092e8764460e6e170d428405a0fa9f9e434707435c56104be52074d",
-    ("busy", False, False, 1): "19183b5a31848ad484a5fc0a544c6bb29b1b166d24129eb255170f6673e502cb",
-    ("busy", False, False, 2): "42ee1afdbfd32d3895d22c7adc63e414b1f1186c32234d85451c49c9d8ddd4a4",
-    ("1.3-4E", True, True, 1): "47d5f28740bb12ede35e62843a0a1b37bab1a5afd413a37f32ff0fdc548e7096",
-    ("1.3-4E", True, True, 2): "f6f58576dbb279b6e4b02dd9b0a7e8bb38ade5c4113ee838de88b50841e4c418",
-    ("1.3-4E", True, False, 1): "1c503410260ce7f567418a1e4250c07a3af73f27268b9502fffb941921ac18f1",
-    ("1.3-4E", True, False, 2): "29807dae38e977783b8f0bc89d374598cf1aaeff498b4b031a117a728eedf3f1",
-    ("1.3-4E", False, True, 1): "bd9a52c68299771c92017478ac5dd9b639c6b3d2c17e49fa6f494cccdc1593b5",
-    ("1.3-4E", False, True, 2): "2c6486504a5d0edaea4f9420a9abdb87076978bc23ccbf0c901b06aedd089971",
-    ("1.3-4E", False, False, 1): "454aa8857d133bee8a77395b9694e20db6b6b98868c22430648e1f7bfc7c9a39",
-    ("1.3-4E", False, False, 2): "49f7cfcda48fbcccc0c53cd6cfc1f76ba550732c905f8afc79ec34df157555a0",
+    ("busy", True, 1): "bcf6ad9b214c906187796f3f46d63d9a5f44ff0f16e14755b631ea9181f21b28",
+    ("busy", True, 2): "8d1c98eecc6a518fd77fdfc79264ff73fc450ce863d70692481589ad32c7b5df",
+    ("busy", False, 1): "3343f660d9fe5ebaad71428138cd1b5f76f03d2b749de7b7bc9af13e034e3d76",
+    ("busy", False, 2): "48700264ca8d4eb384a3c2fff04d80354a312949a305a2241482c92f78606955",
+    ("1.3-4E", True, 1): "47d5f28740bb12ede35e62843a0a1b37bab1a5afd413a37f32ff0fdc548e7096",
+    ("1.3-4E", True, 2): "f6f58576dbb279b6e4b02dd9b0a7e8bb38ade5c4113ee838de88b50841e4c418",
+    ("1.3-4E", False, 1): "1c503410260ce7f567418a1e4250c07a3af73f27268b9502fffb941921ac18f1",
+    ("1.3-4E", False, 2): "29807dae38e977783b8f0bc89d374598cf1aaeff498b4b031a117a728eedf3f1",
 }
 
 
 @pytest.mark.parametrize("key", sorted(BRANCH_TRACE_SHA256))
 def test_trace_bytes_are_pinned_per_branch(key, tmp_path):
-    network, refresh, self_load, passes = key
+    network, self_load, passes = key
     t, env = busy_two_cell() if network == "busy" else _deployment_13_4e()
     cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5, passes=passes,
-                          refresh_loads=refresh, include_self_load=self_load)
+                          include_self_load=self_load)
     _, log = run_mechanism(t, env, cfg)
     path = tmp_path / "events.ndjson"
     export_events(log, str(path))

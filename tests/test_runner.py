@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from wlansteer import runner
+from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
-from wlansteer.perf import SimEnv, evaluate
+from wlansteer.perf import SimEnv, evaluate, link_rssi
 from wlansteer.radio import DEFAULT_MCS_TABLES
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
@@ -233,7 +234,8 @@ def _scalar_point(point, params):
     """Rows and aggregate of one point, recomputed deployment by deployment
     through the public ``Topology`` API."""
     spec, sel = point.scenario, point.selection
-    base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation)
+    base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
+                          band_mhz=params.band_mhz)
     env = SimEnv(traffic=point.traffic, external=tuple(point.external),
                  mcs_tables=params.mcs_tables, overheads=params.overheads,
                  propagation=params.propagation, band_mhz=params.band_mhz,
@@ -242,7 +244,8 @@ def _scalar_point(point, params):
     thr_sum = delay_sum = assoc_sum = 0.0
     congested_n = 0
     for dep in range(spec.k):
-        positions, perm = deployment_draw(spec, dep, params.propagation)
+        positions, perm = deployment_draw(spec, dep, params.propagation,
+                                          band_mhz=params.band_mhz)
         topo = add_stations(base, positions, capable_set_for(spec, perm, sel.beta_pct))
         steered = initial_association(topo, env)
         if sel.mechanism is Mechanism.LOAD_AWARE:
@@ -330,11 +333,8 @@ def _oracle_cases():
     sel = steer_pt.selection
     for name, opts in {
         "passes3": dict(passes=3),
-        "frozen-loads": dict(refresh_loads=False),
         "no-self-load": dict(include_self_load=False),
-        "frozen-no-self-load": dict(refresh_loads=False, include_self_load=False),
-        "frozen-no-self-load-passes2": dict(refresh_loads=False, include_self_load=False,
-                                            passes=2),
+        "no-self-load-passes2": dict(include_self_load=False, passes=2),
         "beta50-alpha0.25": dict(beta_pct=50.0, alpha=0.25),
     }.items():
         cases[f"2.1-{name}"] = replace(steer_pt, selection=replace(sel, **opts))
@@ -373,6 +373,21 @@ def test_event_trace_run_gives_the_same_rows(tmp_path):
         traced = evaluate_point(3, point, EngineParams(), events_dir=str(tmp_path))
         assert traced == plain
     assert len(os.listdir(tmp_path)) == sum(p.scenario.k for p in points)
+
+
+def test_layouts_follow_the_configured_band_table():
+    # test 1.1 places each extender where its 5 GHz uplink lands on the row's
+    # level, on the run's own link model
+    params = run_config_from({"band_mhz": {"5": 5500}}).params
+    levels = []
+    for point in build_test("1.1"):
+        geom = runner._Geometry(point, params)
+        t = geom.base
+        for ext in t.extenders():
+            levels.append(point.rssi_ap_e_dbm)
+            rssi = link_rssi(geom.env, t, ext, t.backhaul_parent[ext], Band.GHZ_5)
+            assert rssi == pytest.approx(point.rssi_ap_e_dbm, abs=1e-9)
+    assert -54.0 in levels
 
 
 # --- points that share one draw against point-by-point evaluation -----------
@@ -630,8 +645,8 @@ def _batch_grid(k):
     at zero utilization, nothing offered) and one whose per-station load
     sums to other values than its multiples; load-aware points of several
     demands, alphas as in 2.2 and capable shares as in 2.3, beta 0 among them
-    (rows with nobody to steer inside a steering batch); two passes; every
-    refresh_loads x include_self_load pair, twice each; points with external
+    (rows with nobody to steer inside a steering batch); two passes; loads
+    with and without the station's own airtime, twice each; points with external
     loads on distinct channels, one of them outside the topology, and one
     point with two of them.  A one-point geometry of the same home, and a
     wider circle whose stations may hear nobody."""
@@ -644,10 +659,9 @@ def _batch_grid(k):
                                (54.0e6, 0.75, 25.0), (36.0e6, 1.0, 50.0),
                                (48.0e6, 0.5, 0.0), (25.0e6 / 3, 0.5, 100.0))]
     grid += [_retuned(home, b_t, passes=2) for b_t in (36.0e6, 54.0e6)]
-    for refresh in (True, False):
-        for self_load in (True, False):
-            grid += [_retuned(home, b_t, refresh_loads=refresh, include_self_load=self_load,
-                              alpha=0.25) for b_t in (30.0e6, 48.0e6)]
+    for self_load in (True, False):
+        grid += [_retuned(home, b_t, include_self_load=self_load, alpha=0.25)
+                 for b_t in (30.0e6, 48.0e6)]
     six, eleven, thirteen = (ExternalLoad(ChannelId(Band.GHZ_2_4, n), 3.0e6, 6.0e6)
                              for n in (6, 11, 13))
     for loads in ((six,), (thirteen,), (six, eleven)):
