@@ -58,9 +58,7 @@ from .selection import (
 )
 from .protocol import EventLog, export_events, run_mechanism
 from .scenarios import (
-    GRID_MANIFEST,
     AreaKind,
-    SamplingKind,
     ScenarioSpec,
     SweepPoint,
     add_stations,
@@ -69,7 +67,6 @@ from .scenarios import (
     deployment_draw,
     gen_circle,
     gen_home,
-    sample_deployment,
     bench_fixture,
 )
 from .runner import (

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .config import ConfigError, load_config, run_config_from, topology_from_scenario
 from .model import validate_topology
 from .runner import MAX_WORKERS, RunConfig, run
-from .scenarios import GRID_MANIFEST, TEST_IDS
+from .scenarios import TEST_IDS, build_test
 from .selection import Mechanism
 
 
@@ -105,14 +105,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_list_tests() -> int:
     for test_id in sorted(TEST_IDS):
-        print(f"{test_id}  [{GRID_MANIFEST[test_id]:4d} points]  {TEST_IDS[test_id]}")
+        print(f"{test_id}  [{len(build_test(test_id)):4d} points]  {TEST_IDS[test_id]}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     raw = load_config(args.scenario)
-    section = raw.get("scenario", raw)
-    topo = topology_from_scenario(section)
+    if "scenario" in raw:  # the rest of the document is a run config
+        section = raw.pop("scenario")
+    else:  # the whole document is the scenario section
+        section, raw = raw, {}
+    params = run_config_from(raw).params
+    topo = topology_from_scenario(section, params.propagation, params.band_mhz)
     problems = validate_topology(topo)
     if problems:
         for p in problems:

@@ -302,7 +302,9 @@ def _explicit_topology(section: Mapping[str, Any]) -> Topology:
 
 
 def topology_from_scenario(
-    section: Mapping[str, Any], propagation: PropagationParams = DEFAULT_PROPAGATION
+    section: Mapping[str, Any],
+    propagation: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
     """Build the layout a ``scenario`` config section describes."""
     if type(section) is not dict:
@@ -322,12 +324,14 @@ def topology_from_scenario(
                 rssi_ap_e_dbm=d["extender_rssi_dbm"],
                 channel_plan=d["channel_plan"],
                 p=propagation,
+                band_mhz=band_mhz,
             )
         return gen_home(
             n_ext=d["n_extenders"],
             channel_plan=d["channel_plan"],
             extender_rssi_dbm=d["extender_rssi_dbm"],
             p=propagation,
+            band_mhz=band_mhz,
         )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"scenario: {exc}") from None

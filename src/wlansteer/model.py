@@ -14,16 +14,13 @@ from typing import Iterable, Mapping, Optional
 
 
 class Band(enum.Enum):
-    """Frequency band of a radio.  Nominal centre frequencies in MHz."""
+    """Frequency band of a radio."""
 
     GHZ_2_4 = "2.4"
     GHZ_5 = "5"
 
-    @property
-    def nominal_mhz(self) -> float:
-        return DEFAULT_BAND_MHZ[self]
 
-
+# nominal centre frequencies in MHz
 DEFAULT_BAND_MHZ = {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5000.0}
 
 
@@ -121,20 +118,23 @@ class Node:
         return self._backhaul
 
 
+# most extenders on one backhaul path to the AP
+MAX_CHAIN = 2
+
+
 @dataclass(frozen=True)
 class Topology:
     """Nodes plus association state.
 
     ``associations`` maps station id to its serving AP/extender.
     ``backhaul_parent`` maps extender id to its uplink AP/extender and must
-    form a tree rooted at the AP with at most ``max_chain`` extenders on any
+    form a tree rooted at the AP with at most ``MAX_CHAIN`` extenders on any
     root path.
     """
 
     nodes: Mapping[int, Node]
     associations: Mapping[int, int] = field(default_factory=dict)
     backhaul_parent: Mapping[int, int] = field(default_factory=dict)
-    max_chain: int = 2
 
     def node(self, node_id: int) -> Node:
         try:
@@ -219,9 +219,9 @@ def validate_topology(t: Topology) -> list[str]:
                 problems.append(f"backhaul path from {child}: extender {cur} has no parent")
                 break
             cur = nxt
-        if hops > t.max_chain:
+        if hops > MAX_CHAIN:
             problems.append(
-                f"extender {child}: chain of {hops} extenders exceeds limit {t.max_chain}"
+                f"extender {child}: chain of {hops} extenders exceeds limit {MAX_CHAIN}"
             )
     return problems
 

@@ -77,19 +77,18 @@ def rssi_dbm(
     tx: RadioConfig,
     tx_pos: Position,
     rx_pos: Position,
-    p: PropagationParams = DEFAULT_PROPAGATION,
-    frequency_mhz: Optional[float] = None,
+    p: PropagationParams,
+    frequency_mhz: float,
 ) -> float:
     """Received power at ``rx_pos`` from transmitter ``tx`` at ``tx_pos``."""
-    f = tx.band.nominal_mhz if frequency_mhz is None else frequency_mhz
-    return tx.tx_power_dbm - path_loss_db(f, distance(tx_pos, rx_pos), p)
+    return tx.tx_power_dbm - path_loss_db(frequency_mhz, distance(tx_pos, rx_pos), p)
 
 
 def max_range_m(
     tx: RadioConfig,
     rx_sensitivity_dbm: float,
-    p: PropagationParams = DEFAULT_PROPAGATION,
-    frequency_mhz: Optional[float] = None,
+    p: PropagationParams,
+    frequency_mhz: float,
 ) -> float:
     """Largest distance at which the received power still meets the threshold.
 
@@ -98,13 +97,12 @@ def max_range_m(
     """
     if rx_sensitivity_dbm >= tx.tx_power_dbm:
         raise ValueError("threshold must lie below tx power")
-    f = tx.band.nominal_mhz if frequency_mhz is None else frequency_mhz
-    if f <= 0 or f >= 100000:
-        raise ValueError(f"frequency out of range: {f} MHz")
+    if frequency_mhz <= 0 or frequency_mhz >= 100000:
+        raise ValueError(f"frequency out of range: {frequency_mhz} MHz")
     exponent = (
         tx.tx_power_dbm
         - rx_sensitivity_dbm
-        - 20.0 * math.log10(f)
+        - 20.0 * math.log10(frequency_mhz)
         - p.floor_penetration_db
         - p.constant_offset_db
     ) / p.distance_power_loss_coeff

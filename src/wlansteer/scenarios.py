@@ -42,7 +42,6 @@ from .selection import Mechanism, SelectionConfig, capable_count
 
 STA_ID_BASE = 10
 BACKHAUL_CHANNEL = ChannelId(Band.GHZ_5, 36)
-ACCESS_CHANNELS = (1, 6, 11)
 DEFAULT_EXTENDER_RSSI_DBM = -70.0
 
 HOME_WIDTH_M = 45.0
@@ -54,14 +53,12 @@ FIXED_DEPLOYMENT_SEED = 2404
 
 
 class AreaKind(enum.Enum):
+    """Where stations are drawn, which also picks the layout family:
+    ``HOME_RECT`` is the home flat, the circle areas the disk around the AP."""
+
     CIRCLE_DMAX = "circle_dmax"
     CIRCLE_1P2_DMAX = "circle_1p2_dmax"
     HOME_RECT = "home_rect"
-
-
-class SamplingKind(enum.Enum):
-    UNIFORM_RADIUS = "uniform_radius"
-    UNIFORM_AREA = "uniform_area"
 
 
 def _access_radio(channel_number: int) -> RadioConfig:
@@ -87,28 +84,23 @@ def _sta_radio() -> RadioConfig:
 class ScenarioSpec:
     """A reproducible deployment family: fixed infrastructure, random stations."""
 
-    name: str
-    kind: str  # "circle" | "home"
     area: AreaKind
     n_sta: int = 10
     n_extenders: int = 0
-    extender_rssi_dbm: float = DEFAULT_EXTENDER_RSSI_DBM
     channel_plan: str = "multi"  # "multi" | "single"
     k: int = 1000
     seed: int = 1
-    sampling: SamplingKind = SamplingKind.UNIFORM_RADIUS
-    home_width_m: float = HOME_WIDTH_M
-    home_height_m: float = HOME_HEIGHT_M
     fixed_positions: Optional[tuple[Position, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("circle", "home"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if not isinstance(self.area, AreaKind):
+            raise ValueError(f"unknown area {self.area!r}")
         if self.channel_plan not in ("multi", "single"):
             raise ValueError(f"unknown channel plan {self.channel_plan!r}")
-        if self.kind == "circle" and self.n_extenders not in (0, 2, 4):
+        home = self.area is AreaKind.HOME_RECT
+        if not home and self.n_extenders not in (0, 2, 4):
             raise ValueError("circle layouts support 0, 2 or 4 extenders")
-        if self.kind == "home" and self.n_extenders not in (0, 1, 2):
+        if home and self.n_extenders not in (0, 1, 2):
             raise ValueError("home layouts support 0, 1 or 2 extenders")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -177,8 +169,6 @@ def gen_home(
     n_ext: int,
     channel_plan: str = "multi",
     extender_rssi_dbm: float = DEFAULT_EXTENDER_RSSI_DBM,
-    width_m: float = HOME_WIDTH_M,
-    ap_pos: Position = HOME_AP_POS,
     p: PropagationParams = DEFAULT_PROPAGATION,
     band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
@@ -190,10 +180,10 @@ def gen_home(
         raise ValueError("home layouts support 0, 1 or 2 extenders")
     d = extender_distance_m(extender_rssi_dbm, p, band_mhz)
     chans = _plan_channels(channel_plan, n_ext, "home")
-    nodes = [Node(0, NodeKind.AP, ap_pos, _serving_radios(1))]
+    nodes = [Node(0, NodeKind.AP, HOME_AP_POS, _serving_radios(1))]
     parents: dict[int, int] = {}
     for i in range(n_ext):
-        pos = (ap_pos[0] + d * (i + 1), ap_pos[1])
+        pos = (HOME_AP_POS[0] + d * (i + 1), HOME_AP_POS[1])
         nodes.append(Node(i + 1, NodeKind.EXTENDER, pos, _serving_radios(chans[i])))
         parents[i + 1] = i  # chain: E1 -> AP, E2 -> E1
     return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
@@ -201,8 +191,8 @@ def gen_home(
 
 def topology_key(spec: ScenarioSpec, rssi_ap_e_dbm: Optional[float] = None) -> tuple:
     """Everything ``build_topology`` reads: equal keys build equal infrastructure."""
-    level = spec.extender_rssi_dbm if rssi_ap_e_dbm is None else rssi_ap_e_dbm
-    return (spec.kind, spec.n_extenders, spec.channel_plan, level, spec.home_width_m)
+    level = DEFAULT_EXTENDER_RSSI_DBM if rssi_ap_e_dbm is None else rssi_ap_e_dbm
+    return (spec.area is AreaKind.HOME_RECT, spec.n_extenders, spec.channel_plan, level)
 
 
 def build_topology(
@@ -212,10 +202,10 @@ def build_topology(
     band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
     """Infrastructure part of a scenario (stations are added per deployment)."""
-    kind, n_ext, plan, level, width = topology_key(spec, rssi_ap_e_dbm)
-    if kind == "circle":
-        return gen_circle(n_ext, level, plan, p, band_mhz)
-    return gen_home(n_ext, plan, level, width, HOME_AP_POS, p, band_mhz)
+    home, n_ext, plan, level = topology_key(spec, rssi_ap_e_dbm)
+    if home:
+        return gen_home(n_ext, plan, level, p, band_mhz)
+    return gen_circle(n_ext, level, plan, p, band_mhz)
 
 
 def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
@@ -232,14 +222,10 @@ def _draw_positions(
         return list(spec.fixed_positions)
     n = spec.n_sta
     if spec.area is AreaKind.HOME_RECT:
-        xs = rng.uniform(0.0, spec.home_width_m, n)
-        ys = rng.uniform(0.0, spec.home_height_m, n)
+        xs = rng.uniform(0.0, HOME_WIDTH_M, n)
+        ys = rng.uniform(0.0, HOME_HEIGHT_M, n)
         return list(zip(xs.tolist(), ys.tolist()))
-    radius = circle_radius_m(spec.area, p, band_mhz)
-    if spec.sampling is SamplingKind.UNIFORM_RADIUS:
-        r = rng.uniform(0.0, radius, n)
-    else:
-        r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    r = rng.uniform(0.0, circle_radius_m(spec.area, p, band_mhz), n)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     xs = r * np.cos(theta)
     ys = r * np.sin(theta)
@@ -250,8 +236,7 @@ def draw_key(spec: ScenarioSpec) -> tuple:
     """Everything ``deployment_draw`` reads besides the deployment index, the
     propagation and the band table: specs with equal keys draw the same
     stations."""
-    return (spec.seed, spec.n_sta, spec.area, spec.sampling, spec.home_width_m,
-            spec.home_height_m, spec.fixed_positions)
+    return (spec.seed, spec.n_sta, spec.area, spec.fixed_positions)
 
 
 def deployment_draw(
@@ -272,14 +257,6 @@ def deployment_draw(
     positions = _draw_positions(spec, rng, p, band_mhz)
     perm = rng.permutation(spec.n_sta)
     return positions, perm
-
-
-def sample_deployment(
-    spec: ScenarioSpec,
-    deployment_index: int,
-    p: PropagationParams = DEFAULT_PROPAGATION,
-) -> list[Position]:
-    return deployment_draw(spec, deployment_index, p)[0]
 
 
 def capable_set_for(spec: ScenarioSpec, perm: np.ndarray, beta_pct: float) -> frozenset[int]:
@@ -368,8 +345,6 @@ def _b_t_grid(stop_mbps: float) -> list[float]:
 
 def _circle_spec(test_id: str, n_ext: int, area: AreaKind, plan: str, k: int) -> ScenarioSpec:
     return ScenarioSpec(
-        name=f"t{test_id}-circle{n_ext}-{plan}",
-        kind="circle",
         area=area,
         n_extenders=n_ext,
         channel_plan=plan,
@@ -383,8 +358,6 @@ def _home_spec(
     fixed_positions: Optional[tuple[Position, ...]] = None,
 ) -> ScenarioSpec:
     return ScenarioSpec(
-        name=f"t{test_id}-home{n_ext}-{plan}",
-        kind="home",
         area=AreaKind.HOME_RECT,
         n_extenders=n_ext,
         channel_plan=plan,
@@ -556,17 +529,6 @@ _BUILDERS = {
     "2.2": lambda: _weight_grid("2.2", [_la(alpha=a) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]),
     "2.3": lambda: _weight_grid("2.3", [_la(beta_pct=b) for b in (0.0, 25.0, 50.0, 75.0, 100.0)]),
     "2.4": _build_24,
-}
-
-# expected grid sizes, asserted by the test suite
-GRID_MANIFEST = {
-    "1.1": 165,
-    "1.2": 5,
-    "1.3": 305,
-    "2.1": 909,
-    "2.2": 40,
-    "2.3": 40,
-    "2.4": 125,
 }
 
 

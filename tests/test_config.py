@@ -183,6 +183,31 @@ def test_cli_validate(tmp_path):
     assert "error" in err
 
 
+def test_cli_validate_builds_on_the_documents_physics(tmp_path, monkeypatch):
+    built = []
+
+    def recording(section, propagation, band_mhz):
+        built.append((propagation, band_mhz))
+        return topology_from_scenario(section, propagation, band_mhz)
+
+    monkeypatch.setattr(cli, "topology_from_scenario", recording)
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({
+        "scenario": {"kind": "home", "n_extenders": 2},
+        "band_mhz": {"5": 5500},
+        "propagation": {"floor_penetration_db": 3},
+    }))
+    assert _run_cli(["validate", "--scenario", str(sc)])[:2] == \
+        (0, "ok: 3 nodes, 2 extender links\n")
+    (propagation, band_mhz), = built
+    assert propagation.floor_penetration_db == 3.0
+    assert band_mhz == {Band.GHZ_2_4: 2400.0, Band.GHZ_5: 5500.0}
+    # a higher backhaul frequency loses more per metre, so the extender sits closer
+    near = recording({"kind": "home", "n_extenders": 1}, propagation, band_mhz)
+    far = topology_from_scenario({"kind": "home", "n_extenders": 1}, propagation)
+    assert near.nodes[1].position[0] < far.nodes[1].position[0]
+
+
 # every section of default_config() has a typo'd, mistyped or rejected variant
 # that must come back as a ConfigError starting with its dotted key
 _BAD_DOCUMENTS = [
@@ -208,6 +233,7 @@ _BAD_DOCUMENTS = [
     ({"mcs_tables": {"2.4": {"channel_width_mhz": 20.0}}}, "mcs_tables.2.4.channel_width_mhz"),
     ({"mcs_tables": {"2.4": {"entries": [[0, -90.0, -1.0, 2.0]]}}}, "mcs_tables.2.4"),
     ({"runn": {}}, "runn"),
+    ({"bogus": 1}, "bogus"),
     ({"traffic": {}}, "traffic"),
     ({"selection": {"passes": 2}}, "selection.passes"),
     ({"selection": {"mechanism": "loadaware"}}, "selection.mechanism"),
@@ -239,10 +265,14 @@ def test_bad_config_documents_name_their_key(doc, key, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("run must not start"))
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps(doc))
-    rc, _, err = _run_cli(["run", "--config", str(conf)])
-    assert rc == 1
-    assert re.match(pattern, err.removeprefix("error: "))
-    assert err.count("\n") == 1
+    # validate checks what a document holds beside its scenario section
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"scenario": {"kind": "home", "n_extenders": 2}, **doc}))
+    for args in (["run", "--config", str(conf)], ["validate", "--scenario", str(sc)]):
+        rc, _, err = _run_cli(args)
+        assert rc == 1
+        assert re.match(pattern, err.removeprefix("error: "))
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc, key, shown", [

@@ -157,13 +157,9 @@ def test_validate_flags_chain_beyond_limit():
              extender_node(1, (10.0, 0.0)),
              extender_node(2, (20.0, 0.0)),
              extender_node(3, (30.0, 0.0))]
-    t = Topology(nodes=make_node_map(nodes),
-                 backhaul_parent={1: 0, 2: 1, 3: 2}, max_chain=2)
+    t = Topology(nodes=make_node_map(nodes), backhaul_parent={1: 0, 2: 1, 3: 2})
     msgs = validate_topology(t)
-    assert any("exceeds limit" in m for m in msgs)
-    ok = Topology(nodes=make_node_map(nodes),
-                  backhaul_parent={1: 0, 2: 1, 3: 2}, max_chain=3)
-    assert validate_topology(ok) == []
+    assert any("exceeds limit 2" in m for m in msgs)
 
 
 def test_validate_flags_backhaul_cycle():

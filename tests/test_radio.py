@@ -44,12 +44,14 @@ def test_path_loss_short_distance_clamped_to_one_meter():
 
 
 def test_rssi_at_reference_distances():
-    assert rssi_dbm(R24, (0.0, 0.0), (10.0, 0.0), P) == pytest.approx(-50.60422483423211, abs=1e-9)
-    assert rssi_dbm(R24, (0.0, 0.0), (100.0, 0.0), P) == pytest.approx(-81.60422483423213, abs=1e-9)
+    assert rssi_dbm(R24, (0.0, 0.0), (10.0, 0.0), P, 2400.0) == \
+        pytest.approx(-50.60422483423211, abs=1e-9)
+    assert rssi_dbm(R24, (0.0, 0.0), (100.0, 0.0), P, 2400.0) == \
+        pytest.approx(-81.60422483423213, abs=1e-9)
 
 
 def test_max_range_reference_values():
-    d24 = max_range_m(R24, -90.0, P)
+    d24 = max_range_m(R24, -90.0, P, 2400.0)
     assert 186.0 <= d24 <= 187.0
     assert d24 == pytest.approx(186.5655517978639, abs=1e-6)
 
@@ -61,7 +63,7 @@ def test_max_range_reference_values():
 
 
 def test_max_range_round_trips_through_rssi():
-    for radio, sens, f in ((R24, -90.0, None), (R5, -70.0, 5000.0), (R5, -90.0, 5000.0)):
+    for radio, sens, f in ((R24, -90.0, 2400.0), (R5, -70.0, 5000.0), (R5, -90.0, 5000.0)):
         d = max_range_m(radio, sens, P, f)
         got = rssi_dbm(radio, (0.0, 0.0), (d, 0.0), P, f)
         assert got == pytest.approx(sens, abs=1e-9)
@@ -136,15 +138,8 @@ def test_mcs_rate_monotone_in_rssi(r1, dr):
     assert hi[1] >= lo[1]
 
 
-def test_band_nominal_frequencies():
-    assert Band.GHZ_2_4.nominal_mhz == 2400.0
-    assert Band.GHZ_5.nominal_mhz == 5000.0
-
-
-def test_rssi_uses_band_nominal_frequency_by_default():
-    at = rssi_dbm(R5, (0.0, 0.0), (10.0, 0.0), P)
-    explicit = rssi_dbm(R5, (0.0, 0.0), (10.0, 0.0), P, 5000.0)
-    assert at == explicit
+def test_5ghz_loses_more_than_24ghz_at_equal_distance():
+    at = rssi_dbm(R5, (0.0, 0.0), (10.0, 0.0), P, 5000.0)
     # the 5 GHz band loses 20*log10(5000/2400) more than 2.4 GHz
-    gap = rssi_dbm(R24, (0.0, 0.0), (10.0, 0.0), P) - at
+    gap = rssi_dbm(R24, (0.0, 0.0), (10.0, 0.0), P, 2400.0) - at
     assert gap == pytest.approx(20.0 * math.log10(5000.0 / 2400.0), abs=1e-9)

@@ -32,6 +32,7 @@ from wlansteer.runner import (
     run,
 )
 from wlansteer.scenarios import (
+    DEFAULT_EXTENDER_RSSI_DBM,
     STA_ID_BASE,
     add_stations,
     build_topology,
@@ -323,7 +324,7 @@ def _oracle_cases():
     # stations equidistant from several serving nodes (halving the extender
     # spacing is exact): ties go to the AP, then to the lower node id
     ring = cases["1.2-loadaware-4E"]
-    h = extender_distance_m(ring.scenario.extender_rssi_dbm) / 2
+    h = extender_distance_m(DEFAULT_EXTENDER_RSSI_DBM) / 2
     ties = ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h), (h, h), (-h, h), (h, -h),
             (-h, -h), (0.0, 0.0), (2 * h, 2 * h))
     ring = replace(ring, scenario=replace(ring.scenario, fixed_positions=ties, k=1))

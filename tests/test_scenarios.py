@@ -1,15 +1,16 @@
 """Scenario generators: layouts, channel plans, seeded deployment draws."""
+from dataclasses import fields, replace
+
 import pytest
 
-from wlansteer.model import Band, NodeKind, validate_topology
+from wlansteer.model import DEFAULT_BAND_MHZ, Band, NodeKind, validate_topology
 from wlansteer.radio import DEFAULT_PROPAGATION, rssi_dbm
 from wlansteer.scenarios import (
-    ACCESS_CHANNELS,
     AreaKind,
     BACKHAUL_CHANNEL,
     FIXED_DEPLOYMENT_SEED,
-    GRID_MANIFEST,
-    SamplingKind,
+    HOME_HEIGHT_M,
+    HOME_WIDTH_M,
     ScenarioSpec,
     add_stations,
     build_test,
@@ -18,13 +19,14 @@ from wlansteer.scenarios import (
     capable_set_for,
     circle_radius_m,
     deployment_draw,
+    draw_key,
     extender_distance_m,
     fixed_home_positions,
     fixture_topology,
     gen_circle,
     gen_home,
-    sample_deployment,
     bench_fixture,
+    topology_key,
 )
 
 D_EXT_70 = 26.303851985165995  # 5 GHz inversion of a -70 dBm target
@@ -48,7 +50,7 @@ def test_circle_extenders_sit_at_the_target_backhaul_rssi():
         ap = t.nodes[0]
         for ext_id in t.extenders():
             got = rssi_dbm(ap.radios[1], ap.position, t.nodes[ext_id].position,
-                           DEFAULT_PROPAGATION, Band.GHZ_5.nominal_mhz)
+                           DEFAULT_PROPAGATION, DEFAULT_BAND_MHZ[Band.GHZ_5])
             assert got == pytest.approx(target, abs=0.01)
 
 
@@ -92,13 +94,12 @@ def test_channel_plans():
             assert t.nodes[ext].backhaul_radio.channel == BACKHAUL_CHANNEL
     four = gen_circle(4, channel_plan="multi")
     assert [four.nodes[i].access_radio.channel.number for i in range(5)] == [1, 6, 6, 11, 11]
-    assert ACCESS_CHANNELS == (1, 6, 11)
 
 
 # --- deployment draws -------------------------------------------------------
 
-CIRCLE_SPEC = ScenarioSpec(name="draws", kind="circle", area=AreaKind.CIRCLE_1P2_DMAX,
-                           n_sta=10, n_extenders=0, k=100, seed=7)
+CIRCLE_SPEC = ScenarioSpec(area=AreaKind.CIRCLE_1P2_DMAX, n_sta=10, n_extenders=0,
+                           k=100, seed=7)
 
 
 def test_draws_are_reproducible_and_index_independent():
@@ -109,16 +110,53 @@ def test_draws_are_reproducible_and_index_independent():
     c, _ = deployment_draw(CIRCLE_SPEC, 4)
     assert a != c
     # the draw for index i must not depend on sweep bookkeeping such as k
-    from dataclasses import replace
     d, _ = deployment_draw(replace(CIRCLE_SPEC, k=9999), 3)
     assert a == d
 
 
 def test_draws_differ_across_seeds():
-    from dataclasses import replace
     a, _ = deployment_draw(CIRCLE_SPEC, 0)
     b, _ = deployment_draw(replace(CIRCLE_SPEC, seed=8), 0)
     assert a != b
+
+
+# a second valid value of every ScenarioSpec field, against CIRCLE_SPEC
+OTHER_VALUES = {
+    "area": AreaKind.CIRCLE_DMAX,
+    "n_sta": 11,
+    "n_extenders": 4,
+    "channel_plan": "single",
+    "k": 7,
+    "seed": 8,
+    "fixed_positions": tuple((float(i), 0.0) for i in range(10)),
+}
+
+
+def test_every_spec_field_is_keyed():
+    """Shared draws and link geometries are cached by ``draw_key`` and
+    ``topology_key``; a field that changes neither would reuse the wrong one.
+    Only ``k``, the number of deployments, is in no key."""
+    def keys(spec):
+        return draw_key(spec), topology_key(spec)
+
+    for f in fields(ScenarioSpec):
+        assert f.name in OTHER_VALUES, f"no second value for ScenarioSpec.{f.name}"
+        changed = replace(CIRCLE_SPEC, **{f.name: OTHER_VALUES[f.name]})
+        assert changed != CIRCLE_SPEC
+        assert (keys(changed) == keys(CIRCLE_SPEC)) is (f.name == "k"), f.name
+
+
+def test_the_area_picks_the_layout_family():
+    home = ScenarioSpec(area=AreaKind.HOME_RECT, n_extenders=2)
+    assert build_topology(home).backhaul_parent == {1: 0, 2: 1}
+    circle = ScenarioSpec(area=AreaKind.CIRCLE_DMAX, n_extenders=2)
+    assert build_topology(circle).backhaul_parent == {1: 0, 2: 0}
+    with pytest.raises(ValueError, match="^home layouts support 0, 1 or 2 extenders$"):
+        ScenarioSpec(area=AreaKind.HOME_RECT, n_extenders=4)
+    with pytest.raises(ValueError, match="^circle layouts support 0, 2 or 4 extenders$"):
+        ScenarioSpec(area=AreaKind.CIRCLE_1P2_DMAX, n_extenders=1)
+    with pytest.raises(ValueError, match="^unknown area 'home_rect'$"):
+        ScenarioSpec(area="home_rect")
 
 
 def test_deployment_draw_rejects_negative_index():
@@ -141,35 +179,18 @@ def test_radial_sampling_follows_the_uniform_radius_law():
     assert n_inside / n_total == pytest.approx(1.0 / 1.2, abs=0.004)
 
 
-def test_uniform_area_sampling_is_available_and_differs():
-    from dataclasses import replace
-    ua = replace(CIRCLE_SPEC, sampling=SamplingKind.UNIFORM_AREA)
-    R = circle_radius_m(AreaKind.CIRCLE_1P2_DMAX)
-    inner = R / 1.2
-    n_inside = sum(
-        1
-        for dep in range(2_000)
-        for (x, y) in deployment_draw(ua, dep)[0]
-        if (x * x + y * y) ** 0.5 <= inner
-    )
-    # uniform-by-area puts (1/1.2)^2 = 69.4% of points inside, not 83.3%
-    assert n_inside / 20_000 == pytest.approx(1.0 / 1.44, abs=0.01)
-
-
 def test_home_rect_draws_stay_inside_the_rectangle():
-    spec = ScenarioSpec(name="h", kind="home", area=AreaKind.HOME_RECT,
-                        n_sta=10, n_extenders=1, k=10, seed=3)
+    spec = ScenarioSpec(area=AreaKind.HOME_RECT, n_sta=10, n_extenders=1, k=10, seed=3)
     for dep in range(50):
-        for (x, y) in sample_deployment(spec, dep):
-            assert 0.0 <= x <= spec.home_width_m
-            assert 0.0 <= y <= spec.home_height_m
+        for (x, y) in deployment_draw(spec, dep)[0]:
+            assert 0.0 <= x <= HOME_WIDTH_M
+            assert 0.0 <= y <= HOME_HEIGHT_M
 
 
 def test_add_stations_appends_numbered_stations():
-    spec = ScenarioSpec(name="h", kind="home", area=AreaKind.HOME_RECT,
-                        n_sta=4, n_extenders=1, k=1, seed=3)
+    spec = ScenarioSpec(area=AreaKind.HOME_RECT, n_sta=4, n_extenders=1, k=1, seed=3)
     base = build_topology(spec)
-    pos = sample_deployment(spec, 0)
+    pos = deployment_draw(spec, 0)[0]
     t = add_stations(base, pos, capable=frozenset({10, 12}))
     stas = {i: n for i, n in t.nodes.items() if n.kind is NodeKind.STA}
     assert sorted(stas) == [10, 11, 12, 13]
@@ -239,10 +260,11 @@ def test_bench_fixture_topology_matches_the_matrix():
 
 # --- sweep construction -----------------------------------------------------
 
+GRID_SIZES = {"1.1": 165, "1.2": 5, "1.3": 305, "2.1": 909, "2.2": 40, "2.3": 40, "2.4": 125}
+
+
 def test_manifest_counts_match_built_grids():
-    assert GRID_MANIFEST == {"1.1": 165, "1.2": 5, "1.3": 305, "2.1": 909,
-                             "2.2": 40, "2.3": 40, "2.4": 125}
-    for test_id, expected in GRID_MANIFEST.items():
+    for test_id, expected in GRID_SIZES.items():
         assert len(build_test(test_id)) == expected
 
 
@@ -252,7 +274,7 @@ def test_build_test_rejects_unknown_ids():
 
 
 def test_sweep_points_are_self_consistent():
-    for test_id in GRID_MANIFEST:
+    for test_id in GRID_SIZES:
         for p in build_test(test_id):
             assert p.test_id == test_id
             assert p.traffic.total_load_bps == pytest.approx(
