@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .model import Band, Position, RadioConfig
 
@@ -82,6 +82,28 @@ def rssi_dbm(
 ) -> float:
     """Received power at ``rx_pos`` from transmitter ``tx`` at ``tx_pos``."""
     return tx.tx_power_dbm - path_loss_db(frequency_mhz, distance(tx_pos, rx_pos), p)
+
+
+def rssi_column(
+    tx_pos: Position,
+    tx_power_dbm: float,
+    frequency_mhz: float,
+    points: Sequence[Position],
+    p: PropagationParams,
+) -> list[float]:
+    """``rssi_dbm`` from one transmitter to each of ``points``, bit for bit:
+    ``path_loss_db`` inlined, its frequency term and check made once, its
+    terms added in its order."""
+    if frequency_mhz <= 0 or frequency_mhz >= 100000:
+        raise ValueError(f"frequency out of range: {frequency_mhz} MHz")
+    fterm = 20.0 * math.log10(frequency_mhz)
+    n, floor, offset = p.distance_power_loss_coeff, p.floor_penetration_db, p.constant_offset_db
+    dmin, (tx_x, tx_y) = p.min_distance_m, tx_pos
+    hypot, log10 = math.hypot, math.log10
+    return [
+        tx_power_dbm - (fterm + n * log10(d if d > dmin else dmin) + floor + offset)
+        for d in [hypot(tx_x - x, tx_y - y) for x, y in points]
+    ]
 
 
 def max_range_m(

@@ -10,13 +10,17 @@ merged in grid order.
 Sweep points that read the same inputs of ``deployment_draw`` (and have the
 same ``k``) form a draw group: every demand step of a curve replays the same
 stations.  A group is walked in slices of deployments.  Each deployment is
-drawn once; each link geometry of the group (``_Geometry``: what
-``build_topology`` reads, the engine parameters and the packet length)
-computes the slice's RSSI tables, strongest-signal associations and
-airtimes at once.  Then one numpy kernel (``_Batch``) steers and evaluates
-the geometry's points that share the pass flags together, on rows of
-(point, deployment) pairs laid out point-major, so that a point's rows are
-one contiguous run.  It computes what ``initial_association``,
+drawn once, and each transmitter's RSSI column over the slice's stations is
+computed once (``_Columns``, keyed by position, tx power and frequency, so
+that link geometries with the same AP or extender share it).  A link
+geometry of the group (``_Geometry``: what ``build_topology`` reads, the
+engine parameters and the packet length) stacks its columns into the slice's
+RSSI table, strongest-signal associations and airtimes just before its
+first batch, and drops them after its last, so a slice holds one geometry's
+links at a time.  Each batch is one numpy kernel (``_Batch``) that steers
+and evaluates the geometry's points that share the pass flags together, on
+rows of (point, deployment) pairs laid out point-major, so that a point's
+rows are one contiguous run.  It computes what ``initial_association``,
 ``reassociation_pass`` and ``evaluate`` compute, to the last bit; those
 functions stay the single-topology interface and the kernel's oracle.
 
@@ -63,7 +67,7 @@ import numpy as np
 
 from .model import NodeKind, Position, backhaul_path
 from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
-from .radio import path_loss_db
+from .radio import PropagationParams, rssi_column
 from .selection import Mechanism, capable_count
 from .protocol import export_events, run_mechanism
 from .scenarios import (
@@ -365,7 +369,6 @@ class _Geometry:
 
     def __init__(self, point: SweepPoint, params: EngineParams) -> None:
         spec = point.scenario
-        self.propagation = params.propagation
         self.base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
                                    band_mhz=params.band_mhz)
         # traffic only fixes the packet length here; frame traces put each
@@ -404,10 +407,13 @@ class _Geometry:
 
         exts = t.extenders()
         uplink = [[exts.index(c) for c, _ in backhaul_path(t, j)] for j in serving] + [[]]
-        self.bh_ch, self.bh_air = [], []
+        self.bh_ch, self.bh_air, self.below_backhaul = [], [], None
         for ext in exts:
             ch = t.nodes[ext].backhaul_radio.channel
-            rate = link_rate(env, t, ext, t.backhaul_parent[ext], ch.band)
+            try:
+                rate = link_rate(env, t, ext, t.backhaul_parent[ext], ch.band)
+            except ValueError as error:  # below the lowest MCS; links raises it
+                self.below_backhaul, rate = self.below_backhaul or error, math.nan
             self.bh_ch.append(chans[ch])
             self.bh_air.append(fixed_s[ch.band] + L / rate)
         self.acc = np.array([chans[r.channel] for r in radios] + [0])
@@ -426,17 +432,17 @@ class _Geometry:
             " the lowest MCS; table floor must cover the association sensitivity"
         )
 
-    def links(self, positions: Sequence[Sequence[Position]]) -> tuple:
+    def links(self, columns: _Columns) -> tuple:
         """What no demand changes, for the station positions of a slice's
         deployments, as arrays over (deployment, station[, serving index]):
-        the RSSI table and its in-range mask; each station's strongest
-        in-range serving index, -1 when unassociated; the airtime of each
-        pair, NaN below the lowest MCS, with a last column of 0.0 that index
-        -1 reads; and each station's access airtime."""
-        p = self.propagation
-        rssi = np.array([[[tx_power - path_loss_db(f, math.hypot(tx[0] - x, tx[1] - y), p)
-                           for tx, tx_power, f in self.tx] for x, y in stations]
-                         for stations in positions])
+        the RSSI table, stacked from the slice's ``columns``, and its in-range
+        mask; each station's strongest in-range serving index, -1 when
+        unassociated; the airtime of each pair, NaN below the lowest MCS,
+        with a last column of 0.0 that index -1 reads; and each station's
+        access airtime.  A link below the lowest MCS raises ``evaluate``'s
+        error for the slice's first deployment that has one."""
+        rssi = np.stack([columns[tx] for tx in self.tx], axis=1)
+        rssi = rssi.reshape(columns.deployments, len(self.sens), len(self.tx))
         in_range = rssi >= self.sens
         # argmax keeps the first maximum: ties go to the lower serving index
         strongest = np.where(in_range, rssi, -np.inf).argmax(axis=2)
@@ -447,9 +453,32 @@ class _Geometry:
             idx = np.searchsorted(thresholds, rssi[:, :, j], side="right") - 1
             air[:, :, j] = np.where(idx >= 0, fixed + self.L / rates[idx, sta], np.nan)
         access = np.take_along_axis(air, parent[:, :, None], axis=2)[:, :, 0]
-        for d, s in np.argwhere(np.isnan(access))[:1]:
+        below = np.argwhere(np.isnan(access))[:1]
+        # evaluate rates a deployment's access links before its backhaul
+        # links, and a backhaul link below the lowest MCS fails the first
+        if self.below_backhaul is not None and not (len(below) and below[0, 0] == 0):
+            raise self.below_backhaul
+        for d, s in below:
             raise self.below_mcs(s, parent[d, s], rssi[d, s, parent[d, s]])
         return rssi, in_range, parent, air, access
+
+
+class _Columns(dict):
+    """The RSSI columns of one slice of deployments by transmitter (position,
+    tx power, frequency), each over the slice's stations, deployment-major.
+    A column is made when a link geometry first asks for it, and every
+    geometry with that transmitter shares it."""
+
+    def __init__(self, positions: Sequence[Sequence[Position]],
+                 propagation: PropagationParams) -> None:
+        super().__init__()
+        self.deployments = len(positions)
+        self.points = [xy for stations in positions for xy in stations]
+        self.propagation = propagation
+
+    def __missing__(self, tx: tuple) -> np.ndarray:
+        column = self[tx] = np.array(rssi_column(*tx, self.points, self.propagation))
+        return column
 
 
 class _Demand:
@@ -608,7 +637,9 @@ class _Batch:
         """``evaluate``'s network throughput %, mean delay and congestion flag."""
         geom = self.geom
         util = self._util(point, parent, term)
-        share = np.minimum(1.0, np.divide(1.0, util, out=np.ones_like(util), where=util > 0.0))
+        with np.errstate(over="ignore"):  # a subnormal load: 1.0 / u is inf, as in Python
+            share = np.minimum(1.0, np.divide(1.0, util, out=np.ones_like(util),
+                                              where=util > 0.0))
         cap = geom.cap_ms
         frac, delay = np.ones(parent.shape), np.zeros(parent.shape)
         # each station's access hop, then its serving node's backhaul hops
@@ -659,8 +690,10 @@ def _evaluate_range(
     """One block per point of ``points``, which are (grid index, point) pairs
     sharing one deployment draw, holding deployments ``lo`` to ``hi - 1``.
 
-    The walk goes by slices of deployments: each is drawn once and linked
-    once per link geometry, then each batch steers and evaluates its rows.
+    The walk goes by slices of deployments: each is drawn once, each
+    transmitter's RSSI column made once, and then geometry by geometry, the
+    links are built and each of the geometry's batches steers and evaluates
+    its rows.
     """
     spec = points[0][1].scenario
     sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
@@ -687,32 +720,35 @@ def _evaluate_range(
         flags = demand.steer and (sel.passes, sel.include_self_load)
         groups.setdefault((key, flags), []).append((pi, demand, block))
         blocks.append(block)
-    batches = [
-        (key, _Batch(geoms[key], [d for _, d, _ in group]), group)
-        for (key, _), group in groups.items()
-    ]
+    batches: dict[tuple, list] = {}
+    for (key, _), group in groups.items():
+        batches.setdefault(key, []).append((_Batch(geoms[key], [d for _, d, _ in group]), group))
     step = max(1, _ROWS // max(map(len, groups.values())))
     for first in range(lo, hi, step):
         draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
                  for dep in range(first, min(first + step, hi))]
-        links = {key: geom.links([pos for pos, _ in draws]) for key, geom in geoms.items()}
+        columns = _Columns([pos for pos, _ in draws], params.propagation)
         # station s is in capable_set_for's set iff it comes within the
         # first capable_count entries of the deployment's permutation
         rank, D = np.argsort([perm for _, perm in draws], axis=1), len(draws)
-        for key, batch, group in batches:
-            capable = np.concatenate([
-                rank < (capable_count(d.selection.beta_pct, spec.n_sta) if d.steer else 0)
-                for _, d, _ in group
-            ])
-            thr, delay, congested, serving = batch.run(links[key], capable)
-            serving = serving.astype(np.int8)
-            for p, (pi, demand, block) in enumerate(group):
-                rows, sel = slice(p * D, (p + 1) * D), demand.selection
-                block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
-                for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
-                    name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
-                    demand.trace(positions, capable_set_for(spec, perm, sel.beta_pct),
-                                 serving[p * D + d].tolist(), os.path.join(events_dir, name))
+        for key, geom_batches in batches.items():
+            # a geometry's links live only while its batches run
+            links = geoms[key].links(columns)
+            for batch, group in geom_batches:
+                capable = np.concatenate([
+                    rank < (capable_count(d.selection.beta_pct, spec.n_sta) if d.steer else 0)
+                    for _, d, _ in group
+                ])
+                thr, delay, congested, serving = batch.run(links, capable)
+                serving = serving.astype(np.int8)
+                for p, (pi, demand, block) in enumerate(group):
+                    rows, sel = slice(p * D, (p + 1) * D), demand.selection
+                    block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
+                    for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
+                        name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
+                        demand.trace(positions, capable_set_for(spec, perm, sel.beta_pct),
+                                     serving[p * D + d].tolist(), os.path.join(events_dir, name))
+            del links
     return blocks
 
 

@@ -1,19 +1,22 @@
 """Propagation model and MCS lookup checks against hand-derived constants."""
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wlansteer.model import Band, ChannelId
 from wlansteer.radio import (
     DEFAULT_MCS_2G4,
     DEFAULT_MCS_5G,
     DEFAULT_PROPAGATION,
+    PropagationParams,
     RadioConfig,
     distance,
     max_range_m,
     mcs_for_rssi,
     path_loss_db,
+    rssi_column,
     rssi_dbm,
 )
 
@@ -69,6 +72,7 @@ def test_max_range_round_trips_through_rssi():
         assert got == pytest.approx(sens, abs=1e-9)
 
 
+@settings(derandomize=True)
 @given(
     sens=st.floats(min_value=-95.0, max_value=-45.0),
     tx=st.floats(min_value=0.0, max_value=30.0),
@@ -81,6 +85,33 @@ def test_range_inversion_is_exact_inverse(sens, tx, f):
     if d < P.min_distance_m:
         return
     assert rssi_dbm(radio, (0.0, 0.0), (d, 0.0), P, f) == pytest.approx(sens, abs=1e-8)
+
+
+# non-default terms: a floor and an offset whose sum rounds apart from the
+# terms added in another order, a steeper exponent and a wider clamp
+STEEP = PropagationParams(distance_power_loss_coeff=35.7, floor_penetration_db=7.3,
+                          constant_offset_db=-31.9, min_distance_m=2.5)
+
+
+@pytest.mark.parametrize("p", [P, STEEP], ids=["default", "steep"])
+@pytest.mark.parametrize("radio, f", [(R24, 2437.0), (R5, 5180.0)], ids=["2.4", "5"])
+def test_rssi_column_is_rssi_dbm_bit_for_bit(p, radio, f):
+    rng = random.Random(7)
+    tx = (3.25, -1.5)
+    points = [(rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0)) for _ in range(400)]
+    # at the transmitter, inside the clamp, on it and just beyond it
+    points += [tx, (tx[0] - 0.3, tx[1] + 0.4), (tx[0], tx[1] - p.min_distance_m),
+               (tx[0] + p.min_distance_m * 1.000001, tx[1])]
+    points += [(tx[0] + rng.uniform(-1.0, 1.0) * p.min_distance_m / 2, tx[1]) for _ in range(20)]
+    want = [rssi_dbm(radio, tx, pt, p, f) for pt in points]
+    got = rssi_column(tx, radio.tx_power_dbm, f, points, p)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def test_rssi_column_checks_the_frequency_once_per_column():
+    for f in (0.0, 100000.0):
+        with pytest.raises(ValueError, match="frequency out of range"):
+            rssi_column((0.0, 0.0), 20.0, f, [], P)
 
 
 def test_distance_is_euclidean():
@@ -125,6 +156,7 @@ def test_mcs_tables_are_strictly_ordered():
         assert rates == sorted(rates)
 
 
+@settings(derandomize=True)
 @given(
     r1=st.floats(min_value=-95.0, max_value=-30.0),
     dr=st.floats(min_value=0.0, max_value=60.0),

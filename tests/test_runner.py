@@ -8,12 +8,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wlansteer import runner
 from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
 from wlansteer.perf import SimEnv, evaluate, link_rssi
-from wlansteer.radio import DEFAULT_MCS_TABLES
+from wlansteer.radio import _BOUNDS, DEFAULT_MCS_TABLES, PropagationParams, max_range_m
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
     Aggregate,
@@ -34,13 +35,16 @@ from wlansteer.runner import (
 from wlansteer.scenarios import (
     DEFAULT_EXTENDER_RSSI_DBM,
     STA_ID_BASE,
+    AreaKind,
+    ScenarioSpec,
+    SweepPoint,
     add_stations,
     build_topology,
     capable_set_for,
     deployment_draw,
     extender_distance_m,
 )
-from wlansteer.selection import initial_association, reassociation_pass
+from wlansteer.selection import SelectionConfig, initial_association, reassociation_pass
 
 
 @pytest.fixture(scope="module")
@@ -711,9 +715,9 @@ def test_batch_grid_covers_the_kernel_branches():
 def test_batched_run_matches_the_topology_api(monkeypatch, rows, slices):
     links, seen = runner._Geometry.links, []
 
-    def spy(geom, positions):
-        seen.append(len(positions))
-        return links(geom, positions)
+    def spy(geom, columns):
+        seen.append(columns.deployments)
+        return links(geom, columns)
 
     monkeypatch.setattr(runner._Geometry, "links", spy)
     monkeypatch.setattr(runner, "build_test", lambda test_id: list(BATCH_GRID))
@@ -757,9 +761,128 @@ def test_a_link_below_the_lowest_mcs_raises_only_when_a_row_uses_it(monkeypatch)
     res = run(RunConfig(test_id="1.3", params=params))
     want = [_scalar_point(p, params) for p in unused]
     assert list(res.rows) == [r for rows, _ in want for r in rows]
+    with pytest.raises(ValueError, match="below the lowest MCS") as oracle:
+        _scalar_point(steer, params)
     for grid in ([steer], unused + [steer]):
         monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
-        with pytest.raises(ValueError, match="below the lowest MCS"):
+        with pytest.raises(ValueError) as raised:
             run(RunConfig(test_id="1.3", params=params))
-    with pytest.raises(ValueError, match="below the lowest MCS"):
-        _scalar_point(steer, params)
+        assert str(raised.value) == str(oracle.value)
+
+
+def test_access_links_are_rated_before_the_backhaul_links():
+    # the extenders sit inside the clamp distance, so their uplinks fall
+    # just below the 5 GHz floor; evaluate rates access links first, and
+    # station 10's link to extender 1 lies below the raised 2.4 GHz floor
+    point = SweepPoint(
+        test_id="x", scenario=ScenarioSpec(area=AreaKind.CIRCLE_DMAX, n_extenders=2, k=1, seed=0),
+        selection=SelectionConfig(), traffic=TrafficProfile.for_stations(0.0, 10, 12000),
+        rssi_ap_e_dbm=-50.0,
+    )
+    params = replace(_raised_floor(-86.0), propagation=PropagationParams(10.0, 0.0, 13.0, 8.0),
+                     band_mhz={Band.GHZ_2_4: 1.0, Band.GHZ_5: 25030.0})
+    with pytest.raises(ValueError, match="link 1->10 at -88.0 dBm is below") as oracle:
+        _scalar_point(point, params)
+    with pytest.raises(ValueError) as raised:
+        evaluate_point(0, point, params)
+    assert str(raised.value) == str(oracle.value)
+
+
+def test_a_slice_makes_each_transmitter_column_once(monkeypatch):
+    # test 1.1 at k=2 is one draw group walked in one slice: its 83 link
+    # geometries hold 411 transmitters, 165 of them distinct (the AP's is
+    # the same in all of them)
+    made, stacked = [], []
+    column, links = runner.rssi_column, runner._Geometry.links
+
+    def count(tx_pos, tx_power_dbm, frequency_mhz, points, p):
+        made.append((tx_pos, tx_power_dbm, frequency_mhz))
+        return column(tx_pos, tx_power_dbm, frequency_mhz, points, p)
+
+    def spy(geom, columns):
+        stacked.extend(geom.tx)
+        return links(geom, columns)
+
+    monkeypatch.setattr(runner, "rssi_column", count)
+    monkeypatch.setattr(runner._Geometry, "links", spy)
+    run(RunConfig(test_id="1.1", k=2))
+    assert len(stacked) == 411
+    assert len(made) == len(set(made)) == len(set(stacked)) == 165
+
+
+# --- the kernel against the single-topology API on drawn physics -------------
+
+
+def _bounded(name):
+    low, high = _BOUNDS[name]
+    return st.floats(min_value=low, max_value=high)
+
+
+@st.composite
+def _drawn_physics(draw):
+    """A sweep point on drawn physics, and the engine parameters: the loss
+    terms within their bounds, a band table, the layout, the extender
+    level, the steering weights and the demand, at a small ``k``; now and
+    then a 2.4 GHz MCS floor raised above the association sensitivity.
+    Half the points place their stations where a serving node's signal
+    falls to an MCS threshold or the sensitivity, so that an RSSI a bit
+    off the scalar one picks another rate or association there."""
+    propagation = PropagationParams(
+        distance_power_loss_coeff=draw(_bounded("distance_power_loss_coeff")),
+        floor_penetration_db=draw(_bounded("floor_penetration_db")),
+        constant_offset_db=draw(_bounded("constant_offset_db")),
+        min_distance_m=draw(st.floats(min_value=0.01, max_value=10.0)),
+    )
+    raised = draw(st.integers(min_value=0, max_value=3)) == 3
+    floor = draw(st.floats(min_value=-90.0, max_value=-85.0, exclude_max=True))
+    params = replace(
+        _raised_floor(floor) if raised else EngineParams(),
+        propagation=propagation,
+        band_mhz={Band.GHZ_2_4: draw(st.floats(min_value=1.0, max_value=99999.0)),
+                  Band.GHZ_5: draw(st.floats(min_value=1.0, max_value=99999.0))},
+    )
+    area = draw(st.sampled_from(AreaKind))
+    n_ext = draw(st.sampled_from((0, 1, 2) if area is AreaKind.HOME_RECT else (0, 2, 4)))
+    spec = ScenarioSpec(area=area, n_extenders=n_ext,
+                        channel_plan=draw(st.sampled_from(("multi", "single"))),
+                        k=draw(st.integers(min_value=1, max_value=3)),
+                        seed=draw(st.integers(min_value=0, max_value=1000)))
+    level = draw(st.floats(min_value=-90.0, max_value=-50.0))
+    if draw(st.booleans()):
+        base = build_topology(spec, level, propagation, band_mhz=params.band_mhz)
+        edges = (-90.0,) + params.mcs_tables[Band.GHZ_2_4].thresholds
+        stations = []
+        for _ in range(spec.n_sta):
+            node = base.nodes[draw(st.sampled_from(base.serving_nodes()))]
+            r = max_range_m(node.access_radio, draw(st.sampled_from(edges)), propagation,
+                            params.band_mhz[Band.GHZ_2_4])
+            stations.append((node.position[0] + r, node.position[1]))
+        spec = replace(spec, fixed_positions=tuple(stations))
+    selection = SelectionConfig(
+        mechanism=draw(st.sampled_from(Mechanism)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+        beta_pct=draw(st.floats(min_value=0.0, max_value=100.0)),
+    )
+    point = SweepPoint(
+        test_id="x", scenario=spec, selection=selection,
+        traffic=TrafficProfile.for_stations(draw(st.floats(min_value=0.0, max_value=20e6)),
+                                            spec.n_sta, 12000),
+        rssi_ap_e_dbm=level,
+    )
+    return point, params
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=_drawn_physics())
+def test_drawn_physics_match_the_topology_api(case):
+    point, params = case
+    try:
+        want = _scalar_point(point, params)
+    except ValueError as error:
+        assert "below the lowest MCS" in str(error)
+        with pytest.raises(ValueError) as raised:
+            evaluate_point(0, point, params)
+        assert str(raised.value) == str(error)
+        return
+    rows, agg = evaluate_point(0, point, params)
+    assert (list(rows), agg) == want
