@@ -25,8 +25,10 @@ from .model import Band, Position, RadioConfig
 
 
 # (low, high) of each term, which keep every range the model gives,
-# 10 ** (budget_dB / N), a finite float for any link budget under 1000 dB;
-# N = 10 is a path-loss exponent of 1, below any measured indoor value
+# 10 ** (budget_dB / N), a finite float for any link budget under 1000 dB
+# and any frequency from 1 MHz up, whose 20 log10(f) term is then not
+# negative (EngineParams holds its band table to that); N = 10 is a
+# path-loss exponent of 1, below any measured indoor value
 _BOUNDS = {
     "distance_power_loss_coeff": (10.0, 1000.0),
     "floor_penetration_db": (-1000.0, 1000.0),

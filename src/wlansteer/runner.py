@@ -27,6 +27,10 @@ functions stay the single-topology interface and the kernel's oracle.
 A worker pool gets (draw group, contiguous deployment range) tasks, one range
 per worker; each range holds all of the group's points, so all cost the same.
 A group with fewer deployments than workers is dealt out by its points too.
+The pool lives for the whole process: the first run on more than one worker
+starts it, later runs with the same worker count reuse its processes (and
+the modules they have imported), a run with another count replaces it, and
+it is closed at exit.  A single CLI run pays its start-up once, as before.
 
 Results are columnar.  Each task returns, per point, a block: the point's
 constant fields once, then a column each of throughput, delay and congestion
@@ -49,6 +53,7 @@ kernel's serving indices say.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
@@ -787,6 +792,41 @@ def evaluate_point(
     return ResultRows([block]), _aggregate(point, block)
 
 
+# the process-wide pool, as (workers, pool): see the module docstring
+_pool: Optional[tuple] = None
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.close()
+        pool.join()
+
+
+def _starmap(workers: int, tasks: list) -> list:
+    """``_evaluate_range`` over ``tasks`` on the pool of ``workers``
+    processes, started on first use."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        pool, _pool = _pool[1], None
+        pool.terminate()  # which also joins its handler threads
+    if _pool is None:
+        _pool = workers, multiprocessing.Pool(workers)
+        # registered after multiprocessing's own exit hook, so it runs first
+        atexit.unregister(_close_pool)
+        atexit.register(_close_pool)
+    try:
+        return _pool[1].starmap(_evaluate_range, tasks)
+    except Exception:
+        raise  # a task's own error: the pool stays usable
+    except BaseException:
+        # an interrupt may leave tasks running: the next run starts afresh
+        pool, _pool = _pool[1], None
+        pool.terminate()
+        raise
+
+
 def run(cfg: RunConfig) -> RunResult:
     points = apply_overrides(build_test(cfg.test_id), cfg)
     events_dir = None
@@ -810,8 +850,7 @@ def run(cfg: RunConfig) -> RunResult:
                 for lo, hi in zip(bounds, bounds[1:])
             )
     if cfg.workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            results = pool.starmap(_evaluate_range, tasks)
+        results = _starmap(cfg.workers, tasks)
     else:
         results = [_evaluate_range(*t) for t in tasks]
     # one block per point: its ranges come in deployment order

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -120,6 +121,13 @@ def circle_radius_m(
     if area is AreaKind.CIRCLE_1P2_DMAX:
         return 1.2 * base
     return base
+
+
+@lru_cache(maxsize=64)
+def _disk_radius_m(area: AreaKind, p: PropagationParams, mhz_2_4: float) -> float:
+    """``circle_radius_m`` once per (area, propagation, 2.4 GHz frequency),
+    which every deployment drawn on a circle reads."""
+    return circle_radius_m(area, p, {Band.GHZ_2_4: mhz_2_4})
 
 
 def extender_distance_m(
@@ -225,7 +233,7 @@ def _draw_positions(
         xs = rng.uniform(0.0, HOME_WIDTH_M, n)
         ys = rng.uniform(0.0, HOME_HEIGHT_M, n)
         return list(zip(xs.tolist(), ys.tolist()))
-    r = rng.uniform(0.0, circle_radius_m(spec.area, p, band_mhz), n)
+    r = rng.uniform(0.0, _disk_radius_m(spec.area, p, band_mhz[Band.GHZ_2_4]), n)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     xs = r * np.cos(theta)
     ys = r * np.sin(theta)

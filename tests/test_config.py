@@ -216,10 +216,12 @@ _BAD_DOCUMENTS = [
     ({"mac_overheads": [1]}, "mac_overheads"),
     ({"band_mhz": {"2.4": "abc"}}, "band_mhz.2.4"),
     ({"band_mhz": {"6": 6000.0}}, "band_mhz.6"),
-    # path loss is defined on (0, 100000) MHz
+    # band frequencies lie in [1, 100000) MHz
     ({"band_mhz": {"5": 0}}, "band_mhz.5"),
     ({"band_mhz": {"5": -1}}, "band_mhz.5"),
     ({"band_mhz": {"5": 1e6}}, "band_mhz.5"),
+    ({"band_mhz": {"5": 1e-300}}, "band_mhz.5"),
+    ({"band_mhz": {"5": 0.5}}, "band_mhz.5"),
     ({"propagation": {"min_distance_m": "1"}}, "propagation.min_distance_m"),
     ({"propagation": {"floor_penetration_db": True}}, "propagation.floor_penetration_db"),
     ({"propagation": {"min_distance_m": 0}}, "propagation"),
@@ -308,11 +310,29 @@ def test_numbers_accept_integers_and_keep_the_defaults_elsewhere():
     assert params.mcs_tables == DEFAULT_MCS_TABLES
 
 
-@pytest.mark.parametrize("mhz", [0.0, -1.0, 1e6])
+@pytest.mark.parametrize("mhz", [0.0, -1.0, 1e6, 1e-300, 0.5])
 def test_engine_params_reject_frequencies_the_path_loss_model_lacks(mhz):
-    message = rf"^band_mhz\.2\.4 must lie in \(0, 100000\) MHz, got {mhz!r}$"
+    message = rf"^band_mhz\.2\.4 must lie in \[1, 100000\) MHz, got {mhz!r}$"
     with pytest.raises(ValueError, match=message):
         EngineParams(band_mhz={Band.GHZ_2_4: mhz, Band.GHZ_5: 5000.0})
+
+
+def test_a_band_frequency_below_1_mhz_fails_naming_its_key(tmp_path):
+    # with the loss terms at their floors, 1e-300 MHz would give the AP a
+    # reach beyond any float; 1 MHz, the lowest accepted, runs
+    doc = {
+        "band_mhz": {"2.4": 1e-300},
+        "propagation": {"floor_penetration_db": -1000, "constant_offset_db": -1000,
+                        "distance_power_loss_coeff": 10},
+        "run": {"test": "1.2", "k": 1},
+    }
+    conf = tmp_path / "low.json"
+    conf.write_text(json.dumps(doc))
+    rc, _, err = _run_cli(["run", "--config", str(conf)])
+    assert (rc, err) == (1, "error: band_mhz.2.4 must lie in [1, 100000) MHz, got 1e-300\n")
+    doc["band_mhz"]["2.4"] = 1.0
+    conf.write_text(json.dumps(doc))
+    assert _run_cli(["run", "--config", str(conf)])[0] == 0
 
 
 def test_selection_section_rewrites_every_load_aware_point(tmp_path, monkeypatch):

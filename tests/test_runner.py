@@ -3,7 +3,10 @@ agreement with the single-topology API."""
 import csv
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -76,8 +79,10 @@ def test_worker_count_does_not_change_results(small_run, tmp_path):
 
 def test_csv_headers_are_stable(small_run):
     _, out = small_run
-    rows_header = open(os.path.join(out, "rows.csv")).readline().strip()
-    aggs_header = open(os.path.join(out, "aggregates.csv")).readline().strip()
+    with open(os.path.join(out, "rows.csv")) as fh:
+        rows_header = fh.readline().strip()
+    with open(os.path.join(out, "aggregates.csv")) as fh:
+        aggs_header = fh.readline().strip()
     assert rows_header == ",".join(ROW_COLUMNS)
     assert aggs_header == ",".join(AGGREGATE_COLUMNS)
     assert ROW_COLUMNS[-10:] == tuple(f"sta_{i}" for i in range(10, 20))
@@ -119,7 +124,8 @@ def test_aggregates_are_row_means(small_run):
 
 def test_json_export_round_trips_rows(small_run):
     res, out = small_run
-    data = json.load(open(os.path.join(out, "results.json")))
+    with open(os.path.join(out, "results.json")) as fh:
+        data = json.load(fh)
     assert sorted(data) == ["aggregates", "rows"]
     assert len(data["rows"]) == len(res.rows)
     first = data["rows"][0]
@@ -439,25 +445,16 @@ def test_shared_draws_match_point_by_point_evaluation(monkeypatch, workers, k):
     assert list(res.aggregates) == [agg for _, agg in results]
 
 
-class _RecordingPool:
-    """A stand-in for ``multiprocessing.Pool`` that runs its tasks in the
-    calling process and records the grid indices and deployment range of
-    each."""
+def _recording_starmap(ranges):
+    """A stand-in for ``runner._starmap`` that runs its tasks in the calling
+    process and appends the grid indices and deployment range of each to
+    ``ranges``."""
 
-    ranges: list = []
+    def starmap(workers, tasks):
+        ranges.extend((tuple(i for i, _ in t[0]), t[3], t[4]) for t in tasks)
+        return [runner._evaluate_range(*t) for t in tasks]
 
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, tasks):
-        self.ranges.extend((tuple(i for i, _ in t[0]), t[3], t[4]) for t in tasks)
-        return [fn(*t) for t in tasks]
+    return starmap
 
 
 _FIVE = (0, 1, 2, 3, 4)  # the points of test 1.2
@@ -470,10 +467,69 @@ _FIVE = (0, 1, 2, 3, 4)  # the points of test 1.2
     (8, 1, [((i,), 0, 1) for i in _FIVE]),
 ])
 def test_a_draw_group_makes_at_most_one_task_per_worker(monkeypatch, workers, k, ranges):
-    monkeypatch.setattr(runner.multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "ranges", [])
+    recorded = []
+    monkeypatch.setattr(runner, "_starmap", _recording_starmap(recorded))
     run(RunConfig(test_id="1.2", k=k, workers=workers))  # one draw group of 5 points
-    assert _RecordingPool.ranges == ranges
+    assert recorded == ranges
+
+
+def _bundle(out_dir):
+    return {name: (out_dir / name).read_bytes()
+            for name in ("rows.csv", "aggregates.csv", "results.json")}
+
+
+def _pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_the_pool_outlives_a_run_and_is_replaced_for_another_worker_count(tmp_path):
+    serial = tmp_path / "serial"
+    run(RunConfig(test_id="1.2", k=6, workers=1, out_dir=str(serial)))
+    pids = []
+    for name, workers in (("a", 2), ("b", 2), ("c", 3)):
+        out = tmp_path / name
+        run(RunConfig(test_id="1.2", k=6, workers=workers, out_dir=str(out)))
+        assert _bundle(out) == _bundle(serial)
+        pids.append(_pool_pids())
+    assert len(pids[0]) == 2 and pids[1] == pids[0]
+    assert len(pids[2]) == 3 and not set(pids[2]) & set(pids[0])
+
+
+def test_an_interrupted_run_drops_the_pool(monkeypatch):
+    run(RunConfig(test_id="1.2", k=2, workers=2))
+    _, pool = runner._pool
+
+    def interrupted(fn, tasks):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pool, "starmap", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(RunConfig(test_id="1.2", k=2, workers=2))
+    assert runner._pool is None
+    res = run(RunConfig(test_id="1.2", k=2, workers=2))
+    assert runner._pool[1] is not pool
+    assert list(res.rows) == list(run(RunConfig(test_id="1.2", k=2, workers=1)).rows)
+
+
+def test_the_pool_closes_at_exit_without_a_warning():
+    code = (
+        "import multiprocessing\n"
+        "from wlansteer.runner import RunConfig, run\n"
+        "run(RunConfig(test_id='1.2', k=4, workers=2))\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(runner.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # --- columnar results --------------------------------------------------------
@@ -746,7 +802,9 @@ def _raised_floor(floor_dbm):
     })
 
 
-def test_a_link_below_the_lowest_mcs_raises_only_when_a_row_uses_it(monkeypatch):
+def _below_mcs_grid():
+    """(steered point, two points that never use its link, raised-floor
+    parameters, the oracle's error message)."""
     # deployment 3 of test 1.3's two-extender curve at its lowest demand:
     # every station's strongest link lies above -89 dBm, and steering moves
     # one station onto a link below it, which is in range but carries nothing
@@ -757,17 +815,37 @@ def test_a_link_below_the_lowest_mcs_raises_only_when_a_row_uses_it(monkeypatch)
                                             k=1))
     params = _raised_floor(-89.0)
     unused = [_retuned(steer, mechanism=Mechanism.RSSI_BASED), _retuned(steer, beta_pct=0.0)]
+    with pytest.raises(ValueError, match="below the lowest MCS") as oracle:
+        _scalar_point(steer, params)
+    return steer, unused, params, str(oracle.value)
+
+
+def test_a_link_below_the_lowest_mcs_raises_only_when_a_row_uses_it(monkeypatch):
+    steer, unused, params, oracle = _below_mcs_grid()
     monkeypatch.setattr(runner, "build_test", lambda test_id: list(unused))
     res = run(RunConfig(test_id="1.3", params=params))
     want = [_scalar_point(p, params) for p in unused]
     assert list(res.rows) == [r for rows, _ in want for r in rows]
-    with pytest.raises(ValueError, match="below the lowest MCS") as oracle:
-        _scalar_point(steer, params)
     for grid in ([steer], unused + [steer]):
         monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
         with pytest.raises(ValueError) as raised:
             run(RunConfig(test_id="1.3", params=params))
-        assert str(raised.value) == str(oracle.value)
+        assert str(raised.value) == oracle
+
+
+def test_a_task_error_leaves_the_pool_usable(monkeypatch):
+    # on two workers, the three points at k=1 make two tasks, and the one
+    # holding the steered point raises
+    steer, unused, params, oracle = _below_mcs_grid()
+    monkeypatch.setattr(runner, "build_test", lambda test_id: unused + [steer])
+    with pytest.raises(ValueError) as raised:
+        run(RunConfig(test_id="1.3", params=params, workers=2))
+    assert str(raised.value) == oracle
+    pids = _pool_pids()
+    monkeypatch.setattr(runner, "build_test", lambda test_id: list(unused))
+    res = run(RunConfig(test_id="1.3", params=params, workers=2))
+    assert list(res.rows) == [r for p in unused for r in _scalar_point(p, params)[0]]
+    assert _pool_pids() == pids and len(pids) == 2
 
 
 def test_access_links_are_rated_before_the_backhaul_links():
