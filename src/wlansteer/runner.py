@@ -30,7 +30,9 @@ A group with fewer deployments than workers is dealt out by its points too.
 The pool lives for the whole process: the first run on more than one worker
 starts it, later runs with the same worker count reuse its processes (and
 the modules they have imported), a run with another count replaces it, and
-it is closed at exit.  A single CLI run pays its start-up once, as before.
+it is closed at exit.  Only a process that makes several runs gains: one
+that makes a single run, as ``wlansteer run`` does, starts the pool once
+and closes it at exit.
 
 Results are columnar.  Each task returns, per point, a block: the point's
 constant fields once, then a column each of throughput, delay and congestion
