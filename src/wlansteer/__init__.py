@@ -65,8 +65,6 @@ from .scenarios import (
     build_test,
     build_topology,
     deployment_draw,
-    gen_circle,
-    gen_home,
     bench_fixture,
 )
 from .runner import (

@@ -45,7 +45,7 @@ from .radio import (
     PropagationParams,
 )
 from .runner import RunConfig
-from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, gen_circle, gen_home
+from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, AreaKind, ScenarioSpec, build_topology
 from .selection import SelectionConfig
 
 
@@ -317,21 +317,10 @@ def topology_from_scenario(
             f"scenario.kind must be 'explicit', 'circle' or 'home', got {kind!r}"
         )
     d = _overlay(section, _LAYOUT, "scenario")
+    area = AreaKind.HOME_RECT if kind == "home" else AreaKind.CIRCLE_DMAX
     try:
-        if kind == "circle":
-            return gen_circle(
-                n_ext=d["n_extenders"],
-                rssi_ap_e_dbm=d["extender_rssi_dbm"],
-                channel_plan=d["channel_plan"],
-                p=propagation,
-                band_mhz=band_mhz,
-            )
-        return gen_home(
-            n_ext=d["n_extenders"],
-            channel_plan=d["channel_plan"],
-            extender_rssi_dbm=d["extender_rssi_dbm"],
-            p=propagation,
-            band_mhz=band_mhz,
-        )
+        spec = ScenarioSpec(area=area, n_extenders=d["n_extenders"],
+                            channel_plan=d["channel_plan"])
+        return build_topology(spec, d["extender_rssi_dbm"], propagation, band_mhz)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"scenario: {exc}") from None

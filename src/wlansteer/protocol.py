@@ -20,7 +20,7 @@ at all.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
 
 from .model import Band, ChannelId, Topology
@@ -205,16 +205,12 @@ class EventLog:
             self._associate(4, t, sta, new_parent)
 
 
-def _jsonable(value):
+def _fields(value):
+    """``json.dumps``'s encoder for what it cannot write itself: a frame or
+    nested dataclass as an object of its fields, a band as its value."""
     if isinstance(value, Band):
         return value.value
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in asdict(value).items()}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def export_events(log: EventLog, path: str) -> None:
@@ -227,9 +223,9 @@ def export_events(log: EventLog, path: str) -> None:
                 "src": e.src,
                 "dst": e.dst,
                 "frame": type(e.frame).__name__,
-                "fields": _jsonable(e.frame),
+                "fields": e.frame,
             }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, default=_fields) + "\n")
 
 
 def run_mechanism(

@@ -72,7 +72,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import NodeKind, Position, backhaul_path
+from .model import Position, backhaul_path
 from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
 from .radio import PropagationParams, rssi_column
 from .selection import Mechanism, capable_count
@@ -387,9 +387,7 @@ class _Geometry:
         # station radios as add_stations makes them; positions come per deployment
         t = add_stations(self.base, [(0.0, 0.0)] * spec.n_sta)
         stations = [t.nodes[sid] for sid in t.stations()]
-        self.serving = serving = sorted(
-            t.serving_nodes(), key=lambda j: (t.nodes[j].kind is not NodeKind.AP, j)
-        )
+        self.serving = serving = list(t.serving_nodes())
         self.channels = chans = {c: i + 1 for i, c in enumerate(topology_channels(t, env))}
         self.L = L = env.traffic.packet_length_bits
         self.cap_ms = env.congested_hop_delay_ms

@@ -1,14 +1,16 @@
 """Scenario generators, deployment sampling and the simulation campaign grids.
 
-Two families of layouts:
+``ScenarioSpec`` describes and checks a layout, and ``build_topology`` is its
+one builder.  The spec's area picks one of two families:
 
 * ``circle``: the AP at the origin serving a disk whose radius is its own
   2.4 GHz limit (or 1.2 times that, to study stations beyond reach), with
-  extenders on the axes at the distance where their 5 GHz uplink hits a
-  target signal level;
+  two or four extenders on the axes, all hanging off the AP;
 * ``home``: a rectangular flat with the AP near one end and one or two
-  daisy-chained extenders stretched towards the far end, again spaced by a
-  5 GHz signal target.
+  daisy-chained extenders stretched towards the far end.
+
+Either way an extender sits where its 5 GHz uplink lands on a target signal
+level.
 
 Station draws are reproducible: deployment ``i`` of a scenario uses an RNG
 substream derived from (scenario seed, i), so any deployment can be
@@ -139,64 +141,6 @@ def extender_distance_m(
     return max_range_m(_backhaul_radio(), rssi_target_dbm, p, band_mhz[Band.GHZ_5])
 
 
-def _plan_channels(plan: str, count: int, kind: str) -> list[int]:
-    if plan == "single":
-        return [1] * count
-    if plan != "multi":
-        raise ValueError(f"unknown channel plan {plan!r}")
-    if kind == "circle":
-        # opposite pairs share a channel: +x/-x then +y/-y
-        return [6, 6, 11, 11][:count]
-    return [6, 11][:count]
-
-
-def gen_circle(
-    n_ext: int,
-    rssi_ap_e_dbm: float = DEFAULT_EXTENDER_RSSI_DBM,
-    channel_plan: str = "multi",
-    p: PropagationParams = DEFAULT_PROPAGATION,
-    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
-) -> Topology:
-    """AP at the origin, extenders on the axes at the 5 GHz target distance."""
-    if n_ext not in (0, 2, 4):
-        raise ValueError("circle layouts support 0, 2 or 4 extenders")
-    if not (-90.0 <= rssi_ap_e_dbm <= -50.0):
-        raise ValueError("extender placement level must lie in [-90, -50] dBm")
-    d = extender_distance_m(rssi_ap_e_dbm, p, band_mhz)
-    spots: list[Position] = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)]
-    chans = _plan_channels(channel_plan, n_ext, "circle")
-    nodes = [Node(0, NodeKind.AP, (0.0, 0.0), _serving_radios(1))]
-    parents: dict[int, int] = {}
-    for i in range(n_ext):
-        nodes.append(Node(i + 1, NodeKind.EXTENDER, spots[i], _serving_radios(chans[i])))
-        parents[i + 1] = 0
-    return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
-
-
-def gen_home(
-    n_ext: int,
-    channel_plan: str = "multi",
-    extender_rssi_dbm: float = DEFAULT_EXTENDER_RSSI_DBM,
-    p: PropagationParams = DEFAULT_PROPAGATION,
-    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
-) -> Topology:
-    """Rectangle layout: AP near the left wall, extender chain growing right.
-
-    The second extender hangs off the first (two backhaul hops to the AP).
-    """
-    if n_ext not in (0, 1, 2):
-        raise ValueError("home layouts support 0, 1 or 2 extenders")
-    d = extender_distance_m(extender_rssi_dbm, p, band_mhz)
-    chans = _plan_channels(channel_plan, n_ext, "home")
-    nodes = [Node(0, NodeKind.AP, HOME_AP_POS, _serving_radios(1))]
-    parents: dict[int, int] = {}
-    for i in range(n_ext):
-        pos = (HOME_AP_POS[0] + d * (i + 1), HOME_AP_POS[1])
-        nodes.append(Node(i + 1, NodeKind.EXTENDER, pos, _serving_radios(chans[i])))
-        parents[i + 1] = i  # chain: E1 -> AP, E2 -> E1
-    return Topology(nodes=make_node_map(nodes), backhaul_parent=parents)
-
-
 def topology_key(spec: ScenarioSpec, rssi_ap_e_dbm: Optional[float] = None) -> tuple:
     """Everything ``build_topology`` reads: equal keys build equal infrastructure."""
     level = DEFAULT_EXTENDER_RSSI_DBM if rssi_ap_e_dbm is None else rssi_ap_e_dbm
@@ -209,11 +153,33 @@ def build_topology(
     p: PropagationParams = DEFAULT_PROPAGATION,
     band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> Topology:
-    """Infrastructure part of a scenario (stations are added per deployment)."""
+    """Infrastructure part of a scenario (stations are added per deployment).
+
+    Extender ``i + 1`` sits at spot ``i`` of its family, spaced by the
+    distance where its 5 GHz uplink lands on the target level: on the axes
+    around the AP for a circle, all hanging off the AP; in a chain towards
+    the far wall for the home flat, each off the one before.
+    """
     home, n_ext, plan, level = topology_key(spec, rssi_ap_e_dbm)
+    if not (-90.0 <= level <= -50.0):
+        raise ValueError("extender placement level must lie in [-90, -50] dBm")
+    d = extender_distance_m(level, p, band_mhz)
     if home:
-        return gen_home(n_ext, plan, level, p, band_mhz)
-    return gen_circle(n_ext, level, plan, p, band_mhz)
+        ap = HOME_AP_POS
+        spots = [(HOME_AP_POS[0] + d * (i + 1), HOME_AP_POS[1]) for i in range(2)]
+        parents = [0, 1]  # a chain: E1 -> AP, E2 -> E1
+        multi = [6, 11]
+    else:
+        ap = (0.0, 0.0)
+        spots = [(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)]
+        parents = [0, 0, 0, 0]
+        multi = [6, 6, 11, 11]  # opposite pairs share a channel: +x/-x then +y/-y
+    chans = multi if plan == "multi" else [1] * n_ext
+    nodes = [Node(0, NodeKind.AP, ap, _serving_radios(1))]
+    nodes += [Node(i + 1, NodeKind.EXTENDER, spots[i], _serving_radios(chans[i]))
+              for i in range(n_ext)]
+    parent_of = {i + 1: parents[i] for i in range(n_ext)}
+    return Topology(nodes=make_node_map(nodes), backhaul_parent=parent_of)
 
 
 def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
@@ -351,22 +317,12 @@ def _b_t_grid(stop_mbps: float) -> list[float]:
     return grid
 
 
-def _circle_spec(test_id: str, n_ext: int, area: AreaKind, plan: str, k: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        area=area,
-        n_extenders=n_ext,
-        channel_plan=plan,
-        k=k,
-        seed=_SEEDS[test_id],
-    )
-
-
-def _home_spec(
-    test_id: str, n_ext: int, plan: str, k: int,
+def _spec(
+    test_id: str, area: AreaKind, n_ext: int, plan: str, k: int,
     fixed_positions: Optional[tuple[Position, ...]] = None,
 ) -> ScenarioSpec:
     return ScenarioSpec(
-        area=AreaKind.HOME_RECT,
+        area=area,
         n_extenders=n_ext,
         channel_plan=plan,
         k=k,
@@ -379,7 +335,7 @@ def _build_11() -> list[SweepPoint]:
     points = [
         SweepPoint(
             "1.1",
-            _circle_spec("1.1", 0, AreaKind.CIRCLE_DMAX, "multi", 1000),
+            _spec("1.1", AreaKind.CIRCLE_DMAX, 0, "multi", 1000),
             _RSSI_CFG,
             _traffic(_B_STA_DEFAULT),
         )
@@ -391,7 +347,7 @@ def _build_11() -> list[SweepPoint]:
                 points.append(
                     SweepPoint(
                         "1.1",
-                        _circle_spec("1.1", 4, AreaKind.CIRCLE_DMAX, plan, 1000),
+                        _spec("1.1", AreaKind.CIRCLE_DMAX, 4, plan, 1000),
                         cfg,
                         _traffic(_B_STA_DEFAULT),
                         rssi_ap_e_dbm=level,
@@ -408,7 +364,7 @@ def _build_12() -> list[SweepPoint]:
     return [
         SweepPoint(
             "1.2",
-            _circle_spec("1.2", n_ext, AreaKind.CIRCLE_1P2_DMAX, "multi", 10000),
+            _spec("1.2", AreaKind.CIRCLE_1P2_DMAX, n_ext, "multi", 10000),
             cfg,
             _traffic(_B_STA_DEFAULT),
         )
@@ -423,7 +379,7 @@ def _build_13() -> list[SweepPoint]:
             points.append(
                 SweepPoint(
                     "1.3",
-                    _circle_spec("1.3", n_ext, AreaKind.CIRCLE_DMAX, "multi", 1000),
+                    _spec("1.3", AreaKind.CIRCLE_DMAX, n_ext, "multi", 1000),
                     cfg,
                     _traffic(b_t / 10.0),
                 )
@@ -443,7 +399,7 @@ def _build_21() -> list[SweepPoint]:
             points.append(
                 SweepPoint(
                     "2.1",
-                    _home_spec("2.1", n_ext, plan, 1000),
+                    _spec("2.1", AreaKind.HOME_RECT, n_ext, plan, 1000),
                     cfg,
                     _traffic(b_t / 10.0),
                 )
@@ -464,7 +420,7 @@ def _weight_grid(test_id: str, configs: Sequence[SelectionConfig]) -> list[Sweep
                 points.append(
                     SweepPoint(
                         test_id,
-                        _home_spec(test_id, 2, plan, 1000),
+                        _spec(test_id, AreaKind.HOME_RECT, 2, plan, 1000),
                         cfg,
                         _traffic(per_sta),
                     )
@@ -520,7 +476,8 @@ def _build_24() -> list[SweepPoint]:
             points.append(
                 SweepPoint(
                     "2.4",
-                    _home_spec("2.4", n_ext, "multi", 1, fixed_positions=positions),
+                    _spec("2.4", AreaKind.HOME_RECT, n_ext, "multi", 1,
+                          fixed_positions=positions),
                     cfg,
                     _traffic(4.32e6),
                     external=external,

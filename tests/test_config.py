@@ -388,6 +388,7 @@ _BAD_SCENARIOS = [
     ({"kind": "home", "channel_plan": "triple"}, "scenario"),
     ({"kind": "home", "n_extenders": 1, "extender_rssi_dbm": -1e6}, "scenario"),
     ({"kind": "home", "extenders": 1}, "scenario.extenders"),
+    ({"kind": "home", "n_extenders": 1, "extender_rssi_dbm": -95.0}, "scenario"),
 ]
 
 

@@ -7,7 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from wlansteer import runner
 from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
-from wlansteer.perf import SimEnv, evaluate, link_rssi
+from wlansteer.perf import MacOverheads, SimEnv, evaluate, link_rssi
 from wlansteer.radio import _BOUNDS, DEFAULT_MCS_TABLES, PropagationParams, max_range_m
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
@@ -899,9 +899,11 @@ def _bounded(name):
 @st.composite
 def _drawn_physics(draw):
     """A sweep point on drawn physics, and the engine parameters: the loss
-    terms within their bounds, a band table, the layout, the extender
-    level, the steering weights and the demand, at a small ``k``; now and
-    then a 2.4 GHz MCS floor raised above the association sensitivity.
+    terms within their bounds, a band table, the MAC overheads, the
+    congested-hop cap, the layout, the extender level, the steering
+    weights, the demand and up to two external loads on 2.4 GHz channels
+    the layout may not use, at a small ``k``; now and then a 2.4 GHz MCS
+    floor raised above the association sensitivity.
     Half the points place their stations where a serving node's signal
     falls to an MCS threshold or the sensitivity, so that an RSSI a bit
     off the scalar one picks another rate or association there."""
@@ -918,6 +920,10 @@ def _drawn_physics(draw):
         propagation=propagation,
         band_mhz={Band.GHZ_2_4: draw(st.floats(min_value=1.0, max_value=99999.0)),
                   Band.GHZ_5: draw(st.floats(min_value=1.0, max_value=99999.0))},
+        overheads={band: MacOverheads(**{f.name: draw(st.floats(min_value=0.0, max_value=500.0))
+                                         for f in fields(MacOverheads)})
+                   for band in Band},
+        congested_hop_delay_ms=draw(st.floats(min_value=1e-3, max_value=1e5)),
     )
     area = draw(st.sampled_from(AreaKind))
     n_ext = draw(st.sampled_from((0, 1, 2) if area is AreaKind.HOME_RECT else (0, 2, 4)))
@@ -945,6 +951,12 @@ def _drawn_physics(draw):
         test_id="x", scenario=spec, selection=selection,
         traffic=TrafficProfile.for_stations(draw(st.floats(min_value=0.0, max_value=20e6)),
                                             spec.n_sta, 12000),
+        external=tuple(
+            ExternalLoad(ChannelId(Band.GHZ_2_4, draw(st.sampled_from((1, 6, 11, 13)))),
+                         load_bps=draw(st.floats(min_value=0.0, max_value=20e6)),
+                         phy_rate_bps=draw(st.floats(min_value=1e6, max_value=600e6)))
+            for _ in range(draw(st.integers(min_value=0, max_value=2)))
+        ),
         rssi_ap_e_dbm=level,
     )
     return point, params

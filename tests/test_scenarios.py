@@ -23,8 +23,6 @@ from wlansteer.scenarios import (
     extender_distance_m,
     fixed_home_positions,
     fixture_topology,
-    gen_circle,
-    gen_home,
     bench_fixture,
     topology_key,
 )
@@ -34,6 +32,14 @@ D_MAX_24 = 186.5655517978639
 
 
 # --- placement geometry -----------------------------------------------------
+
+def _circle(n_ext, plan="multi"):
+    return ScenarioSpec(area=AreaKind.CIRCLE_DMAX, n_extenders=n_ext, channel_plan=plan)
+
+
+def _home(n_ext, plan="multi"):
+    return ScenarioSpec(area=AreaKind.HOME_RECT, n_extenders=n_ext, channel_plan=plan)
+
 
 def test_extender_distance_reference():
     assert extender_distance_m(-70.0) == pytest.approx(D_EXT_70, abs=1e-9)
@@ -46,7 +52,7 @@ def test_circle_radii():
 
 def test_circle_extenders_sit_at_the_target_backhaul_rssi():
     for target in (-50.0, -70.0, -90.0):
-        t = gen_circle(2, rssi_ap_e_dbm=target)
+        t = build_topology(_circle(2), target)
         ap = t.nodes[0]
         for ext_id in t.extenders():
             got = rssi_dbm(ap.radios[1], ap.position, t.nodes[ext_id].position,
@@ -55,14 +61,14 @@ def test_circle_extenders_sit_at_the_target_backhaul_rssi():
 
 
 def test_circle_two_extenders_are_an_opposite_pair():
-    t = gen_circle(2)
+    t = build_topology(_circle(2))
     assert t.nodes[1].position == (D_EXT_70, 0.0)
     assert t.nodes[2].position == (-D_EXT_70, 0.0)
     assert t.backhaul_parent == {1: 0, 2: 0}
 
 
 def test_circle_four_extenders_form_a_cross():
-    t = gen_circle(4)
+    t = build_topology(_circle(4))
     pos = {i: t.nodes[i].position for i in t.extenders()}
     assert pos == {1: (D_EXT_70, 0.0), 2: (-D_EXT_70, 0.0),
                    3: (0.0, D_EXT_70), 4: (0.0, -D_EXT_70)}
@@ -71,11 +77,11 @@ def test_circle_four_extenders_form_a_cross():
 
 def test_circle_rejects_odd_extender_counts():
     with pytest.raises(ValueError):
-        gen_circle(3)
+        build_topology(_circle(3))
 
 
 def test_home_layout_chains_the_second_extender():
-    t = gen_home(2)
+    t = build_topology(_home(2))
     assert t.nodes[0].position == (2.5, 5.0)
     assert t.nodes[1].position == (2.5 + D_EXT_70, 5.0)
     assert t.nodes[2].position == (2.5 + 2 * D_EXT_70, 5.0)
@@ -84,15 +90,15 @@ def test_home_layout_chains_the_second_extender():
 
 
 def test_channel_plans():
-    multi = gen_home(2, "multi")
+    multi = build_topology(_home(2, "multi"))
     assert [multi.nodes[i].access_radio.channel.number for i in (0, 1, 2)] == [1, 6, 11]
-    single = gen_home(2, "single")
+    single = build_topology(_home(2, "single"))
     assert [single.nodes[i].access_radio.channel.number for i in (0, 1, 2)] == [1, 1, 1]
     # the dedicated uplink stays on 5 GHz under either plan
     for t in (multi, single):
         for ext in t.extenders():
             assert t.nodes[ext].backhaul_radio.channel == BACKHAUL_CHANNEL
-    four = gen_circle(4, channel_plan="multi")
+    four = build_topology(_circle(4, "multi"))
     assert [four.nodes[i].access_radio.channel.number for i in range(5)] == [1, 6, 6, 11, 11]
 
 
