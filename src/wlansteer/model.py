@@ -198,27 +198,11 @@ def validate_topology(t: Topology) -> list[str]:
         if pn is None or pn.kind is NodeKind.STA:
             problems.append(f"backhaul {child}->{parent}: invalid parent {parent}")
             continue
-        # walk to the root, counting extenders on the path
-        seen = {child}
-        hops = 1
-        cur = parent
-        while True:
-            node = t.nodes.get(cur)
-            if node is None:
-                problems.append(f"backhaul path from {child}: dangling node {cur}")
-                break
-            if node.kind is NodeKind.AP:
-                break
-            if cur in seen:
-                problems.append(f"backhaul cycle through extender {cur}")
-                break
-            seen.add(cur)
-            hops += 1
-            nxt = t.backhaul_parent.get(cur)
-            if nxt is None:
-                problems.append(f"backhaul path from {child}: extender {cur} has no parent")
-                break
-            cur = nxt
+        try:
+            hops = len(backhaul_path(t, child))
+        except ValueError as error:  # a cycle, a dangling node or a missing parent
+            problems.append(f"backhaul path from {child}: {error}")
+            continue
         if hops > MAX_CHAIN:
             problems.append(
                 f"extender {child}: chain of {hops} extenders exceeds limit {MAX_CHAIN}"

@@ -206,11 +206,16 @@ def link_rate(env: SimEnv, t: Topology, rx_id: int, tx_id: int, band: Band) -> f
         if hit is not None:  # links outside the cache stay out of it
             env.link_cache[key] = (rssi, rate)
     if rate is None:
-        raise ValueError(
-            f"link {tx_id}->{rx_id} at {rssi:.1f} dBm is below the lowest MCS; "
-            "table floor must cover the association sensitivity"
-        )
+        raise below_mcs_error(tx_id, rx_id, rssi)
     return rate
+
+
+def below_mcs_error(tx_id: int, rx_id: int, rssi: float) -> ValueError:
+    """The error of a link whose RSSI lies below the lowest MCS."""
+    return ValueError(
+        f"link {tx_id}->{rx_id} at {rssi:.1f} dBm is below the lowest MCS; "
+        "table floor must cover the association sensitivity"
+    )
 
 
 def with_link_cache(t: Topology, env: SimEnv) -> SimEnv:

@@ -47,10 +47,10 @@ both files, and each distinct association vector once, joined from pieces
 made per layout, for the consecutive points that share it.
 
 Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
-``SimEnv`` per deployment: it runs ``initial_association`` and
-``reassociation_pass`` once more, through ``protocol.run_mechanism``, with
-an ``EventLog`` recording their frames, and checks that they land where the
-kernel's serving indices say.
+``SimEnv`` per deployment, its stations capable as the kernel's row marks
+them: it runs ``initial_association`` and ``reassociation_pass`` once more,
+through ``protocol.run_mechanism``, with an ``EventLog`` recording their
+frames, and checks that they land where the kernel's serving indices say.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Position, backhaul_path
-from .perf import EngineParams, SimEnv, link_rate, topology_channels, with_link_cache
+from .perf import (
+    EngineParams, SimEnv, below_mcs_error, link_rate, topology_channels, with_link_cache,
+)
 from .radio import PropagationParams, rssi_column
 from .selection import Mechanism, capable_count
 from .protocol import export_events, run_mechanism
@@ -83,49 +85,9 @@ from .scenarios import (
     add_stations,
     build_test,
     build_topology,
-    capable_set_for,
     deployment_draw,
     draw_key,
     topology_key,
-)
-
-# what rows.csv and results.json write of each row besides its associations
-_ROW_FIELDS = (
-    "test_id",
-    "rssi_ap_e_dbm",
-    "n_ext",
-    "channel_plan",
-    "b_ext_bps",
-    "deployment_index",
-    "mechanism",
-    "alpha",
-    "beta_pct",
-    "b_t_bps",
-    "throughput_pct",
-    "avg_delay_ms",
-    "congested",
-)
-
-# the rows.csv header of ten-station deployments, as in every shipped grid
-ROW_COLUMNS = _ROW_FIELDS + tuple(
-    f"sta_{i}" for i in range(STA_ID_BASE, STA_ID_BASE + 10)
-)
-
-AGGREGATE_COLUMNS = (
-    "test_id",
-    "rssi_ap_e_dbm",
-    "n_ext",
-    "channel_plan",
-    "b_ext_bps",
-    "mechanism",
-    "alpha",
-    "beta_pct",
-    "b_t_bps",
-    "k",
-    "mean_throughput_pct",
-    "mean_delay_ms",
-    "congested_pct",
-    "association_rate_pct",
 )
 
 
@@ -168,6 +130,12 @@ class Aggregate:
     congested_pct: float
     association_rate_pct: float
 
+
+# what rows.csv and results.json write of each row besides its associations
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "associations")
+# the rows.csv header of ten-station deployments, as in every shipped grid
+ROW_COLUMNS = _ROW_FIELDS + tuple(f"sta_{i}" for i in range(STA_ID_BASE, STA_ID_BASE + 10))
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(Aggregate))
 
 # the row fields each deployment sets; the others are its sweep point's
 _PER_ROW = ("deployment_index", "throughput_pct", "avg_delay_ms", "congested")
@@ -431,12 +399,6 @@ class _Geometry:
         self.uses = np.array([[e in up for up in uplink] for e in range(len(exts))],
                              dtype=bool).reshape(len(exts), len(uplink))
 
-    def below_mcs(self, s: int, j: int, rssi: float) -> ValueError:
-        return ValueError(
-            f"link {self.serving[j]}->{STA_ID_BASE + s} at {rssi:.1f} dBm is below"
-            " the lowest MCS; table floor must cover the association sensitivity"
-        )
-
     def links(self, columns: _Columns) -> tuple:
         """What no demand changes, for the station positions of a slice's
         deployments, as arrays over (deployment, station[, serving index]):
@@ -464,7 +426,8 @@ class _Geometry:
         if self.below_backhaul is not None and not (len(below) and below[0, 0] == 0):
             raise self.below_backhaul
         for d, s in below:
-            raise self.below_mcs(s, parent[d, s], rssi[d, s, parent[d, s]])
+            j = parent[d, s]
+            raise below_mcs_error(self.serving[j], STA_ID_BASE + s, rssi[d, s, j])
         return rssi, in_range, parent, air, access
 
 
@@ -486,49 +449,11 @@ class _Columns(dict):
         return column
 
 
-class _Demand:
-    """One sweep point's demand on its link geometry: the per-station load,
-    the through-load terms of the backhaul links and the external loads,
-    which a ``_Batch`` stacks with its other points', and its frame trace."""
-
-    def __init__(self, point: SweepPoint, geom: _Geometry) -> None:
-        self.point, self.geom, self.selection = point, geom, point.selection
-        self.steer = point.selection.mechanism is Mechanism.LOAD_AWARE
-        L = geom.L
-        self.per_sta = per_sta = point.traffic.per_sta_load_bps
-        self.offered_per_bit = per_sta / L
-        # through-load of a backhaul link carrying n stations, summed one
-        # station at a time as build_flows does
-        through = list(accumulate([per_sta] * len(geom.sens), initial=0.0))
-        self.backhaul = [[(b / L) * air for b in through] for air in geom.bh_air]
-        self.external = [
-            (x.channel, (x.load_bps / L) * (geom.fixed_s[x.channel.band] + L / x.phy_rate_bps))
-            for x in point.external
-        ]
-
-    def trace(self, positions: Sequence[Position], capable: frozenset[int],
-              parent: list[int], path: str) -> None:
-        """Write the deployment's 802.11k/v frame trace through ``run_mechanism``.
-
-        The trace must describe the outcome the row reports, so an
-        association map that differs from the kernel's serving indices
-        ``parent`` is an error.
-        """
-        point = self.point
-        env = replace(self.geom.env, traffic=point.traffic, external=tuple(point.external))
-        topo = add_stations(self.geom.base, positions, capable)
-        steered, log = run_mechanism(topo, with_link_cache(topo, env), self.selection)
-        serving = self.geom.serving
-        want = {STA_ID_BASE + s: serving[j] for s, j in enumerate(parent) if j >= 0}
-        if dict(steered.associations) != want:
-            raise RuntimeError(f"frame trace {path} disagrees with the deployment's row")
-        export_events(log, path)
-
-
 class _Batch:
     """The points of one link geometry that share the pass flags, steered and
     evaluated at once on rows of (point, deployment) pairs, point-major: row
-    ``p * D + d`` is point ``p`` on deployment ``d`` of a slice.
+    ``p * D + d`` is point ``p`` on deployment ``d`` of a slice, and
+    ``members`` holds the points' (grid index, point, block) triples.
 
     Rows compute what ``initial_association``, ``reassociation_pass`` and
     ``evaluate`` compute, to the last bit.  Elementwise float64 arithmetic
@@ -539,39 +464,56 @@ class _Batch:
     at +0.0 and no term is negative.
     """
 
-    def __init__(self, geom: _Geometry, demands: Sequence[_Demand]) -> None:
-        self.geom, self.demands = geom, demands
-        self.selection = demands[0].selection  # its pass flags
+    def __init__(self, geom: _Geometry, members: Sequence[tuple]) -> None:
+        self.geom, self.members = geom, members
+        points = [point for _, point, _ in members]
+        self.selection = points[0].selection  # its pass flags
+        L, n_sta, fixed = geom.L, len(geom.sens), geom.fixed_s
+        per_sta = [point.traffic.per_sta_load_bps for point in points]
+        self.per_sta = np.array(per_sta)
+        self.opb = np.array([load / L for load in per_sta])
+        self.alpha = np.array([point.selection.alpha for point in points])
+        self.n_capable = np.array([capable_count(point.selection.beta_pct, n_sta)
+                                   for point in points])
+        # through-load of a backhaul link carrying n stations, summed one
+        # station at a time as build_flows does
+        through = [list(accumulate([load] * n_sta, initial=0.0)) for load in per_sta]
+        self.through = [np.array([[(b / L) * air for b in t] for t in through])
+                        for air in geom.bh_air]
         # one channel map for the batch, its points' external loads included
         chans = {**geom.channels, None: 0}
-        for demand in demands:
-            for ch, _ in demand.external:
-                chans.setdefault(ch, len(chans))
+        for point in points:
+            for x in point.external:
+                chans.setdefault(x.channel, len(chans))
         self.n_columns = len(chans)
-        self.per_sta = np.array([d.per_sta for d in demands])
-        self.opb = np.array([d.offered_per_bit for d in demands])
-        self.alpha = np.array([d.selection.alpha for d in demands])
-        self.through = [np.array(link) for link in zip(*(d.backhaul for d in demands))]
         # external loads by slot; a point with fewer adds 0.0 to column 0
-        slots = max(len(d.external) for d in demands)
-        pads = [d.external + [(None, 0.0)] * (slots - len(d.external)) for d in demands]
+        slots = max(len(point.external) for point in points)
+        pads = [[(chans[x.channel],
+                  (x.load_bps / L) * (fixed[x.channel.band] + L / x.phy_rate_bps))
+                 for x in point.external] + [(0, 0.0)] * (slots - len(point.external))
+                for point in points]
         self.external = [
-            (np.array([chans[ch] for ch, _ in slot]), np.array([x for _, x in slot]))
+            (np.array([ch for ch, _ in slot]), np.array([x for _, x in slot]))
             for slot in zip(*pads)
         ]
 
-    def run(self, links: tuple, capable: np.ndarray) -> tuple:
+    def run(self, links: tuple, rank: np.ndarray) -> tuple:
         """Throughput %, mean delay (ms) and congestion flag of every row as
-        ``(R,)`` arrays, and its serving indices ``(R, n_sta)``, for a slice's
-        ``links`` and each row's capable stations ``(R, n_sta)``."""
+        ``(R,)`` arrays, its serving indices and its capable mask ``(R,
+        n_sta)``, for a slice's ``links`` and the rank of each station in its
+        deployment's permutation ``(D, n_sta)``."""
         _, _, parent, _, access = links
-        D, P = len(parent), len(self.demands)
+        D, P = len(parent), len(self.members)
         point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
+        # station s is in capable_set_for's set iff it comes within the
+        # first capable_count entries of the deployment's permutation
+        capable = rank[dep] < self.n_capable[point][:, None]
         parent, air = parent[dep], access[dep]
         term = self.opb[point][:, None] * air
-        if capable.any():
+        # only a load-aware batch steers; a stock row's mask is for its trace
+        if self.selection.mechanism is Mechanism.LOAD_AWARE and capable.any():
             self._steer(links, point, dep, parent, air, term, capable)
-        return self._evaluate(point, parent, air, term) + (parent,)
+        return self._evaluate(point, parent, air, term) + (parent, capable)
 
     def _util(self, point, parent, term, skip: int = -1) -> np.ndarray:
         """Each row's channel utilization, summed as ``build_flows`` lists
@@ -632,7 +574,8 @@ class _Batch:
                     continue
                 new_air = air_tab[dep, s, best]
                 for r in np.flatnonzero(move & np.isnan(new_air))[:1]:
-                    raise geom.below_mcs(s, best[r], rssi[dep[r], s, best[r]])
+                    j = best[r]
+                    raise below_mcs_error(geom.serving[j], STA_ID_BASE + s, rssi[dep[r], s, j])
                 parent[:, s] = np.where(move, best, current)
                 air[:, s] = np.where(move, new_air, air[:, s])
                 term[:, s] = np.where(move, opb * new_air, term[:, s])
@@ -702,8 +645,8 @@ def _evaluate_range(
     """
     spec = points[0][1].scenario
     sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
-    geoms: dict[tuple, _Geometry] = {}
-    groups: dict[tuple, list] = {}
+    # each link geometry, with its points by pass flags
+    geoms: dict[tuple, tuple[_Geometry, dict]] = {}
     blocks: list[_Block] = []
     for pi, point in points:
         key = (
@@ -711,8 +654,8 @@ def _evaluate_range(
             point.traffic.packet_length_bits,
         )
         if key not in geoms:
-            geoms[key] = _Geometry(point, params)
-        demand = _Demand(point, geoms[key])
+            geoms[key] = _Geometry(point, params), {}
+        geom, members = geoms[key]
         sel = point.selection
         const = dict(
             test_id=point.test_id, rssi_ap_e_dbm=point.rssi_ap_e_dbm,
@@ -720,41 +663,50 @@ def _evaluate_range(
             b_ext_bps=point.b_ext_bps, mechanism=sel.mechanism.value, alpha=sel.alpha,
             beta_pct=sel.beta_pct, b_t_bps=point.b_t_bps,
         )
-        block = _Block(const, sta_ids, geoms[key].serving, lo, hi - lo)
+        block = _Block(const, sta_ids, geom.serving, lo, hi - lo)
         # stock points form their own batch, which skips the pass
-        flags = demand.steer and (sel.passes, sel.include_self_load)
-        groups.setdefault((key, flags), []).append((pi, demand, block))
+        flags = sel.mechanism is Mechanism.LOAD_AWARE and (sel.passes, sel.include_self_load)
+        members.setdefault(flags, []).append((pi, point, block))
         blocks.append(block)
-    batches: dict[tuple, list] = {}
-    for (key, _), group in groups.items():
-        batches.setdefault(key, []).append((_Batch(geoms[key], [d for _, d, _ in group]), group))
-    step = max(1, _ROWS // max(map(len, groups.values())))
+    batches = [(geom, [_Batch(geom, m) for m in members.values()])
+               for geom, members in geoms.values()]
+    step = max(1, _ROWS // max(len(b.members) for _, bs in batches for b in bs))
     for first in range(lo, hi, step):
         draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
                  for dep in range(first, min(first + step, hi))]
         columns = _Columns([pos for pos, _ in draws], params.propagation)
-        # station s is in capable_set_for's set iff it comes within the
-        # first capable_count entries of the deployment's permutation
         rank, D = np.argsort([perm for _, perm in draws], axis=1), len(draws)
-        for key, geom_batches in batches.items():
+        for geom, geom_batches in batches:
             # a geometry's links live only while its batches run
-            links = geoms[key].links(columns)
-            for batch, group in geom_batches:
-                capable = np.concatenate([
-                    rank < (capable_count(d.selection.beta_pct, spec.n_sta) if d.steer else 0)
-                    for _, d, _ in group
-                ])
-                thr, delay, congested, serving = batch.run(links, capable)
+            links = geom.links(columns)
+            for batch in geom_batches:
+                thr, delay, congested, serving, capable = batch.run(links, rank)
                 serving = serving.astype(np.int8)
-                for p, (pi, demand, block) in enumerate(group):
-                    rows, sel = slice(p * D, (p + 1) * D), demand.selection
+                for p, (pi, point, block) in enumerate(batch.members):
+                    rows = slice(p * D, (p + 1) * D)
                     block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
-                    for d, (positions, perm) in enumerate(draws if events_dir is not None else ()):
-                        name = f"t{demand.point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
-                        demand.trace(positions, capable_set_for(spec, perm, sel.beta_pct),
-                                     serving[p * D + d].tolist(), os.path.join(events_dir, name))
+                    for d, (positions, _) in enumerate(draws if events_dir is not None else ()):
+                        name = f"t{point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
+                        _trace(geom, point, positions, capable[p * D + d], serving[p * D + d],
+                               os.path.join(events_dir, name))
             del links
     return blocks
+
+
+def _trace(geom: _Geometry, point: SweepPoint, positions: Sequence[Position],
+           capable: np.ndarray, serving: np.ndarray, path: str) -> None:
+    """Write a deployment's 802.11k/v frame trace through ``run_mechanism``,
+    its stations capable where its kernel row's ``capable`` mask says.  The
+    trace must describe the outcome the row reports, so an association map
+    that differs from the row's ``serving`` indices is an error."""
+    env = replace(geom.env, traffic=point.traffic, external=tuple(point.external))
+    capable_ids = frozenset(STA_ID_BASE + s for s, c in enumerate(capable.tolist()) if c)
+    topo = add_stations(geom.base, positions, capable_ids)
+    steered, log = run_mechanism(topo, with_link_cache(topo, env), point.selection)
+    want = {STA_ID_BASE + s: geom.serving[j] for s, j in enumerate(serving.tolist()) if j >= 0}
+    if dict(steered.associations) != want:
+        raise RuntimeError(f"frame trace {path} disagrees with the deployment's row")
+    export_events(log, path)
 
 
 def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
@@ -829,6 +781,10 @@ def _starmap(workers: int, tasks: list) -> list:
 
 def run(cfg: RunConfig) -> RunResult:
     points = apply_overrides(build_test(cfg.test_id), cfg)
+    if not points:
+        wanted = {f: getattr(cfg, f) for f in ("mechanism", "channel_plan", "n_ext", "b_t_bps")}
+        raise ValueError(f"test {cfg.test_id} has no sweep point with " + ", ".join(
+            f"{f}={getattr(v, 'value', v)}" for f, v in wanted.items() if v is not None))
     events_dir = None
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -1,11 +1,15 @@
-"""The benchmark harness's traced walk, run in-process against the runner.
+"""The benchmark harness, run in-process against the runner.
 
 ``perfbench/walk.py`` repeats ``evaluate_point`` call by call through the
-single-topology API, so a change that removes something it reads shows here.
+single-topology API, and ``perfbench/measure.py`` checks what ``run`` writes
+against the pinned ``perfbench/golden`` digests, so a change that removes
+something the harness reads, or changes an output it pins, shows here.
 """
 import os
 from collections import Counter
 from dataclasses import replace
+
+import pytest
 
 from wlansteer.runner import EngineParams, Mechanism, build_test, evaluate_point, export_rows_csv
 
@@ -32,3 +36,19 @@ def test_walk_rows_match_evaluate_point(tmp_path, monkeypatch):
     assert (tmp_path / "walk.csv").read_bytes() == (tmp_path / "runner.csv").read_bytes()
     assert aggs == [want_agg]
     assert len(os.listdir(events)) == 1
+
+
+@pytest.mark.parametrize("workload", ["stock-circle", "reach-pool"])
+def test_the_gated_workloads_match_their_pinned_digests(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from digests import load_golden
+    from measure import Context, untraced
+    from workloads import WORKLOADS, seed_key, seed_value
+
+    seed = seed_value(0)
+    ctx = Context(WORKLOADS[workload], seed, seed_key(seed), load_golden(workload), str(tmp_path))
+    metrics = untraced(ctx, 0.0, lambda: None)
+    # a warm-up run and one timed run, every sweep point of each checked
+    assert ctx.tally.attempted == 2 * ctx.golden["n_points"]
+    assert ctx.tally.failed == 0, ctx.tally.notes
+    assert metrics["deployments_per_s"][0] > 0

@@ -172,6 +172,21 @@ def test_cli_reports_unknown_test_ids():
     assert "unknown test id" in err
 
 
+@pytest.mark.parametrize("flags, wanted", [
+    (["--test", "1.3", "--b-t", "999"], "b_t_bps=(999000000.0,)"),
+    (["--test", "2.4", "--n-ext", "3"], "n_ext=3"),
+    (["--test", "2.2", "--mechanism", "rssi"], "mechanism=rssi"),
+    (["--test", "1.2", "--channel-plan", "single", "--n-ext", "4"],
+     "channel_plan=single, n_ext=4"),
+])
+def test_cli_run_fails_when_the_filters_keep_no_sweep_point(tmp_path, flags, wanted):
+    out_dir = tmp_path / "out"
+    rc, out, err = _run_cli(["run", *flags, "--out", str(out_dir)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: test {flags[1]} has no sweep point with {wanted}\n"
+    assert not out_dir.exists()
+
+
 def test_cli_validate(tmp_path):
     sc = tmp_path / "sc.json"
     sc.write_text(json.dumps({"scenario": {"kind": "home", "n_extenders": 1}}))

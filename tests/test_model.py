@@ -169,6 +169,15 @@ def test_validate_flags_backhaul_cycle():
     assert any("cycle" in m for m in msgs)
 
 
+def test_validate_flags_a_dangling_grandparent():
+    nodes = [ap_node(), extender_node(1, (10.0, 0.0)), extender_node(2, (20.0, 0.0))]
+    t = Topology(nodes=make_node_map(nodes), backhaul_parent={2: 1, 1: 99})
+    msgs = validate_topology(t)
+    assert "backhaul 1->99: invalid parent 99" in msgs
+    assert any(m.startswith("backhaul path from 2:") and "99" in m for m in msgs)
+    assert len(msgs) == 2
+
+
 def test_validate_flags_second_ap():
     second = Node(node_id=5, kind=NodeKind.AP, position=(9.0, 0.0),
                   radios=(radio24(), radio5()))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,6 +385,30 @@ def test_event_trace_run_gives_the_same_rows(tmp_path):
         traced = evaluate_point(3, point, EngineParams(), events_dir=str(tmp_path))
         assert traced == plain
     assert len(os.listdir(tmp_path)) == sum(p.scenario.k for p in points)
+
+
+def test_frame_traces_mark_the_capable_stations_of_their_own_row(tmp_path, monkeypatch):
+    # on one geometry, a batch of load-aware points and one of their stock
+    # twins, each over every capable share: a row's trace echoes the 802.11k/v
+    # support of the stations its own row counts as capable, stock rows too
+    shares = [p for p in build_test("2.3")
+              if p.scenario.channel_plan == "multi" and p.traffic.per_sta_load_bps == 3.0e6]
+    grid = shares + [_retuned(p, mechanism=Mechanism.RSSI_BASED) for p in shares]
+    monkeypatch.setattr(runner, "build_test", lambda test_id: list(grid))
+    run(RunConfig(test_id="2.3", k=2, out_dir=str(tmp_path), emit_events=True))
+    echoes = set()
+    for pi, point in enumerate(grid):
+        spec = replace(point.scenario, k=2)
+        for dep in range(2):
+            _, perm = deployment_draw(spec, dep)
+            capable = capable_set_for(spec, perm, point.selection.beta_pct)
+            path = tmp_path / "events" / f"t2.3_p{pi:04d}_d{dep:05d}.ndjson"
+            for record in map(json.loads, path.read_text().splitlines()):
+                if record["frame"] == "AssocResponse":
+                    echo = record["fields"]["supports_11kv_echo"]
+                    assert echo == (record["fields"]["sta"] in capable)
+                    echoes.add((point.selection.beta_pct, echo))
+    assert len(echoes) == 8  # beta 0 and 100 echo one value, the other shares both
 
 
 def test_layouts_follow_the_configured_band_table():
@@ -896,13 +921,49 @@ def _bounded(name):
     return st.floats(min_value=low, max_value=high)
 
 
+def _layout(area, least=0):
+    """Extender counts from ``least`` on and channel plans the layout family
+    ``area`` takes."""
+    counts = (0, 1, 2) if area is AreaKind.HOME_RECT else (0, 2, 4)
+    return st.tuples(st.sampled_from([n for n in counts if n >= least]),
+                     st.sampled_from(("multi", "single")))
+
+
 @st.composite
-def _drawn_physics(draw):
+def _drawn_point(draw, spec, level):
+    """A sweep point of ``spec`` and extender ``level``: the mechanism, the
+    steering weights and pass flags, the demand (half the time within the
+    grids' 6 Mbps per station, where loads stay below 1 and the pass flags
+    change more moves) and up to two external loads on 2.4 GHz channels the
+    layout may not use."""
+    selection = SelectionConfig(
+        mechanism=draw(st.sampled_from(Mechanism)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+        beta_pct=draw(st.floats(min_value=0.0, max_value=100.0)),
+        passes=draw(st.integers(min_value=1, max_value=3)),
+        include_self_load=draw(st.booleans()),
+    )
+    return SweepPoint(
+        test_id="x", scenario=spec, selection=selection,
+        traffic=TrafficProfile.for_stations(
+            draw(st.floats(min_value=0.0, max_value=draw(st.sampled_from((6e6, 20e6))))),
+            spec.n_sta, 12000),
+        external=tuple(
+            ExternalLoad(ChannelId(Band.GHZ_2_4, draw(st.sampled_from((1, 6, 11, 13)))),
+                         load_bps=draw(st.floats(min_value=0.0, max_value=20e6)),
+                         phy_rate_bps=draw(st.floats(min_value=1e6, max_value=600e6)))
+            for _ in range(draw(st.integers(min_value=0, max_value=2)))
+        ),
+        rssi_ap_e_dbm=level,
+    )
+
+
+@st.composite
+def _drawn_physics(draw, least_extenders=0):
     """A sweep point on drawn physics, and the engine parameters: the loss
     terms within their bounds, a band table, the MAC overheads, the
-    congested-hop cap, the layout, the extender level, the steering
-    weights, the demand and up to two external loads on 2.4 GHz channels
-    the layout may not use, at a small ``k``; now and then a 2.4 GHz MCS
+    congested-hop cap, the layout, the extender level and a point as
+    ``_drawn_point`` draws it, at a small ``k``; now and then a 2.4 GHz MCS
     floor raised above the association sensitivity.
     Half the points place their stations where a serving node's signal
     falls to an MCS threshold or the sensitivity, so that an RSSI a bit
@@ -926,9 +987,8 @@ def _drawn_physics(draw):
         congested_hop_delay_ms=draw(st.floats(min_value=1e-3, max_value=1e5)),
     )
     area = draw(st.sampled_from(AreaKind))
-    n_ext = draw(st.sampled_from((0, 1, 2) if area is AreaKind.HOME_RECT else (0, 2, 4)))
-    spec = ScenarioSpec(area=area, n_extenders=n_ext,
-                        channel_plan=draw(st.sampled_from(("multi", "single"))),
+    n_ext, plan = draw(_layout(area, least_extenders))
+    spec = ScenarioSpec(area=area, n_extenders=n_ext, channel_plan=plan,
                         k=draw(st.integers(min_value=1, max_value=3)),
                         seed=draw(st.integers(min_value=0, max_value=1000)))
     level = draw(st.floats(min_value=-90.0, max_value=-50.0))
@@ -942,24 +1002,7 @@ def _drawn_physics(draw):
                             params.band_mhz[Band.GHZ_2_4])
             stations.append((node.position[0] + r, node.position[1]))
         spec = replace(spec, fixed_positions=tuple(stations))
-    selection = SelectionConfig(
-        mechanism=draw(st.sampled_from(Mechanism)),
-        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
-        beta_pct=draw(st.floats(min_value=0.0, max_value=100.0)),
-    )
-    point = SweepPoint(
-        test_id="x", scenario=spec, selection=selection,
-        traffic=TrafficProfile.for_stations(draw(st.floats(min_value=0.0, max_value=20e6)),
-                                            spec.n_sta, 12000),
-        external=tuple(
-            ExternalLoad(ChannelId(Band.GHZ_2_4, draw(st.sampled_from((1, 6, 11, 13)))),
-                         load_bps=draw(st.floats(min_value=0.0, max_value=20e6)),
-                         phy_rate_bps=draw(st.floats(min_value=1e6, max_value=600e6)))
-            for _ in range(draw(st.integers(min_value=0, max_value=2)))
-        ),
-        rssi_ap_e_dbm=level,
-    )
-    return point, params
+    return draw(_drawn_point(spec, level)), params
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -976,3 +1019,57 @@ def test_drawn_physics_match_the_topology_api(case):
         return
     rows, agg = evaluate_point(0, point, params)
     assert (list(rows), agg) == want
+
+
+@st.composite
+def _drawn_group(draw):
+    """Two to four sweep points on one deployment draw, the engine parameters
+    and a slice size in rows.  The first point is drawn as ``_drawn_physics``
+    draws it, with extenders to steer to, on its drawn physics or on the
+    grids' own.  Each other one is drawn as ``_drawn_point`` draws it, on
+    the layout of the point before it or, a quarter of the time, on another
+    layout and extender level of the same family; half of them keep the
+    pass flags of the point before, so that load-aware ones share a batch."""
+    first, params = draw(_drawn_physics(least_extenders=1))
+    if draw(st.booleans()):  # the grids' physics, on which stations move more often
+        params = EngineParams()
+    points = [first]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        last = points[-1]
+        spec, level = last.scenario, last.rssi_ap_e_dbm
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            n_ext, plan = draw(_layout(spec.area))
+            spec = replace(spec, n_extenders=n_ext, channel_plan=plan)
+            level = draw(st.floats(min_value=-90.0, max_value=-50.0))
+        point = draw(_drawn_point(spec, level))
+        if draw(st.booleans()):
+            flags = {f: getattr(last.selection, f) for f in ("passes", "include_self_load")}
+            point = replace(point, selection=replace(point.selection, **flags))
+        points.append(point)
+    return points, params, draw(st.integers(min_value=1, max_value=12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_drawn_group())
+def test_points_on_one_draw_match_the_topology_api(case):
+    points, params, rows = case
+    want, errors = [], set()
+    for point in points:
+        try:
+            want.append(_scalar_point(point, params))
+        except ValueError as error:
+            assert "below the lowest MCS" in str(error)
+            errors.add(str(error))
+    members, k = tuple(enumerate(points)), points[0].scenario.k
+    with mock.patch.object(runner, "_ROWS", rows):
+        if errors:
+            # a slice rates its access links before it steers, and its rows
+            # run station by station, so the error may be any point's first
+            with pytest.raises(ValueError) as raised:
+                runner._evaluate_range(members, params, None, 0, k)
+            assert str(raised.value) in errors
+            return
+        blocks = runner._evaluate_range(members, params, None, 0, k)
+    for point, block, (want_rows, want_agg) in zip(points, blocks, want):
+        assert list(runner.ResultRows([block])) == want_rows
+        assert runner._aggregate(point, block) == want_agg

@@ -6,7 +6,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_campaign(*args):
+def _run_campaign(*args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
@@ -15,7 +15,7 @@ def _run_campaign(*args):
         [sys.executable, os.path.join(ROOT, "scripts", "run_campaign.py"), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -40,3 +40,10 @@ def test_run_campaign_takes_the_run_options(tmp_path):
     assert all(line.startswith("loadaware ") and " a=0.0 " in line for line in lines[:-1])
     assert lines[-1].startswith("75 rows from 75 sweep points in ")
     assert lines[-1].endswith(" s")
+
+
+def test_run_campaign_fails_when_the_filters_keep_no_sweep_point(tmp_path):
+    out = tmp_path / "out"
+    proc = _run_campaign("--test", "2.4", "--n-ext", "3", "--out", str(out), returncode=1)
+    assert (proc.stdout, proc.stderr) == ("", "error: test 2.4 has no sweep point with n_ext=3\n")
+    assert not out.exists()
