@@ -75,9 +75,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         emit_events=args.emit_events or None,
     )
     try:  # RunConfig checks k and workers; its message opens with the field's name
-        return replace(cfg, **{f: v for f, v in flags.items() if v is not None})
+        cfg = replace(cfg, **{f: v for f, v in flags.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(f"--{exc}") from None
+    if cfg.emit_events and cfg.out_dir is None:
+        raise ConfigError("--emit-events needs --out, the directory its traces go to")
+    return cfg
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -206,6 +206,8 @@ def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
         params = EngineParams(**physics)
     except ValueError as exc:  # its message opens with the key's name
         raise ConfigError(str(exc)) from None
+    if run["emit_events"] and run["out_dir"] is None:
+        raise ConfigError("run.emit_events needs run.out_dir, the directory its traces go to")
     try:
         return RunConfig(
             test_id=run["test"],

@@ -260,10 +260,11 @@ def build_flows(t: Topology, env: SimEnv, skip_sta: Optional[int] = None) -> lis
     uplink = {j: [c for c, _ in backhaul_path(t, j)] for j in access_ch}
 
     for sta, parent_id in sorted(t.associations.items()):
+        ch = access_ch[parent_id]
+        # rated even when skipped: a link below the lowest MCS fails in station order
+        rate = link_rate(env, t, sta, parent_id, ch.band)
         if sta == skip_sta:
             continue
-        ch = access_ch[parent_id]
-        rate = link_rate(env, t, sta, parent_id, ch.band)
         flows.append(Flow(sta, parent_id, ch, per_sta, rate, HopKind.ACCESS))
         # the station's load rides every backhaul hop of its serving node
         for child in uplink[parent_id]:

@@ -1,8 +1,10 @@
 """The 802.11k/v frame exchange, as an observer of the steering pass.
 
-``EventLog`` records the frames that carry the decisions of
-``selection.initial_association`` and ``selection.reassociation_pass``; it
-decides nothing itself.  The exchange has four stages:
+``EventLog`` records the frames that carry the steering decisions, and
+decides nothing itself: the engine's batched kernel (``runner._Batch``)
+calls its hooks for each traced deployment, and ``run_mechanism`` passes it
+to ``selection.initial_association`` and ``selection.reassociation_pass``
+for one topology.  The exchange has four stages:
 
 Stage 1: stations associate by signal strength (plain association frames).
 Stage 2: the AP asks capable stations for neighbour measurements and asks
@@ -137,21 +139,15 @@ class EventLog:
             if not isinstance(e.frame, (AssocRequest, AssocResponse))
         ]
 
-    def _associate(self, stage: int, t: Topology, sta: int, target: int) -> None:
+    def _associate(self, stage: int, sta: int, target: int, supports_11kv: bool) -> None:
         self.append(stage, sta, target, AssocRequest(sta=sta, target=target))
-        self.append(
-            stage,
-            target,
-            sta,
-            AssocResponse(
-                target=target, sta=sta, accepted=True,
-                supports_11kv_echo=t.node(sta).supports_11kv,
-            ),
-        )
+        self.append(stage, target, sta, AssocResponse(
+            target=target, sta=sta, accepted=True, supports_11kv_echo=supports_11kv))
 
-    def associated(self, t: Topology, sta: int, target: int) -> None:
-        """Stage 1: ``sta`` joined its strongest serving node."""
-        self._associate(1, t, sta, target)
+    def associated(self, sta: int, target: int, supports_11kv: bool) -> None:
+        """Stage 1: ``sta``, which supports 802.11k/v or not, joined its
+        strongest serving node."""
+        self._associate(1, sta, target, supports_11kv)
 
     def measured(
         self,
@@ -162,10 +158,11 @@ class EventLog:
     ) -> None:
         """Stages 2 and 3 for the station ``cl`` ranks.
 
-        The station reports every serving node it hears, with the RSSI its
-        ranking used; every serving radio reports the occupation of its
-        channel from ``loads``; then the station, when it has a candidate,
-        receives its ranked list.
+        ``t`` gives only the serving nodes and their radios, and ``env`` the
+        band frequencies.  The station reports every serving node it hears,
+        with the RSSI its ranking used; every serving radio reports the
+        occupation of its channel from ``loads``; then the station, when it
+        has a candidate, receives its ranked list.
         """
         scan_channels = tuple(
             sorted({t.node(i).access_radio.channel for i in t.serving_nodes()})
@@ -198,11 +195,11 @@ class EventLog:
         if cl.entries:
             self.append(3, AP_ID, cl.sta, BtmRequest(sta=cl.sta, candidates=cl))
 
-    def steered(self, t: Topology, sta: int, old_parent: int, new_parent: int) -> None:
+    def steered(self, sta: int, old_parent: int, new_parent: int, supports_11kv: bool) -> None:
         """Stage 4: ``sta`` accepts; it reassociates only when it moves."""
         self.append(4, sta, AP_ID, BtmResponse(sta=sta, accept=True))
         if new_parent != old_parent:
-            self._associate(4, t, sta, new_parent)
+            self._associate(4, sta, new_parent, supports_11kv)
 
 
 def _fields(value):

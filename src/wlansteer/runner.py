@@ -46,11 +46,10 @@ distinct constant is spelled once per export, each row's floats once for
 both files, and each distinct association vector once, joined from pieces
 made per layout, for the consecutive points that share it.
 
-Only the 802.11k/v frame trace still builds a ``Topology`` and a link-cached
-``SimEnv`` per deployment, its stations capable as the kernel's row marks
-them: it runs ``initial_association`` and ``reassociation_pass`` once more,
-through ``protocol.run_mechanism``, with an ``EventLog`` recording their
-frames, and checks that they land where the kernel's serving indices say.
+The 802.11k/v frame trace observes the kernel: a traced batch gives each row
+an ``EventLog``, which gets the row's frames from the arrays its decisions
+are made on, so no deployment is steered twice.  Logs wait for their batch
+to end, so a traced task walks slices of 32 rows, not ``_ROWS``.
 """
 
 from __future__ import annotations
@@ -73,12 +72,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Position, backhaul_path
-from .perf import (
-    EngineParams, SimEnv, below_mcs_error, link_rate, topology_channels, with_link_cache,
-)
+from .perf import EngineParams, SimEnv, below_mcs_error, link_rate, topology_channels
 from .radio import PropagationParams, rssi_column
-from .selection import Mechanism, capable_count
-from .protocol import export_events, run_mechanism
+from .selection import CandidateScore, Mechanism, candidate_list, capable_count
+from .protocol import EventLog, export_events
 from .scenarios import (
     STA_ID_BASE,
     SweepPoint,
@@ -346,8 +343,7 @@ class _Geometry:
         spec = point.scenario
         self.base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
                                    band_mhz=params.band_mhz)
-        # traffic only fixes the packet length here; frame traces put each
-        # point's own traffic and external loads back
+        # traffic only fixes the packet length here; frame traces read the band table
         self.env = env = SimEnv(
             traffic=point.traffic,
             **{f.name: getattr(params, f.name) for f in fields(EngineParams)},
@@ -497,11 +493,12 @@ class _Batch:
             for slot in zip(*pads)
         ]
 
-    def run(self, links: tuple, rank: np.ndarray) -> tuple:
+    def run(self, links: tuple, rank: np.ndarray, logs: Optional[list] = None) -> tuple:
         """Throughput %, mean delay (ms) and congestion flag of every row as
-        ``(R,)`` arrays, its serving indices and its capable mask ``(R,
-        n_sta)``, for a slice's ``links`` and the rank of each station in its
-        deployment's permutation ``(D, n_sta)``."""
+        ``(R,)`` arrays and its serving indices ``(R, n_sta)``, for a slice's
+        ``links`` and the rank of each station in its deployment's
+        permutation ``(D, n_sta)``.  ``logs``, when given, holds an
+        ``EventLog`` per row, which gets the row's 802.11k/v frames."""
         _, _, parent, _, access = links
         D, P = len(parent), len(self.members)
         point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
@@ -509,11 +506,15 @@ class _Batch:
         # first capable_count entries of the deployment's permutation
         capable = rank[dep] < self.n_capable[point][:, None]
         parent, air = parent[dep], access[dep]
+        if logs is not None:  # stage 1: the strongest-signal parents
+            for log, row, flags in zip(logs, parent.tolist(), capable.tolist()):
+                for s, j in enumerate(row):
+                    if j >= 0:
+                        log.associated(STA_ID_BASE + s, self.geom.serving[j], flags[s])
         term = self.opb[point][:, None] * air
-        # only a load-aware batch steers; a stock row's mask is for its trace
         if self.selection.mechanism is Mechanism.LOAD_AWARE and capable.any():
-            self._steer(links, point, dep, parent, air, term, capable)
-        return self._evaluate(point, parent, air, term) + (parent, capable)
+            self._steer(links, point, dep, parent, air, term, capable, logs)
+        return self._evaluate(point, parent, air, term) + (parent,)
 
     def _util(self, point, parent, term, skip: int = -1) -> np.ndarray:
         """Each row's channel utilization, summed as ``build_flows`` lists
@@ -532,12 +533,13 @@ class _Batch:
             flat[base + chs[point]] += loads[point]
         return util
 
-    def _steer(self, links, point, dep, parent, air, term, capable) -> None:
+    def _steer(self, links, point, dep, parent, air, term, capable, logs) -> None:
         """``reassociation_pass`` on every row, in place: stations in
         ascending index, each capable associated one scored as
         ``rank_candidates`` scores, on loads that every earlier move has
         updated; out of range never wins, and the first minimum does, as the
-        lowest serving index wins ties there."""
+        lowest serving index wins ties there.  A row with a log gets each
+        station's stages 2 to 4 from the arrays its move is chosen on."""
         geom = self.geom
         rssi, in_range, _, air_tab, _ = links
         tx, sens = geom.tx_power, geom.sens
@@ -569,6 +571,19 @@ class _Batch:
                     c_backhaul = c_backhaul + load[:, hops[:, h]]
                 y = a * (w[dep, s] + load[:, acc]) + (1.0 - a) * c_backhaul
                 best = np.where(in_range[dep, s], y, np.inf).argmin(axis=1)
+                if logs is not None:  # before the moves apply
+                    sta = STA_ID_BASE + s
+                    terms = np.stack([rssi[dep, s], w[dep, s], load[:, acc], c_backhaul], axis=2)
+                    for r in np.flatnonzero(active).tolist():
+                        alpha = self.members[point[r]][1].selection.alpha
+                        cl = candidate_list(geom.base, sta, [
+                            CandidateScore(sta, geom.serving[j], *terms[r, j].tolist(), alpha,
+                                           y[r, j].item())
+                            for j in np.flatnonzero(in_range[dep[r], s])])
+                        logs[r].measured(geom.base, geom.env, cl,
+                                         dict(zip(geom.channels, load[r, 1:].tolist())))
+                        # an associated station hears its parent, so cl has entries
+                        logs[r].steered(sta, geom.serving[current[r]], geom.serving[best[r]], True)
                 move = active & (best != current)
                 if not move.any():
                     continue
@@ -670,7 +685,8 @@ def _evaluate_range(
         blocks.append(block)
     batches = [(geom, [_Batch(geom, m) for m in members.values()])
                for geom, members in geoms.values()]
-    step = max(1, _ROWS // max(len(b.members) for _, bs in batches for b in bs))
+    width = _ROWS if events_dir is None else min(_ROWS, 32)  # logs wait for their batch
+    step = max(1, width // max(len(b.members) for _, bs in batches for b in bs))
     for first in range(lo, hi, step):
         draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
                  for dep in range(first, min(first + step, hi))]
@@ -680,33 +696,18 @@ def _evaluate_range(
             # a geometry's links live only while its batches run
             links = geom.links(columns)
             for batch in geom_batches:
-                thr, delay, congested, serving, capable = batch.run(links, rank)
+                logs = None if events_dir is None else [
+                    EventLog() for _ in range(len(batch.members) * D)]
+                thr, delay, congested, serving = batch.run(links, rank, logs)
                 serving = serving.astype(np.int8)
                 for p, (pi, point, block) in enumerate(batch.members):
                     rows = slice(p * D, (p + 1) * D)
                     block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
-                    for d, (positions, _) in enumerate(draws if events_dir is not None else ()):
+                    for d, log in enumerate(logs[rows] if logs is not None else ()):
                         name = f"t{point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
-                        _trace(geom, point, positions, capable[p * D + d], serving[p * D + d],
-                               os.path.join(events_dir, name))
+                        export_events(log, os.path.join(events_dir, name))
             del links
     return blocks
-
-
-def _trace(geom: _Geometry, point: SweepPoint, positions: Sequence[Position],
-           capable: np.ndarray, serving: np.ndarray, path: str) -> None:
-    """Write a deployment's 802.11k/v frame trace through ``run_mechanism``,
-    its stations capable where its kernel row's ``capable`` mask says.  The
-    trace must describe the outcome the row reports, so an association map
-    that differs from the row's ``serving`` indices is an error."""
-    env = replace(geom.env, traffic=point.traffic, external=tuple(point.external))
-    capable_ids = frozenset(STA_ID_BASE + s for s, c in enumerate(capable.tolist()) if c)
-    topo = add_stations(geom.base, positions, capable_ids)
-    steered, log = run_mechanism(topo, with_link_cache(topo, env), point.selection)
-    want = {STA_ID_BASE + s: geom.serving[j] for s, j in enumerate(serving.tolist()) if j >= 0}
-    if dict(steered.associations) != want:
-        raise RuntimeError(f"frame trace {path} disagrees with the deployment's row")
-    export_events(log, path)
 
 
 def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
@@ -780,17 +781,16 @@ def _starmap(workers: int, tasks: list) -> list:
 
 
 def run(cfg: RunConfig) -> RunResult:
+    if cfg.emit_events and cfg.out_dir is None:
+        raise ValueError("emit_events needs out_dir, the directory its traces go to")
     points = apply_overrides(build_test(cfg.test_id), cfg)
     if not points:
         wanted = {f: getattr(cfg, f) for f in ("mechanism", "channel_plan", "n_ext", "b_t_bps")}
         raise ValueError(f"test {cfg.test_id} has no sweep point with " + ", ".join(
             f"{f}={getattr(v, 'value', v)}" for f, v in wanted.items() if v is not None))
-    events_dir = None
+    events_dir = os.path.join(cfg.out_dir, "events") if cfg.emit_events else None
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        if cfg.emit_events:
-            events_dir = os.path.join(cfg.out_dir, "events")
-            os.makedirs(events_dir, exist_ok=True)
+        os.makedirs(events_dir or cfg.out_dir, exist_ok=True)
     tasks = []
     for group in _draw_groups(points):
         k = points[group[0]].scenario.k

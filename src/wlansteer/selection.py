@@ -119,8 +119,14 @@ def score(
     )
 
 
-def _tie_rank(t: Topology, node_id: int) -> tuple[int, int]:
-    return (0 if t.node(node_id).kind is NodeKind.AP else 1, node_id)
+def candidate_list(t: Topology, sta: int, scores: list[CandidateScore]) -> CandidateList:
+    """``sta``'s candidate list from the scores of its in-range serving
+    nodes: best first, ties to the AP, then to the lower node id."""
+    scores = sorted(scores, key=lambda s: (s.score, t.nodes[s.target].kind is not NodeKind.AP,
+                                           s.target))
+    entries = tuple(CandidateEntry(s.target, t.nodes[s.target].access_radio.channel, s.score)
+                    for s in scores)
+    return CandidateList(sta=sta, entries=entries, details=tuple(scores))
 
 
 def rank_candidates(
@@ -146,12 +152,7 @@ def rank_candidates(
         rssi = link_rssi(env, t, sta, target, band)
         if rssi >= sens:
             scores.append(score(t, sta, target, rssi, loads, cfg))
-    scores.sort(key=lambda s: (s.score,) + _tie_rank(t, s.target))
-    entries = tuple(
-        CandidateEntry(s.target, t.node(s.target).access_radio.channel, s.score)
-        for s in scores
-    )
-    return CandidateList(sta=sta, entries=entries, details=tuple(scores))
+    return candidate_list(t, sta, scores)
 
 
 def initial_association(t: Topology, env: SimEnv, log: Any = None) -> Topology:
@@ -159,8 +160,8 @@ def initial_association(t: Topology, env: SimEnv, log: Any = None) -> Topology:
 
     Stations hearing nobody stay unassociated.  This is both the stock
     mechanism's final answer and the load-aware mechanism's starting point.
-    ``log``, when given, is told of each association through
-    ``log.associated(t, sta, target)``.
+    ``log``, when given, is told of each association and the station's
+    802.11k/v support through ``log.associated(sta, target, supports_11kv)``.
     """
     serving = t.serving_nodes()
     bands = {j: t.nodes[j].access_radio.channel.band for j in serving}
@@ -179,7 +180,7 @@ def initial_association(t: Topology, env: SimEnv, log: Any = None) -> Topology:
         if best is not None:
             assoc[sta] = best[1]
             if log is not None:
-                log.associated(t, sta, best[1])
+                log.associated(sta, best[1], t.nodes[sta].supports_11kv)
         else:
             assoc.pop(sta, None)
     return replace(t, associations=assoc)
@@ -215,7 +216,7 @@ def reassociation_pass(
     ``log``, when given, observes the pass as the 802.11k/v exchange: for
     each station ``log.measured(t, env, cl, loads)`` with its candidate list
     and the loads it was scored on, then, when it has a candidate,
-    ``log.steered(t, sta, old_parent, new_parent)``.
+    ``log.steered(sta, old_parent, new_parent, supports_11kv)``.
     """
     if cfg.mechanism is Mechanism.RSSI_BASED:
         return t, []
@@ -236,7 +237,7 @@ def reassociation_pass(
                 continue
             current, best = t.associations[sta], cl.entries[0].target
             if log is not None:
-                log.steered(t, sta, current, best)
+                log.steered(sta, current, best, t.nodes[sta].supports_11kv)
             if best != current:
                 t = set_association(t, sta, best)
                 moves.append(Move(sta=sta, old_parent=current, new_parent=best))

@@ -166,6 +166,20 @@ def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
     assert run_config_from({"run": {"workers": MAX_WORKERS}}).workers == MAX_WORKERS
 
 
+def test_a_config_that_emits_events_needs_an_output_directory(tmp_path):
+    with pytest.raises(ConfigError, match=r"^run\.emit_events needs run\.out_dir"):
+        run_config_from({"run": {"test": "2.4", "emit_events": True}})
+    rc = run_config_from({"run": {"emit_events": True, "out_dir": str(tmp_path)}})
+    assert rc.emit_events and rc.out_dir == str(tmp_path)
+
+
+def test_cli_emit_events_needs_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("run must not start"))
+    rc, out, err = _run_cli(["run", "--test", "2.4", "--emit-events"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: --emit-events needs --out")
+
+
 def test_cli_reports_unknown_test_ids():
     rc, _, err = _run_cli(["run", "--test", "9.9", "--k", "1"])
     assert rc == 1

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from wlansteer import runner
 from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
 from wlansteer.perf import MacOverheads, SimEnv, evaluate, link_rssi
+from wlansteer.protocol import export_events, run_mechanism
 from wlansteer.radio import _BOUNDS, DEFAULT_MCS_TABLES, PropagationParams, max_range_m
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
@@ -183,6 +185,12 @@ def test_run_rejects_unknown_test_id():
         run(RunConfig(test_id="3.7"))
 
 
+def test_a_run_that_emits_events_needs_an_output_directory(monkeypatch):
+    monkeypatch.setattr(runner, "build_test", lambda test_id: pytest.fail("nothing may run"))
+    with pytest.raises(ValueError, match="^emit_events needs out_dir"):
+        run(RunConfig(test_id="2.4", emit_events=True))
+
+
 def test_overrides_filter_mechanism_extenders_and_load():
     pts = build_test("1.3")
     kept = apply_overrides(pts, RunConfig(test_id="1.3", mechanism="loadaware",
@@ -242,9 +250,11 @@ def test_operational_range_rejects_unknown_criteria():
 # --- the runner against the single-topology API ------------------------------
 
 
-def _scalar_point(point, params):
+def _scalar_point(point, params, trace_path=None):
     """Rows and aggregate of one point, recomputed deployment by deployment
-    through the public ``Topology`` API."""
+    through the public ``Topology`` API.  With ``trace_path``, each
+    deployment runs through ``run_mechanism``, and its frame trace goes to
+    ``trace_path(deployment)``."""
     spec, sel = point.scenario, point.selection
     base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
                           band_mhz=params.band_mhz)
@@ -259,9 +269,13 @@ def _scalar_point(point, params):
         positions, perm = deployment_draw(spec, dep, params.propagation,
                                           band_mhz=params.band_mhz)
         topo = add_stations(base, positions, capable_set_for(spec, perm, sel.beta_pct))
-        steered = initial_association(topo, env)
-        if sel.mechanism is Mechanism.LOAD_AWARE:
-            steered, _ = reassociation_pass(steered, env, sel)
+        if trace_path is not None:
+            steered, log = run_mechanism(topo, env, sel)
+            export_events(log, trace_path(dep))
+        else:
+            steered = initial_association(topo, env)
+            if sel.mechanism is Mechanism.LOAD_AWARE:
+                steered, _ = reassociation_pass(steered, env, sel)
         report = evaluate(steered, env)
         assoc = {STA_ID_BASE + i: steered.associations.get(STA_ID_BASE + i)
                  for i in range(spec.n_sta)}
@@ -965,6 +979,9 @@ def _drawn_physics(draw, least_extenders=0):
     congested-hop cap, the layout, the extender level and a point as
     ``_drawn_point`` draws it, at a small ``k``; now and then a 2.4 GHz MCS
     floor raised above the association sensitivity.
+    Seven times in eight the clamp distance lies within the extender
+    spacing: a nearer extender's uplink is rated at the clamp distance,
+    and so, on most drawn loss terms, far below the lowest MCS.
     Half the points place their stations where a serving node's signal
     falls to an MCS threshold or the sensitivity, so that an RSSI a bit
     off the scalar one picks another rate or association there."""
@@ -972,26 +989,31 @@ def _drawn_physics(draw, least_extenders=0):
         distance_power_loss_coeff=draw(_bounded("distance_power_loss_coeff")),
         floor_penetration_db=draw(_bounded("floor_penetration_db")),
         constant_offset_db=draw(_bounded("constant_offset_db")),
-        min_distance_m=draw(st.floats(min_value=0.01, max_value=10.0)),
     )
     raised = draw(st.integers(min_value=0, max_value=3)) == 3
     floor = draw(st.floats(min_value=-90.0, max_value=-85.0, exclude_max=True))
-    params = replace(
-        _raised_floor(floor) if raised else EngineParams(),
-        propagation=propagation,
-        band_mhz={Band.GHZ_2_4: draw(st.floats(min_value=1.0, max_value=99999.0)),
-                  Band.GHZ_5: draw(st.floats(min_value=1.0, max_value=99999.0))},
-        overheads={band: MacOverheads(**{f.name: draw(st.floats(min_value=0.0, max_value=500.0))
-                                         for f in fields(MacOverheads)})
-                   for band in Band},
-        congested_hop_delay_ms=draw(st.floats(min_value=1e-3, max_value=1e5)),
-    )
+    band_mhz = {Band.GHZ_2_4: draw(st.floats(min_value=1.0, max_value=99999.0)),
+                Band.GHZ_5: draw(st.floats(min_value=1.0, max_value=99999.0))}
     area = draw(st.sampled_from(AreaKind))
     n_ext, plan = draw(_layout(area, least_extenders))
     spec = ScenarioSpec(area=area, n_extenders=n_ext, channel_plan=plan,
                         k=draw(st.integers(min_value=1, max_value=3)),
                         seed=draw(st.integers(min_value=0, max_value=1000)))
     level = draw(st.floats(min_value=-90.0, max_value=-50.0))
+    clamp = 10.0
+    if draw(st.integers(min_value=0, max_value=7)):
+        clamp = min(clamp, extender_distance_m(level, propagation, band_mhz))
+    propagation = replace(propagation,
+                          min_distance_m=draw(st.floats(min_value=clamp / 1000, max_value=clamp)))
+    params = replace(
+        _raised_floor(floor) if raised else EngineParams(),
+        propagation=propagation,
+        band_mhz=band_mhz,
+        overheads={band: MacOverheads(**{f.name: draw(st.floats(min_value=0.0, max_value=500.0))
+                                         for f in fields(MacOverheads)})
+                   for band in Band},
+        congested_hop_delay_ms=draw(st.floats(min_value=1e-3, max_value=1e5)),
+    )
     if draw(st.booleans()):
         base = build_topology(spec, level, propagation, band_mhz=params.band_mhz)
         edges = (-90.0,) + params.mcs_tables[Band.GHZ_2_4].thresholds
@@ -1049,27 +1071,41 @@ def _drawn_group(draw):
     return points, params, draw(st.integers(min_value=1, max_value=12))
 
 
+def _traces(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=_drawn_group())
 def test_points_on_one_draw_match_the_topology_api(case):
+    # the kernel's rows and aggregates, and its frame traces byte for byte,
+    # against the Topology API and export_events(run_mechanism(...))
     points, params, rows = case
     want, errors = [], set()
-    for point in points:
-        try:
-            want.append(_scalar_point(point, params))
-        except ValueError as error:
-            assert "below the lowest MCS" in str(error)
-            errors.add(str(error))
     members, k = tuple(enumerate(points)), points[0].scenario.k
-    with mock.patch.object(runner, "_ROWS", rows):
-        if errors:
-            # a slice rates its access links before it steers, and its rows
-            # run station by station, so the error may be any point's first
-            with pytest.raises(ValueError) as raised:
-                runner._evaluate_range(members, params, None, 0, k)
-            assert str(raised.value) in errors
-            return
-        blocks = runner._evaluate_range(members, params, None, 0, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        scalar, kernel = Path(tmp, "scalar"), Path(tmp, "kernel")
+        scalar.mkdir()
+        kernel.mkdir()
+        for pi, point in members:
+            try:
+                want.append(_scalar_point(
+                    point, params, lambda dep: scalar / f"tx_p{pi:04d}_d{dep:05d}.ndjson"))
+            except ValueError as error:
+                # raised by the pass's loads or by evaluate
+                assert "below the lowest MCS" in str(error)
+                errors.add(str(error))
+        with mock.patch.object(runner, "_ROWS", rows):
+            if errors:
+                # a slice rates its access links before it steers, and its
+                # rows run station by station, so the error may be any
+                # point's first
+                with pytest.raises(ValueError) as raised:
+                    runner._evaluate_range(members, params, str(kernel), 0, k)
+                assert str(raised.value) in errors
+                return
+            blocks = runner._evaluate_range(members, params, str(kernel), 0, k)
+        assert _traces(kernel) == _traces(scalar)
     for point, block, (want_rows, want_agg) in zip(points, blocks, want):
         assert list(runner.ResultRows([block])) == want_rows
         assert runner._aggregate(point, block) == want_agg

@@ -47,3 +47,9 @@ def test_run_campaign_fails_when_the_filters_keep_no_sweep_point(tmp_path):
     proc = _run_campaign("--test", "2.4", "--n-ext", "3", "--out", str(out), returncode=1)
     assert (proc.stdout, proc.stderr) == ("", "error: test 2.4 has no sweep point with n_ext=3\n")
     assert not out.exists()
+
+
+def test_run_campaign_fails_when_events_have_no_output_directory():
+    proc = _run_campaign("--test", "2.4", "--emit-events", returncode=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --emit-events needs --out")
