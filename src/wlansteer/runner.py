@@ -34,22 +34,25 @@ it is closed at exit.  Only a process that makes several runs gains: one
 that makes a single run, as ``wlansteer run`` does, starts the pool once
 and closes it at exit.
 
-Results are columnar.  Each task returns, per point, a block: the point's
-constant fields once, then a column each of throughput, delay and congestion
-and one int8 serving index per station and deployment.  The parent joins
-each point's blocks in deployment order and sums its aggregate over them in
-that order, as a single process would.  ``RunResult.rows`` and
-``evaluate_point``'s rows are a ``ResultRows`` that builds each ``ResultRow``
-only when it is read.  The exports read blocks too, and turn a plain list of
-rows into blocks first; a run writes both row files in one walk.  Each
-distinct constant is spelled once per export, each row's floats once for
-both files, and each distinct association vector once, joined from pieces
-made per layout, for the consecutive points that share it.
+Results are columnar.  A task returns a block per kernel batch: its points
+by the range's deployments, point-major as the kernel makes them, and each
+point's constant fields once; one ``put`` per slice fills it.  The parent
+joins a batch's blocks along the deployment axis and sums each point's
+aggregate as a left fold in deployment order, as a single process would.
+``RunResult.rows`` and ``evaluate_point``'s rows are a ``ResultRows`` of
+spans, each a block and a run of its points that follow one another in the
+grid; a ``ResultRow`` is built only when it is read.  The exports read spans
+too, and cut a plain list of rows into one-point blocks first; a run writes
+its three files in one walk.  Each distinct constant is spelled once for all
+of them, each row's floats once for both row files, and each distinct
+association vector once, joined from pieces made per layout; a span's rows
+go out in slices of at most ``_EXPORT_ROWS``.
 
 The 802.11k/v frame trace observes the kernel: a traced batch gives each row
 an ``EventLog``, which gets the row's frames from the arrays its decisions
 are made on, so no deployment is steered twice.  Logs wait for their batch
-to end, so a traced task walks slices of 32 rows, not ``_ROWS``.
+to end, so a traced task cuts its batches to 32 points and walks slices of
+32 rows, not ``_ROWS``.
 """
 
 from __future__ import annotations
@@ -62,11 +65,10 @@ import math
 import multiprocessing
 import operator
 import os
-from array import array
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,94 +142,105 @@ _CONSTANT = tuple(f for f in _ROW_FIELDS if f not in _PER_ROW)
 _constant = operator.attrgetter(*_CONSTANT)
 
 
+def _constants(point: SweepPoint) -> tuple:
+    """A sweep point's ``_CONSTANT`` values, in that order."""
+    spec, sel = point.scenario, point.selection
+    return (point.test_id, point.rssi_ap_e_dbm, spec.n_extenders, spec.channel_plan,
+            point.b_ext_bps, sel.mechanism.value, sel.alpha, sel.beta_pct, point.b_t_bps)
+
+
 class _Block:
-    """Consecutive rows that differ only in what each deployment sets, held
-    as columns.  ``const`` maps each ``_CONSTANT`` field to its value and
-    ``nodes`` gives the serving node of each serving index.  Row ``i`` is
-    deployment ``first + i``: float64 throughput and delay, a congestion byte
-    and an int8 serving index per station of ``sta_ids``, -1 when
-    unassociated.  A block made with room for ``rows`` rows holds zeros there
-    until ``put`` writes them; sized once, its columns never grow in between
-    the kernel's arrays, which would leave the heap fragmented."""
+    """The rows of one kernel batch over a range of deployments, as columns
+    over (point, deployment), point-major as the batch makes them: flat row
+    ``p * D + d`` is point ``p`` on deployment ``first + d``.  ``index``
+    holds the points' grid indices, ``consts`` each point's ``_CONSTANT``
+    values and ``nodes`` the serving node of each serving index.  Columns:
+    float64 throughput and delay and bool congestion ``(P, D)``, and an int8
+    serving index per station of ``sta_ids`` ``(P, D, n_sta)``, -1 when
+    unassociated.  Sized once, a block is filled by one ``put`` per slice."""
 
-    def __init__(self, const: dict, sta_ids: tuple[int, ...], nodes: list, first: int,
-                 rows: int = 0):
-        self.const, self.sta_ids, self.nodes, self.first = const, sta_ids, nodes, first
-        self.thr, self.delay = array("d", bytes(8 * rows)), array("d", bytes(8 * rows))
-        self.congested, self.serving = bytearray(rows), array("b", bytes(rows * len(sta_ids)))
+    def __init__(self, index: Sequence[int], consts: Sequence[tuple], sta_ids: tuple[int, ...],
+                 nodes: list, first: int, deployments: int) -> None:
+        self.index, self.consts, self.sta_ids, self.nodes = index, consts, sta_ids, nodes
+        self.first, shape = first, (len(consts), deployments)
+        self.thr, self.delay = np.zeros(shape), np.zeros(shape)
+        self.congested = np.zeros(shape, dtype=bool)
+        self.serving = np.zeros(shape + (len(sta_ids),), dtype=np.int8)
 
-    def __len__(self) -> int:
-        return len(self.thr)
-
-    def append(self, thr: float, delay: float, congested: bool, serving: list[int]) -> None:
-        self.thr.append(thr)
-        self.delay.append(delay)
-        self.congested.append(congested)
-        self.serving.extend(serving)
+    @property
+    def deployments(self) -> int:
+        return self.thr.shape[1]
 
     def put(self, i: int, thr, delay, congested, serving) -> None:
-        """Write rows ``i`` on from numpy columns: float64 throughput and
-        delay, bool congestion and int8 serving indices ``(rows, n_sta)``."""
-        j, n = i + len(thr), len(self.sta_ids)
-        memoryview(self.thr)[i:j], memoryview(self.delay)[i:j] = thr, delay
-        self.congested[i:j] = congested.tobytes()
-        memoryview(self.serving)[i * n : j * n] = serving.reshape(-1)
+        """Write deployments ``i`` on of every point from point-major rows:
+        throughput, delay and congestion ``(P * D,)`` and serving indices
+        ``(P * D, n_sta)``."""
+        P, n = len(self.consts), len(self.sta_ids)
+        j = i + len(thr) // P
+        self.thr[:, i:j], self.delay[:, i:j] = thr.reshape(P, -1), delay.reshape(P, -1)
+        self.congested[:, i:j] = congested.reshape(P, -1)
+        self.serving[:, i:j] = serving.reshape(P, j - i, n)
 
-    def extend(self, other: _Block) -> None:
-        """Add the rows of the deployment range that follows."""
-        self.thr.extend(other.thr)
-        self.delay.extend(other.delay)
-        self.congested.extend(other.congested)
-        self.serving.extend(other.serving)
+    @staticmethod
+    def joined(parts: Sequence[_Block]) -> _Block:
+        """The blocks of one batch's points over consecutive deployment
+        ranges, as one block."""
+        block = parts[0]
+        if len(parts) > 1:
+            for name in ("thr", "delay", "congested", "serving"):
+                setattr(block, name, np.concatenate([getattr(b, name) for b in parts], axis=1))
+        return block
 
-    def vectors(self) -> list[bytes]:
-        """Each row's serving indices as bytes, -1 as 0xff."""
-        raw, n = self.serving.tobytes(), len(self.sta_ids)
-        return [raw[i * n : (i + 1) * n] for i in range(len(self))]
-
-    def row(self, i: int) -> ResultRow:
-        n, nodes = len(self.sta_ids), self.nodes
-        serving = self.serving[i * n : (i + 1) * n]
+    def row(self, p: int, d: int) -> ResultRow:
         return ResultRow(
-            **self.const, deployment_index=self.first + i,
-            throughput_pct=self.thr[i], avg_delay_ms=self.delay[i],
-            congested=bool(self.congested[i]),
-            associations={sid: (nodes[j] if j >= 0 else None)
-                          for sid, j in zip(self.sta_ids, serving)},
+            **dict(zip(_CONSTANT, self.consts[p])), deployment_index=self.first + d,
+            throughput_pct=self.thr[p, d].item(), avg_delay_ms=self.delay[p, d].item(),
+            congested=bool(self.congested[p, d]),
+            associations={sid: (self.nodes[j] if j >= 0 else None)
+                          for sid, j in zip(self.sta_ids, self.serving[p, d].tolist())},
         )
 
 
-def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
-    """A run's blocks, or a list's rows cut into blocks wherever a row stops
-    sharing the last one's constant fields (by type and repr), station ids
-    or deployment sequence.  The columns hold throughput and delay as floats
-    and congestion as a flag, as a run makes them, so a hand-built row's
-    throughput ``100`` reads back, and is exported, as ``100.0``."""
+def _spans(rows: Sequence[ResultRow]) -> list:
+    """A run's spans, or a list's rows cut into one-point blocks wherever a
+    row stops sharing the last one's constant fields (by type and repr),
+    station ids or deployment sequence.  The columns hold throughput and
+    delay as floats and congestion as a flag, as a run makes them, so a
+    hand-built row's throughput ``100`` reads back, and is exported, as
+    ``100.0``."""
     if isinstance(rows, ResultRows):
-        return rows.blocks
-    blocks: list[_Block] = []
+        return rows.spans
+    cuts: list[tuple] = []
     last = None
     for row in rows:
         const, sta_ids = _constant(row), tuple(sorted(row.associations))
         key = (tuple(map(type, const)), tuple(map(repr, const)), sta_ids)
         if (key, row.deployment_index) != last:
-            blocks.append(_Block(dict(zip(_CONSTANT, const)), sta_ids, [], row.deployment_index))
-        block = blocks[-1]
-        nodes = [row.associations[sid] for sid in sta_ids]
-        block.nodes.extend({n for n in nodes if n is not None}.difference(block.nodes))
-        serving = [-1 if n is None else block.nodes.index(n) for n in nodes]
-        block.append(row.throughput_pct, row.avg_delay_ms, bool(row.congested), serving)
+            cuts.append((const, sta_ids, row.deployment_index, [], []))
+        nodes, cut = cuts[-1][3], cuts[-1][4]
+        got = [row.associations[sid] for sid in sta_ids]
+        nodes.extend({n for n in got if n is not None}.difference(nodes))
+        cut.append((row.throughput_pct, row.avg_delay_ms, bool(row.congested),
+                    [-1 if n is None else nodes.index(n) for n in got]))
         last = (key, row.deployment_index + 1)
-    return blocks
+    spans = []
+    for const, sta_ids, first, nodes, cut in cuts:
+        block = _Block((0,), (const,), sta_ids, nodes, first, len(cut))
+        thr, delay, congested, serving = zip(*cut)
+        block.put(0, np.array(thr, dtype=float), np.array(delay, dtype=float),
+                  np.array(congested), np.array(serving, dtype=np.int8))
+        spans.append((block, 0, 1))
+    return spans
 
 
 class ResultRows(Sequence):
-    """A run's rows in (point, deployment) order, held as blocks of columns;
-    each ``ResultRow`` is built when it is read."""
+    """A run's rows in (point, deployment) order, held as spans: a block and
+    a run of its points ``p0`` to ``p1 - 1`` that come one after another in
+    the grid.  Each ``ResultRow`` is built when it is read."""
 
-    def __init__(self, blocks: list[_Block]) -> None:
-        self.blocks = blocks
-        self._ends = list(accumulate(map(len, blocks)))
+    def __init__(self, spans: Sequence) -> None:
+        self.spans = spans
+        self._ends = list(accumulate((p1 - p0) * b.deployments for b, p0, p1 in spans))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -239,8 +252,10 @@ class ResultRows(Sequence):
         if not -len(self) <= i < len(self):
             raise IndexError("row index out of range")
         i %= len(self)
-        b = bisect_right(self._ends, i)
-        return self.blocks[b].row(i - self._ends[b] + len(self.blocks[b]))
+        s = bisect_right(self._ends, i)
+        block, p0, p1 = self.spans[s]
+        p, d = divmod(i - self._ends[s] + (p1 - p0) * block.deployments, block.deployments)
+        return block.row(p0 + p, d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (ResultRows, list, tuple)):
@@ -449,7 +464,7 @@ class _Batch:
     """The points of one link geometry that share the pass flags, steered and
     evaluated at once on rows of (point, deployment) pairs, point-major: row
     ``p * D + d`` is point ``p`` on deployment ``d`` of a slice, and
-    ``members`` holds the points' (grid index, point, block) triples.
+    ``members`` holds the points' (grid index, point) pairs.
 
     Rows compute what ``initial_association``, ``reassociation_pass`` and
     ``evaluate`` compute, to the last bit.  Elementwise float64 arithmetic
@@ -462,20 +477,19 @@ class _Batch:
 
     def __init__(self, geom: _Geometry, members: Sequence[tuple]) -> None:
         self.geom, self.members = geom, members
-        points = [point for _, point, _ in members]
+        points = [point for _, point in members]
         self.selection = points[0].selection  # its pass flags
         L, n_sta, fixed = geom.L, len(geom.sens), geom.fixed_s
-        per_sta = [point.traffic.per_sta_load_bps for point in points]
-        self.per_sta = np.array(per_sta)
-        self.opb = np.array([load / L for load in per_sta])
+        self.per_sta = per_sta = np.array([point.traffic.per_sta_load_bps for point in points])
+        self.opb = per_sta / L
         self.alpha = np.array([point.selection.alpha for point in points])
         self.n_capable = np.array([capable_count(point.selection.beta_pct, n_sta)
                                    for point in points])
         # through-load of a backhaul link carrying n stations, summed one
-        # station at a time as build_flows does
-        through = [list(accumulate([load] * n_sta, initial=0.0)) for load in per_sta]
-        self.through = [np.array([[(b / L) * air for b in t] for t in through])
-                        for air in geom.bh_air]
+        # station at a time from +0.0 as build_flows does: a left fold
+        through = np.add.accumulate(np.repeat(per_sta[:, None], n_sta, axis=1), axis=1) + 0.0
+        through = np.concatenate([np.zeros((len(points), 1)), through], axis=1) / L
+        self.through = [through * air for air in geom.bh_air]
         # one channel map for the batch, its points' external loads included
         chans = {**geom.channels, None: 0}
         for point in points:
@@ -650,8 +664,9 @@ def _evaluate_range(
     lo: int,
     hi: int,
 ) -> list[_Block]:
-    """One block per point of ``points``, which are (grid index, point) pairs
-    sharing one deployment draw, holding deployments ``lo`` to ``hi - 1``.
+    """One block per kernel batch of ``points``, which are (grid index, point)
+    pairs sharing one deployment draw, holding deployments ``lo`` to
+    ``hi - 1``.
 
     The walk goes by slices of deployments: each is drawn once, each
     transmitter's RSSI column made once, and then geometry by geometry, the
@@ -662,7 +677,6 @@ def _evaluate_range(
     sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
     # each link geometry, with its points by pass flags
     geoms: dict[tuple, tuple[_Geometry, dict]] = {}
-    blocks: list[_Block] = []
     for pi, point in points:
         key = (
             topology_key(point.scenario, point.rssi_ap_e_dbm),
@@ -672,21 +686,19 @@ def _evaluate_range(
             geoms[key] = _Geometry(point, params), {}
         geom, members = geoms[key]
         sel = point.selection
-        const = dict(
-            test_id=point.test_id, rssi_ap_e_dbm=point.rssi_ap_e_dbm,
-            n_ext=point.scenario.n_extenders, channel_plan=point.scenario.channel_plan,
-            b_ext_bps=point.b_ext_bps, mechanism=sel.mechanism.value, alpha=sel.alpha,
-            beta_pct=sel.beta_pct, b_t_bps=point.b_t_bps,
-        )
-        block = _Block(const, sta_ids, geom.serving, lo, hi - lo)
         # stock points form their own batch, which skips the pass
         flags = sel.mechanism is Mechanism.LOAD_AWARE and (sel.passes, sel.include_self_load)
-        members.setdefault(flags, []).append((pi, point, block))
-        blocks.append(block)
-    batches = [(geom, [_Batch(geom, m) for m in members.values()])
-               for geom, members in geoms.values()]
-    width = _ROWS if events_dir is None else min(_ROWS, 32)  # logs wait for their batch
-    step = max(1, width // max(len(b.members) for _, bs in batches for b in bs))
+        members.setdefault(flags, []).append((pi, point))
+    # a traced batch's logs wait for it to end, so it runs at most 32 points
+    width = _ROWS if events_dir is None else min(_ROWS, 32)
+    batches = []  # (geometry, [(batch, its block), ...])
+    for geom, members in geoms.values():
+        parts = [m[i : i + width] for m in members.values() for i in range(0, len(m), width)]
+        batches.append((geom, [
+            (_Batch(geom, part), _Block([pi for pi, _ in part], [_constants(p) for _, p in part],
+                                        sta_ids, geom.serving, lo, hi - lo))
+            for part in parts]))
+    step = max(1, width // max(len(b.members) for _, bs in batches for b, _ in bs))
     for first in range(lo, hi, step):
         draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
                  for dep in range(first, min(first + step, hi))]
@@ -695,42 +707,50 @@ def _evaluate_range(
         for geom, geom_batches in batches:
             # a geometry's links live only while its batches run
             links = geom.links(columns)
-            for batch in geom_batches:
+            for batch, block in geom_batches:
                 logs = None if events_dir is None else [
                     EventLog() for _ in range(len(batch.members) * D)]
-                thr, delay, congested, serving = batch.run(links, rank, logs)
-                serving = serving.astype(np.int8)
-                for p, (pi, point, block) in enumerate(batch.members):
-                    rows = slice(p * D, (p + 1) * D)
-                    block.put(first - lo, thr[rows], delay[rows], congested[rows], serving[rows])
-                    for d, log in enumerate(logs[rows] if logs is not None else ()):
-                        name = f"t{point.test_id}_p{pi:04d}_d{first + d:05d}.ndjson"
-                        export_events(log, os.path.join(events_dir, name))
+                block.put(first - lo, *batch.run(links, rank, logs))
+                for r, log in enumerate(logs or ()):
+                    pi, point = batch.members[r // D]
+                    name = f"t{point.test_id}_p{pi:04d}_d{first + r % D:05d}.ndjson"
+                    export_events(log, os.path.join(events_dir, name))
             del links
-    return blocks
+    return [block for _, geom_batches in batches for _, block in geom_batches]
 
 
-def _aggregate(point: SweepPoint, block: _Block) -> Aggregate:
-    """Mean outcome of one point's block, each sum a float loop in deployment
-    order (numpy sums pairwise, and ``sum`` compensates from Python 3.12)."""
-    spec = point.scenario
-    thr_sum = delay_sum = assoc_sum = 0.0
-    for thr in block.thr:
-        thr_sum += thr
-    for delay in block.delay:
-        delay_sum += delay
-    n, serving = spec.n_sta, block.serving.tobytes()
-    for i in range(0, len(serving), n):  # a row's unassociated stations are 0xff
-        assoc_sum += (n - serving.count(0xFF, i, i + n)) / n
-    k = spec.k
-    return Aggregate(
-        **block.const,
-        k=k,
-        mean_throughput_pct=thr_sum / k,
-        mean_delay_ms=delay_sum / k,
-        congested_pct=100.0 * block.congested.count(1) / k,
-        association_rate_pct=100.0 * assoc_sum / k,
-    )
+def _aggregate(block: _Block) -> list[Aggregate]:
+    """Each point's mean outcome over the block's deployments.  Each sum is a
+    left fold in deployment order, as a float loop from +0.0 makes it:
+    ``np.add.accumulate``, then + 0.0, which turns a sum of -0.0 terms into
+    the loop's +0.0 (numpy's reductions sum pairwise, and ``sum``
+    compensates from Python 3.12)."""
+    k, n = block.deployments, len(block.sta_ids)
+    assoc = (n - np.count_nonzero(block.serving < 0, axis=2)) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+        thr, delay, assoc = [np.add.accumulate(x, axis=1)[:, -1] + 0.0
+                             for x in (block.thr, block.delay, assoc)]
+    means = zip((thr / k).tolist(), (delay / k).tolist(),
+                (100.0 * np.count_nonzero(block.congested, axis=1) / k).tolist(),
+                (100.0 * assoc / k).tolist())
+    return [Aggregate(*const, k, *m) for const, m in zip(block.consts, means)]
+
+
+def _grid_order(blocks: Sequence[_Block]) -> tuple[list, list[Aggregate]]:
+    """The points of ``blocks`` in grid order: as spans, each a block and a
+    run of its points that follow one another, and as aggregates.  A block
+    holds its points in grid order, so two that follow one another in the
+    grid are two that follow one another in the block."""
+    at = {pi: (block, p, agg) for block in blocks
+          for p, (pi, agg) in enumerate(zip(block.index, _aggregate(block)))}
+    spans: list[list] = []
+    for pi in sorted(at):
+        block, p, _ = at[pi]
+        if spans and spans[-1][0] is block:
+            spans[-1][2] += 1
+        else:
+            spans.append([block, p, p + 1])
+    return spans, [at[pi][2] for pi in sorted(at)]
 
 
 def evaluate_point(
@@ -741,8 +761,9 @@ def evaluate_point(
 ) -> tuple[ResultRows, Aggregate]:
     """All deployments of one sweep point, plus their aggregate: the batch
     of one point, whose rows are its deployments."""
-    (block,) = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
-    return ResultRows([block]), _aggregate(point, block)
+    blocks = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
+    spans, (agg,) = _grid_order(blocks)
+    return ResultRows(spans), agg
 
 
 # the process-wide pool, as (workers, pool): see the module docstring
@@ -809,20 +830,17 @@ def run(cfg: RunConfig) -> RunResult:
         results = _starmap(cfg.workers, tasks)
     else:
         results = [_evaluate_range(*t) for t in tasks]
-    # one block per point: its ranges come in deployment order
-    blocks: list[Optional[_Block]] = [None] * len(points)
+    # a task's blocks, one per batch, join the same batches' blocks of the
+    # other ranges of its points (tasks over one part share its members)
+    ranges: dict[int, list] = {}
     for task, task_blocks in zip(tasks, results):
-        for (i, _), block in zip(task[0], task_blocks):
-            if blocks[i] is None:
-                blocks[i] = block
-            else:
-                blocks[i].extend(block)
-    rows = ResultRows(blocks)
-    aggregates = [_aggregate(point, block) for point, block in zip(points, blocks)]
+        ranges.setdefault(id(task[0]), []).append(task_blocks)
+    spans, aggregates = _grid_order([_Block.joined(parts) for per_range in ranges.values()
+                                     for parts in zip(*per_range)])
+    rows = ResultRows(spans)
     if cfg.out_dir is not None:
-        export_aggregates_csv(aggregates, os.path.join(cfg.out_dir, "aggregates.csv"))
-        out = os.path.join(cfg.out_dir, "rows.csv"), os.path.join(cfg.out_dir, "results.json")
-        _export_rows(blocks, aggregates, *out)
+        _export(spans, aggregates, *(os.path.join(cfg.out_dir, name) for name in
+                                     ("rows.csv", "aggregates.csv", "results.json")))
     return RunResult(points=tuple(points), rows=rows, aggregates=tuple(aggregates))
 
 
@@ -832,21 +850,20 @@ _FLAGS = ("false", "true")
 # distinct association vectors an export holds encoded, which bounds its
 # memory; the consecutive points of one geometry come well within it
 _ENCODED_VECTORS = 1 << 14
+# rows an export spells at once, which bounds the text it holds
+_EXPORT_ROWS = 512
 
 
 def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
-    _export_rows(_blocks(rows), (), path, None)
+    _export(_spans(rows), (), rows_csv=path)
 
 
 def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerows(map(operator.attrgetter(*AGGREGATE_COLUMNS), aggs))
+    _export((), aggs, aggregates_csv=path)
 
 
 def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
-    _export_rows(_blocks(rows), aggs, None, path)
+    _export(_spans(rows), aggs, results_json=path)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -857,6 +874,11 @@ _RECORD = "{{%s}}" % ",".join(
     f'"{f}":' + (f"{{{_CONSTANT.index(f)}}}" if f in _CONSTANT else "\0")
     for f in sorted((*_ROW_FIELDS, "associations"))
 )
+# an aggregate's record in results.json, keys sorted: "{i}" is AGGREGATE_COLUMNS[i]
+_AGGREGATE_RECORD = "{{%s}}" % ",".join(
+    f'"{f}":{{{AGGREGATE_COLUMNS.index(f)}}}' for f in sorted(AGGREGATE_COLUMNS)
+)
+_aggregate_fields = operator.attrgetter(*AGGREGATE_COLUMNS)
 
 
 def _layout(sta_ids: tuple[int, ...], nodes: list, columns: list[int]) -> tuple:
@@ -895,79 +917,117 @@ def _texts(vectors: list[bytes], known: dict, spell) -> map:
     return map(known.__getitem__, vectors)
 
 
-def _export_rows(blocks: Sequence[_Block], aggs: Sequence[Aggregate],
-                 csv_path: Optional[str], json_path: Optional[str]) -> None:
-    """Write rows.csv to ``csv_path`` and results.json to ``json_path``, each
-    when given, in one walk that slices each block's serving column once.
+def _repeat(pieces: list, points: range, counts: list[int]) -> chain:
+    """``pieces[q]`` of each ``q`` of ``points``, as many times as ``counts``
+    says, in that order."""
+    return chain.from_iterable(map(repeat, map(pieces.__getitem__, points), counts))
+
+
+def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] = None,
+            aggregates_csv: Optional[str] = None, results_json: Optional[str] = None) -> None:
+    """Write each file whose path is given: rows.csv and results.json from
+    the rows of ``spans`` (see ``ResultRows``), aggregates.csv and the
+    aggregates of results.json from ``aggs``.
+
     rows.csv has a line per row: its fields, then a ``sta_<id>`` column per
     station id of any block, holding the serving node, ``none`` when the
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
-    station id as a string.  Each file spells a vector once, from its
-    layout's pieces, while consecutive blocks share their stations and nodes
-    (one geometry's stock points share one vector per deployment)."""
-    columns = sorted({sid for block in blocks for sid in block.sta_ids})
+    station id as a string.  Each distinct constant is spelled once for all
+    files, and each point's pieces of a row once.  A span's rows are written
+    in slices of at most ``_EXPORT_ROWS``, one comprehension per file, and
+    each file spells a vector once, from its layout's pieces, while
+    consecutive slices share their stations and nodes (one geometry's stock
+    points share one vector per deployment)."""
+    columns = sorted({sid for block, _, _ in spans for sid in block.sta_ids})
     # the file's dialect: what csv quotes depends on the line terminator too
     line = io.StringIO()
     line_writer = csv.writer(line, lineterminator="\n")
     spelled: dict = {}
+    # each value spelled lives as long as the export: blocks and aggregates hold it
+    by_id: dict = {}
 
     def spell(value) -> tuple[str, str]:
-        """A constant's rows.csv cell and results.json text, made once per
-        type and repr: -0.0 == 0.0, True == 1 and 2 == 2.0 spell apart."""
-        key = (type(value), repr(value))
-        if key not in spelled:
-            line.seek(0)
-            line.truncate()
-            text = _encode(value)
-            # flags as json has them; csv writes one lone empty field as ""
-            line_writer.writerow((text if isinstance(value, bool) else value, None))
-            spelled[key] = line.getvalue()[:-2], text
-        return spelled[key]
+        """A value's rows.csv cell and results.json text, made once per value
+        and, but for a finite float's repr, once per type and repr: -0.0 ==
+        0.0, True == 1 and 2 == 2.0 spell apart."""
+        text = by_id.get(id(value))
+        if text is None:
+            if type(value) is float and math.isfinite(value):
+                text = (repr(value),) * 2
+            else:
+                key = (type(value), repr(value))
+                if key not in spelled:
+                    line.seek(0)
+                    line.truncate()
+                    json_text = _encode(value)
+                    # flags as json has them; csv writes one lone empty field as ""
+                    line_writer.writerow((json_text if isinstance(value, bool) else value, None))
+                    spelled[key] = line.getvalue()[:-2], json_text
+                text = spelled[key]
+            by_id[id(value)] = text
+        return text
 
     with ExitStack() as files:
-        rows_csv = csv_path and files.enter_context(open(csv_path, "w", newline=""))
-        results = json_path and files.enter_context(open(json_path, "w"))
-        if rows_csv:
-            header = _ROW_FIELDS + tuple(f"sta_{i}" for i in columns)
-            csv.writer(rows_csv, lineterminator="\n").writerow(header)
+        rows_out, aggs_out, results = (path and files.enter_context(open(path, "w", newline=""))
+                                       for path in (rows_csv, aggregates_csv, results_json))
+        texts = []  # each aggregate's aggregates.csv line and results.json record
+        for values in map(_aggregate_fields, aggs):
+            cells, records = zip(*map(spell, values))
+            texts.append((",".join(cells), _AGGREGATE_RECORD.format(*records)))
+        if aggs_out:
+            aggs_out.write("".join([",".join(AGGREGATE_COLUMNS) + "\n",
+                                    *(cells + "\n" for cells, _ in texts)]))
         if results:
-            results.write('{"aggregates":')
-            results.write(_encode([{c: getattr(a, c) for c in AGGREGATE_COLUMNS} for a in aggs]))
-            results.write(',"rows":[')
-        layout = None
-        for b, block in enumerate(blocks):
-            if (block.sta_ids, block.nodes) != layout \
-                    or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
-                layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
-                csv_spell, json_spell = _layout(block.sta_ids, block.nodes, columns)
-            vectors = block.vectors()
-            cells, consts = zip(*map(spell, map(block.const.__getitem__, _CONSTANT)))
-            deps = range(block.first, block.first + len(block))
-            thr, delay = list(map(repr, block.thr)), list(map(repr, block.delay))
-            if rows_csv:
+            results.write('{"aggregates":[' + ",".join(r for _, r in texts) + '],"rows":[')
+        if rows_out:
+            rows_out.write(",".join(_ROW_FIELDS + tuple(f"sta_{i}" for i in columns)) + "\n")
+        layout, sep = None, ""
+        for block, p0, p1 in spans:
+            D, n = block.deployments, len(block.sta_ids)
+            heads, records = [], []
+            for const in block.consts[p0:p1]:
+                cells, consts = zip(*map(spell, const))
                 # _ROW_FIELDS: five constants, the deployment index, four
                 # constants, then throughput, delay and congestion
-                head, mid = ",".join(cells[:5]), ",".join(cells[5:])
-                rows_csv.write("".join([
-                    f"{head},{dep},{mid},{t},{d},{_FLAGS[c]}{text}\n"
-                    for dep, t, d, c, text in zip(
-                        deps, thr, delay, block.congested,
-                        _texts(vectors, csv_texts, csv_spell),
-                    )
-                ]))
-            if results:
-                q0, q1, q2, q3, q4, q5 = _RECORD.format(*consts).split("\0")
-                if not all(map(math.isfinite, chain(block.thr, block.delay))):
-                    thr, delay = map(_encode, block.thr), map(_encode, block.delay)
-                results.write("," * (b > 0) + ",".join([
-                    f"{q0}{text}{q1}{d}{q2}{_FLAGS[c]}{q3}{dep}{q4}{t}{q5}"
-                    for text, d, c, dep, t in zip(
-                        _texts(vectors, json_texts, json_spell),
-                        delay, block.congested, deps, thr,
-                    )
-                ]))
+                heads.append((",".join(cells[:5]), ",".join(cells[5:])))
+                records.append(_RECORD.format(*consts).split("\0"))
+            thr_rows, delay_rows = block.thr.reshape(-1), block.delay.reshape(-1)
+            congested, serving = block.congested.reshape(-1), block.serving.reshape(-1, n)
+            for a in range(p0 * D, p1 * D, _EXPORT_ROWS):
+                b = min(a + _EXPORT_ROWS, p1 * D)
+                if (block.sta_ids, block.nodes) != layout \
+                        or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
+                    layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
+                    csv_spell, json_spell = _layout(block.sta_ids, block.nodes, columns)
+                # the slice's points, each row's deployment, and the row's vector
+                points = range(a // D - p0, (b - 1) // D + 1 - p0)
+                counts = [min(b, (p0 + q + 1) * D) - max(a, (p0 + q) * D) for q in points]
+                deps = (np.arange(a, b) % D + block.first).tolist()
+                raw = serving[a:b].tobytes()
+                vectors = [raw[i * n : (i + 1) * n] for i in range(b - a)]
+                flags = list(map(_FLAGS.__getitem__, congested[a:b].tolist()))
+                thr = list(map(repr, thr_rows[a:b].tolist()))
+                delay = list(map(repr, delay_rows[a:b].tolist()))
+                if rows_out:
+                    rows_out.write("".join([
+                        f"{head},{dep},{mid},{t},{d},{c}{text}\n"
+                        for (head, mid), dep, t, d, c, text in zip(
+                            _repeat(heads, points, counts), deps, thr, delay, flags,
+                            _texts(vectors, csv_texts, csv_spell))
+                    ]))
+                if results:
+                    if not np.isfinite([thr_rows[a:b], delay_rows[a:b]]).all():
+                        thr = list(map(_encode, thr_rows[a:b].tolist()))
+                        delay = list(map(_encode, delay_rows[a:b].tolist()))
+                    results.write(sep + ",".join([
+                        f"{q0}{text}{q1}{d}{q2}{c}{q3}{dep}{q4}{t}{q5}"
+                        for (q0, q1, q2, q3, q4, q5), text, d, c, dep, t in zip(
+                            _repeat(records, points, counts),
+                            _texts(vectors, json_texts, json_spell), delay, flags, deps, thr)
+                    ]))
+                    sep = ","
         if results:
             results.write("]}\n")
 

@@ -342,17 +342,9 @@ def _build_11() -> list[SweepPoint]:
     ]
     sweep = [-50.0 - step for step in range(41)]  # -50 .. -90
     for plan in ("multi", "single"):
-        for cfg in (_RSSI_CFG, _la()):
-            for level in sweep:
-                points.append(
-                    SweepPoint(
-                        "1.1",
-                        _spec("1.1", AreaKind.CIRCLE_DMAX, 4, plan, 1000),
-                        cfg,
-                        _traffic(_B_STA_DEFAULT),
-                        rssi_ap_e_dbm=level,
-                    )
-                )
+        spec = _spec("1.1", AreaKind.CIRCLE_DMAX, 4, plan, 1000)
+        points += [SweepPoint("1.1", spec, cfg, _traffic(_B_STA_DEFAULT), rssi_ap_e_dbm=level)
+                   for cfg in (_RSSI_CFG, _la()) for level in sweep]
     return points
 
 
@@ -375,15 +367,8 @@ def _build_12() -> list[SweepPoint]:
 def _build_13() -> list[SweepPoint]:
     points = []
     for n_ext, cfg in _CIRCLE_ROWS:
-        for b_t in _b_t_grid(36.0):
-            points.append(
-                SweepPoint(
-                    "1.3",
-                    _spec("1.3", AreaKind.CIRCLE_DMAX, n_ext, "multi", 1000),
-                    cfg,
-                    _traffic(b_t / 10.0),
-                )
-            )
+        spec = _spec("1.3", AreaKind.CIRCLE_DMAX, n_ext, "multi", 1000)
+        points += [SweepPoint("1.3", spec, cfg, _traffic(b_t / 10.0)) for b_t in _b_t_grid(36.0)]
     return points
 
 
@@ -395,15 +380,8 @@ def _build_21() -> list[SweepPoint]:
             rows.append((n_ext, plan, _la()))
     points = []
     for n_ext, plan, cfg in rows:
-        for b_t in _b_t_grid(60.0):
-            points.append(
-                SweepPoint(
-                    "2.1",
-                    _spec("2.1", AreaKind.HOME_RECT, n_ext, plan, 1000),
-                    cfg,
-                    _traffic(b_t / 10.0),
-                )
-            )
+        spec = _spec("2.1", AreaKind.HOME_RECT, n_ext, plan, 1000)
+        points += [SweepPoint("2.1", spec, cfg, _traffic(b_t / 10.0)) for b_t in _b_t_grid(60.0)]
     return points
 
 
@@ -415,16 +393,9 @@ def _weight_grid(test_id: str, configs: Sequence[SelectionConfig]) -> list[Sweep
     load-aware selection and per-station demand."""
     points = []
     for plan in ("multi", "single"):
-        for cfg in configs:
-            for per_sta in _B_STA_WEIGHT_GRID:
-                points.append(
-                    SweepPoint(
-                        test_id,
-                        _spec(test_id, AreaKind.HOME_RECT, 2, plan, 1000),
-                        cfg,
-                        _traffic(per_sta),
-                    )
-                )
+        spec = _spec(test_id, AreaKind.HOME_RECT, 2, plan, 1000)
+        points += [SweepPoint(test_id, spec, cfg, _traffic(per_sta))
+                   for cfg in configs for per_sta in _B_STA_WEIGHT_GRID]
     return points
 
 
@@ -461,28 +432,11 @@ def _build_24() -> list[SweepPoint]:
     ]
     points = []
     for n_ext, cfg in rows:
+        spec = _spec("2.4", AreaKind.HOME_RECT, n_ext, "multi", 1, fixed_positions=positions)
         for b_ext in _B_EXT_GRID:
-            external = (
-                (
-                    ExternalLoad(
-                        channel=ext_channel,
-                        load_bps=b_ext,
-                        phy_rate_bps=EXTERNAL_PHY_RATE_BPS,
-                    ),
-                )
-                if b_ext > 0
-                else ()
-            )
-            points.append(
-                SweepPoint(
-                    "2.4",
-                    _spec("2.4", AreaKind.HOME_RECT, n_ext, "multi", 1,
-                          fixed_positions=positions),
-                    cfg,
-                    _traffic(4.32e6),
-                    external=external,
-                )
-            )
+            external = (ExternalLoad(channel=ext_channel, load_bps=b_ext,
+                                     phy_rate_bps=EXTERNAL_PHY_RATE_BPS),) if b_ext > 0 else ()
+            points.append(SweepPoint("2.4", spec, cfg, _traffic(4.32e6), external=external))
     return points
 
 

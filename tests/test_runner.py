@@ -13,7 +13,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from wlansteer import runner
 from wlansteer.config import run_config_from
@@ -521,6 +522,35 @@ def _pool_pids():
     return sorted(p.pid for p in multiprocessing.active_children())
 
 
+# fewer deployments than workers: points are dealt out, every other one to
+# a task, so each block holds every other point of its curve
+@pytest.mark.parametrize("test_id, k, workers", [("1.2", 1, 2), ("1.3", 2, 3)])
+def test_points_dealt_out_to_workers_write_the_serial_bundle(tmp_path, test_id, k, workers):
+    serial, dealt = tmp_path / "serial", tmp_path / "dealt"
+    run(RunConfig(test_id=test_id, k=k, workers=1, out_dir=str(serial)))
+    run(RunConfig(test_id=test_id, k=k, workers=workers, out_dir=str(dealt)))
+    assert _bundle(dealt) == _bundle(serial)
+
+
+def test_a_block_is_written_in_bounded_slices(monkeypatch, tmp_path):
+    # the three curves are blocks of 61 points by 2 deployments; slices of
+    # three rows cut points apart
+    whole, sliced = tmp_path / "whole", tmp_path / "sliced"
+    run(RunConfig(test_id="1.3", mechanism="rssi", k=2, out_dir=str(whole)))
+    texts, sizes = runner._texts, []
+
+    def spy(vectors, known, spell):
+        sizes.append(len(vectors))
+        return texts(vectors, known, spell)
+
+    monkeypatch.setattr(runner, "_texts", spy)
+    monkeypatch.setattr(runner, "_EXPORT_ROWS", 3)
+    run(RunConfig(test_id="1.3", mechanism="rssi", k=2, out_dir=str(sliced)))
+    assert _bundle(sliced) == _bundle(whole)
+    # rows.csv, then results.json, of each slice
+    assert max(sizes) == 3 and sum(sizes) == 2 * 3 * 61 * 2
+
+
 def test_the_pool_outlives_a_run_and_is_replaced_for_another_worker_count(tmp_path):
     serial = tmp_path / "serial"
     run(RunConfig(test_id="1.2", k=6, workers=1, out_dir=str(serial)))
@@ -705,7 +735,7 @@ def test_run_rows_read_like_the_point_rows(small_run):
 
 
 def test_runs_build_no_result_row(monkeypatch, tmp_path):
-    def refuse(self, i):
+    def refuse(self, p, d):
         raise AssertionError("a ResultRow was built")
 
     monkeypatch.setattr(runner._Block, "row", refuse)
@@ -717,16 +747,70 @@ def test_runs_build_no_result_row(monkeypatch, tmp_path):
 def test_aggregate_sums_in_deployment_order():
     """A left-to-right float sum: numpy's pairwise sum, ``math.fsum`` and
     Python 3.12's ``sum`` each give another mean for these throughputs."""
-    point = _point("1.2", 16, _stock)
     thr = [1e16] + [1.0] * 14 + [-1e16]
     stations = {sid: 0 for sid in range(10, 20)}
     rows = [_row(i, stations, throughput_pct=t) for i, t in enumerate(thr)]
-    (block,) = runner._blocks(rows)
+    ((block, _, _),) = runner._spans(rows)
     total = 0.0
     for t in thr:
         total += t
     assert total == 0.0 != math.fsum(thr)
-    assert runner._aggregate(point, block).mean_throughput_pct == total / 16
+    assert runner._aggregate(block)[0].mean_throughput_pct == total / 16
+
+
+def _loop_aggregate(block, p):
+    """Point ``p``'s four means as float loops from +0.0 over the block's
+    deployments, in their order."""
+    thr_sum = delay_sum = assoc_sum = 0.0
+    for thr in block.thr[p].tolist():
+        thr_sum += thr
+    for delay in block.delay[p].tolist():
+        delay_sum += delay
+    n = len(block.sta_ids)
+    for serving in block.serving[p].tolist():
+        assoc_sum += (n - serving.count(-1)) / n
+    k = block.deployments
+    return (thr_sum / k, delay_sum / k, 100.0 * block.congested[p].tolist().count(True) / k,
+            100.0 * assoc_sum / k)
+
+
+# subnormals, signed zeros, infinities and NaN among ordinary floats
+_SUMMANDS = st.one_of(st.floats(), st.floats(min_value=-3e-308, max_value=3e-308),
+                      st.sampled_from((-0.0, 0.0, 5e-324, math.inf, -math.inf, math.nan)))
+
+
+@st.composite
+def _drawn_block(draw):
+    """A block of up to three points over up to 16 deployments, its columns
+    drawn from ``_SUMMANDS``, now and then -0.0 throughout."""
+    P, D = draw(st.integers(1, 3)), draw(st.integers(1, 16))
+    n = draw(st.integers(1, 12))
+
+    def column():
+        if draw(st.integers(0, 4)) == 0:
+            return [-0.0] * D
+        return draw(st.lists(_SUMMANDS, min_size=D, max_size=D))
+
+    # each row's unassociated stations first, the others on node 0
+    unassociated = draw(st.lists(st.integers(0, n), min_size=P * D, max_size=P * D))
+    block = runner._Block(list(range(P)), [runner._constant(_row(0, {}))] * P,
+                          tuple(range(10, 10 + n)), [0], 0, D)
+    block.put(0, np.array([x for _ in range(P) for x in column()]),
+              np.array([x for _ in range(P) for x in column()]),
+              np.array(draw(st.lists(st.booleans(), min_size=P * D, max_size=P * D))),
+              np.array([[-1] * u + [0] * (n - u) for u in unassociated]))
+    return block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block=_drawn_block())
+def test_block_aggregates_are_the_loops_over_its_columns(block):
+    got = runner._aggregate(block)
+    assert [runner._constant(a) + (a.k,) for a in got] == [
+        c + (block.deployments,) for c in block.consts]
+    assert [repr((a.mean_throughput_pct, a.mean_delay_ms, a.congested_pct,
+                  a.association_rate_pct)) for a in got] == [
+        repr(_loop_aggregate(block, p)) for p in range(len(block.consts))]
 
 
 # --- the batched kernel against the single-topology API ----------------------
@@ -1075,8 +1159,15 @@ def _traces(directory):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
+# a steered point whose move lands on a link below the lowest MCS, alone and
+# after two points that never use that link: the error branch, every run
+_STEER, _UNUSED, _FLOOR, _ = _below_mcs_grid()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=_drawn_group())
+@example(case=([_STEER], _FLOOR, 1))
+@example(case=(_UNUSED + [_STEER], _FLOOR, 2))
 def test_points_on_one_draw_match_the_topology_api(case):
     # the kernel's rows and aggregates, and its frame traces byte for byte,
     # against the Topology API and export_events(run_mechanism(...))
@@ -1106,6 +1197,8 @@ def test_points_on_one_draw_match_the_topology_api(case):
                 return
             blocks = runner._evaluate_range(members, params, str(kernel), 0, k)
         assert _traces(kernel) == _traces(scalar)
-    for point, block, (want_rows, want_agg) in zip(points, blocks, want):
-        assert list(runner.ResultRows([block])) == want_rows
-        assert runner._aggregate(point, block) == want_agg
+    spans, aggs = runner._grid_order(blocks)
+    views = [(block, p, p + 1) for block, p0, p1 in spans for p in range(p0, p1)]
+    for view, (want_rows, _) in zip(views, want):
+        assert list(runner.ResultRows([view])) == want_rows
+    assert aggs == [agg for _, agg in want]
