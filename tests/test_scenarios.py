@@ -1,4 +1,5 @@
 """Scenario generators: layouts, channel plans, seeded deployment draws."""
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
@@ -272,6 +273,25 @@ GRID_SIZES = {"1.1": 165, "1.2": 5, "1.3": 305, "2.1": 909, "2.2": 40, "2.3": 40
 def test_manifest_counts_match_built_grids():
     for test_id, expected in GRID_SIZES.items():
         assert len(build_test(test_id)) == expected
+
+
+# sha256 of repr(build_test(t)): every field of every point, the grid's own k
+# and seed included, in grid order
+GRID_DIGESTS = {
+    "1.1": "c77b6a2a3fbe5a6df4538cc4300589c97ae3f7d4f2ccfa049cf58ddc16ed3396",
+    "1.2": "a0662594692041513fdeacb35bc02a759b7d289a83e3e31c66a1728ea8b9829b",
+    "1.3": "725932c46f999c73b899e2ad2f7942e23636849cee980661c7113dbbb0da4aae",
+    "2.1": "974a751bb6572d269c7ba874ef8fc328dd5a5d5ecbc91b243af836cd3db83a0d",
+    "2.2": "b491c79bc9f97b7c1369487a4ecb05298af34b4e2237ad9570765baebc4f4eea",
+    "2.3": "5d9dd553e7e6602a699075250017948fdf679bbe943a3829393a00ccf2a4f350",
+    "2.4": "f40406c719705f31d995e20fbb1fc74c0930f526a818d4f222baa15b018e2c30",
+}
+
+
+@pytest.mark.parametrize("test_id", sorted(GRID_DIGESTS))
+def test_each_grid_is_pinned_point_for_point(test_id):
+    text = repr(build_test(test_id))
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGESTS[test_id]
 
 
 def test_build_test_rejects_unknown_ids():
