@@ -60,13 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the run config fields whose flag has another name
+_FLAGS = {"test_id": "test", "beta_pct": "beta"}
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        cfg = run_config_from(load_config(args.config))
-    elif args.test is None:
+    if args.config is None and args.test is None:
         raise ConfigError("either --test or --config is required")
-    else:
-        cfg = RunConfig(test_id=args.test)
+    base = None if args.config is None else run_config_from(load_config(args.config))
     flags = dict(
         test_id=args.test, alpha=args.alpha, beta_pct=args.beta_pct, k=args.k,
         seed=args.seed, mechanism=args.mechanism, channel_plan=args.channel_plan,
@@ -74,10 +75,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         b_t_bps=None if args.b_t is None else tuple(x * 1e6 for x in args.b_t),
         emit_events=args.emit_events or None,
     )
-    try:  # RunConfig checks k and workers; its message opens with the field's name
-        cfg = replace(cfg, **{f: v for f, v in flags.items() if v is not None})
+    given = {f: v for f, v in flags.items() if v is not None}
+    try:  # RunConfig checks its fields; each message opens with the field's name
+        cfg = RunConfig(**given) if base is None else replace(base, **given)
     except ValueError as exc:
-        raise ConfigError(f"--{exc}") from None
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"--{_FLAGS.get(name, name)} {rest}") from None
     if cfg.emit_events and cfg.out_dir is None:
         raise ConfigError("--emit-events needs --out, the directory its traces go to")
     return cfg

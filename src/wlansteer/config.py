@@ -46,7 +46,6 @@ from .radio import (
 )
 from .runner import RunConfig
 from .scenarios import DEFAULT_EXTENDER_RSSI_DBM, AreaKind, ScenarioSpec, build_topology
-from .selection import SelectionConfig
 
 
 class ConfigError(ValueError):
@@ -177,12 +176,14 @@ def _build(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> A
 
 # --- the physics bundle and the run -----------------------------------------
 
+# the keys of the run config fields that are not run.<field>
+_KEYS = {"test_id": "run.test", "alpha": "selection.alpha", "beta_pct": "selection.beta_pct"}
+
 
 def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
     """The run a config document describes, its physics bundle included."""
     d = _checked(cfg)
     run, sel = d["run"], d["selection"]
-    _build("selection", SelectionConfig, **{k: v for k, v in sel.items() if v is not None})
     physics = dict(
         propagation=_build("propagation", PropagationParams, **d["propagation"]),
         mcs_tables={
@@ -221,7 +222,8 @@ def run_config_from(cfg: Mapping[str, Any]) -> RunConfig:
             params=params,
         )
     except ValueError as exc:  # its message opens with the field's name
-        raise ConfigError(f"run.{exc}") from None
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_KEYS.get(name, 'run.' + name)} {rest}") from None
 
 
 # --- scenario parsing -------------------------------------------------------

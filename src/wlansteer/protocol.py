@@ -22,7 +22,7 @@ at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .model import Band, ChannelId, Topology
@@ -204,10 +204,11 @@ class EventLog:
 
 def _fields(value):
     """``json.dumps``'s encoder for what it cannot write itself: a frame or
-    nested dataclass as an object of its fields, a band as its value."""
+    nested dataclass as an object of its fields, a band as its value.  A
+    frame's instance dict holds its fields and nothing else."""
     if isinstance(value, Band):
         return value.value
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+    return vars(value)
 
 
 def export_events(log: EventLog, path: str) -> None:

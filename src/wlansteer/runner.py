@@ -76,10 +76,13 @@ import numpy as np
 from .model import Position, backhaul_path
 from .perf import EngineParams, SimEnv, below_mcs_error, link_rate, topology_channels
 from .radio import PropagationParams, rssi_column
-from .selection import CandidateScore, Mechanism, candidate_list, capable_count
+from .selection import CandidateScore, Mechanism, SelectionConfig, candidate_list, capable_count
 from .protocol import EventLog, export_events
 from .scenarios import (
     STA_ID_BASE,
+    TEST_IDS,
+    AreaKind,
+    ScenarioSpec,
     SweepPoint,
     add_stations,
     build_test,
@@ -293,15 +296,25 @@ class RunConfig:
     def __post_init__(self) -> None:
         # each message opens with the field's name, which config and cli
         # turn into the key or the flag that set it
-        for name, value in (("k", self.k), ("workers", self.workers)):
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.test_id not in TEST_IDS:
+            raise ValueError(f"test_id {self.test_id!r} is an unknown test id; known: "
+                             + ", ".join(sorted(TEST_IDS)))
+        # a rewrite passes the check of the field it rewrites
+        SelectionConfig(**_given(alpha=self.alpha, beta_pct=self.beta_pct))
+        ScenarioSpec(AreaKind.CIRCLE_DMAX, **_given(k=self.k, seed=self.seed))
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
         if isinstance(self.mechanism, str):
             self.mechanism = Mechanism(self.mechanism)
         if self.b_t_bps is not None:
             self.b_t_bps = tuple(float(b) for b in self.b_t_bps)
+
+
+def _given(**fields) -> dict:
+    """The fields that are not None."""
+    return {f: v for f, v in fields.items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -318,8 +331,8 @@ def _b_t_matches(value: float, wanted: Sequence[float]) -> bool:
 def apply_overrides(points: Sequence[SweepPoint], cfg: RunConfig) -> list[SweepPoint]:
     """The points ``cfg`` keeps, rewritten: each distinct ``ScenarioSpec``
     once, and a point that no rewrite touches not at all."""
-    retune = {f: v for f, v in (("alpha", cfg.alpha), ("beta_pct", cfg.beta_pct)) if v is not None}
-    respec = {f: v for f, v in (("k", cfg.k), ("seed", cfg.seed)) if v is not None}
+    retune = _given(alpha=cfg.alpha, beta_pct=cfg.beta_pct)
+    respec = _given(k=cfg.k, seed=cfg.seed)
     specs: dict = {}
     out = []
     for point in points:

@@ -16,6 +16,11 @@ Station draws are reproducible: deployment ``i`` of a scenario uses an RNG
 substream derived from (scenario seed, i), so any deployment can be
 regenerated in isolation and the draw order never depends on worker layout
 or mechanism.
+
+The seven campaign grids are one table, ``_GRIDS``, and one builder,
+``_grid``.  A test is a few curves (extenders, channel plan, selection),
+each with one ``ScenarioSpec``, swept over steps shared by all of them:
+extender level x per-station demand x neighbour load.
 """
 
 from __future__ import annotations
@@ -65,9 +70,8 @@ class AreaKind(enum.Enum):
 
 
 def _access_radio(channel_number: int) -> RadioConfig:
-    return RadioConfig(
-        band=Band.GHZ_2_4, channel=ChannelId(Band.GHZ_2_4, channel_number)
-    )
+    """A 2.4 GHz radio: a serving node's access radio, or a station's on channel 1."""
+    return RadioConfig(band=Band.GHZ_2_4, channel=ChannelId(Band.GHZ_2_4, channel_number))
 
 
 def _backhaul_radio() -> RadioConfig:
@@ -77,10 +81,6 @@ def _backhaul_radio() -> RadioConfig:
 def _serving_radios(channel_number: int) -> tuple[RadioConfig, RadioConfig]:
     """An AP's or extender's access radio on ``channel_number``, then its backhaul radio."""
     return (_access_radio(channel_number), _backhaul_radio())
-
-
-def _sta_radio() -> RadioConfig:
-    return RadioConfig(band=Band.GHZ_2_4, channel=ChannelId(Band.GHZ_2_4, 1))
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def add_stations(
             sid,
             NodeKind.STA,
             (float(pos[0]), float(pos[1])),
-            (_sta_radio(),),
+            (_access_radio(1),),
             supports_11kv=sid in capable,
         )
     return replace(base, nodes=nodes)
@@ -290,113 +290,12 @@ TEST_IDS = {
     "2.4": "home, neighbour interference on the extender channel, one deployment",
 }
 
-_SEEDS = {"1.1": 101, "1.2": 102, "1.3": 103, "2.1": 201, "2.2": 202, "2.3": 203, "2.4": 204}
+# the interferer transmits at a legacy rate, so its airtime share is large
+# enough to saturate the shared channel inside the swept B_EXT window
+EXTERNAL_PHY_RATE_BPS = 6e6
 
-_B_STA_DEFAULT = 2.4e6
-_PKT_BITS = 12000
-
-
-def _la(alpha: float = 0.5, beta_pct: float = 100.0) -> SelectionConfig:
-    return SelectionConfig(
-        mechanism=Mechanism.LOAD_AWARE, alpha=alpha, beta_pct=beta_pct
-    )
-
-
-_RSSI_CFG = SelectionConfig(mechanism=Mechanism.RSSI_BASED)
-
-
-def _traffic(per_sta: float, n_sta: int = 10) -> TrafficProfile:
-    return TrafficProfile.for_stations(per_sta, n_sta, _PKT_BITS)
-
-
-def _b_t_grid(stop_mbps: float) -> list[float]:
-    """Total-demand grid in bps: a low anchor plus 0.6 Mbps steps."""
-    grid = [0.12e6]
-    steps = int(round(stop_mbps / 0.6))
-    grid.extend(0.6e6 * j for j in range(1, steps + 1))
-    return grid
-
-
-def _spec(
-    test_id: str, area: AreaKind, n_ext: int, plan: str, k: int,
-    fixed_positions: Optional[tuple[Position, ...]] = None,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        area=area,
-        n_extenders=n_ext,
-        channel_plan=plan,
-        k=k,
-        seed=_SEEDS[test_id],
-        fixed_positions=fixed_positions,
-    )
-
-
-def _build_11() -> list[SweepPoint]:
-    points = [
-        SweepPoint(
-            "1.1",
-            _spec("1.1", AreaKind.CIRCLE_DMAX, 0, "multi", 1000),
-            _RSSI_CFG,
-            _traffic(_B_STA_DEFAULT),
-        )
-    ]
-    sweep = [-50.0 - step for step in range(41)]  # -50 .. -90
-    for plan in ("multi", "single"):
-        spec = _spec("1.1", AreaKind.CIRCLE_DMAX, 4, plan, 1000)
-        points += [SweepPoint("1.1", spec, cfg, _traffic(_B_STA_DEFAULT), rssi_ap_e_dbm=level)
-                   for cfg in (_RSSI_CFG, _la()) for level in sweep]
-    return points
-
-
-# (extenders, selection) of the curves of tests 1.2 and 1.3
-_CIRCLE_ROWS = [(0, _RSSI_CFG), (2, _RSSI_CFG), (4, _RSSI_CFG), (2, _la()), (4, _la())]
-
-
-def _build_12() -> list[SweepPoint]:
-    return [
-        SweepPoint(
-            "1.2",
-            _spec("1.2", AreaKind.CIRCLE_1P2_DMAX, n_ext, "multi", 10000),
-            cfg,
-            _traffic(_B_STA_DEFAULT),
-        )
-        for n_ext, cfg in _CIRCLE_ROWS
-    ]
-
-
-def _build_13() -> list[SweepPoint]:
-    points = []
-    for n_ext, cfg in _CIRCLE_ROWS:
-        spec = _spec("1.3", AreaKind.CIRCLE_DMAX, n_ext, "multi", 1000)
-        points += [SweepPoint("1.3", spec, cfg, _traffic(b_t / 10.0)) for b_t in _b_t_grid(36.0)]
-    return points
-
-
-def _build_21() -> list[SweepPoint]:
-    rows: list[tuple[int, str, SelectionConfig]] = [(0, "multi", _RSSI_CFG)]
-    for plan in ("multi", "single"):
-        for n_ext in (1, 2):
-            rows.append((n_ext, plan, _RSSI_CFG))
-            rows.append((n_ext, plan, _la()))
-    points = []
-    for n_ext, plan, cfg in rows:
-        spec = _spec("2.1", AreaKind.HOME_RECT, n_ext, plan, 1000)
-        points += [SweepPoint("2.1", spec, cfg, _traffic(b_t / 10.0)) for b_t in _b_t_grid(60.0)]
-    return points
-
-
-_B_STA_WEIGHT_GRID = (1.8e6, 3.0e6, 4.2e6, 5.4e6)
-
-
-def _weight_grid(test_id: str, configs: Sequence[SelectionConfig]) -> list[SweepPoint]:
-    """Tests 2.2 and 2.3: the two-extender home under each channel plan,
-    load-aware selection and per-station demand."""
-    points = []
-    for plan in ("multi", "single"):
-        spec = _spec(test_id, AreaKind.HOME_RECT, 2, plan, 1000)
-        points += [SweepPoint(test_id, spec, cfg, _traffic(per_sta))
-                   for cfg in configs for per_sta in _B_STA_WEIGHT_GRID]
-    return points
+# every grid draws this many stations
+_N_STA = 10
 
 
 def fixed_home_positions(seed: int = FIXED_DEPLOYMENT_SEED) -> tuple[Position, ...]:
@@ -413,53 +312,94 @@ def fixed_home_positions(seed: int = FIXED_DEPLOYMENT_SEED) -> tuple[Position, .
     return tuple((float(x), float(y)) for x, y in zip(xs, ys))
 
 
-_B_EXT_GRID = tuple(0.5e6 * j for j in range(25))  # 0 .. 12 Mbps
-
-# the interferer transmits at a legacy rate, so its airtime share is large
-# enough to saturate the shared channel inside the swept B_EXT window
-EXTERNAL_PHY_RATE_BPS = 6e6
-
-
-def _build_24() -> list[SweepPoint]:
-    positions = fixed_home_positions()
-    ext_channel = ChannelId(Band.GHZ_2_4, 6)
-    rows: list[tuple[int, SelectionConfig]] = [
-        (0, _RSSI_CFG),
-        (1, _RSSI_CFG),
-        (1, _la(alpha=0.5)),
-        (1, _la(alpha=0.75)),
-        (1, _la(alpha=1.0)),
-    ]
+def _grid(
+    test_id: str,
+    seed: int,
+    area: AreaKind,
+    k: int,
+    curves: Sequence[tuple[int, str, SelectionConfig]],
+    per_sta: Sequence[float] = (2.4e6,),
+    levels: Sequence[Optional[float]] = (None,),
+    b_ext: Sequence[float] = (0.0,),
+    fixed_stations: bool = False,
+) -> list[SweepPoint]:
+    """One campaign test: each curve (extenders, channel plan, selection)
+    swept over the same steps, extender level x per-station demand x
+    neighbour load on the home extender's channel; a curve without extenders
+    has no level to sweep.  ``fixed_stations`` places ``fixed_home_positions``."""
+    fixed_positions = fixed_home_positions() if fixed_stations else None
+    channel = ChannelId(Band.GHZ_2_4, 6)
+    loads = [(ExternalLoad(channel, b, EXTERNAL_PHY_RATE_BPS),) if b > 0 else () for b in b_ext]
+    demand = [(TrafficProfile.for_stations(b, _N_STA), load) for b in per_sta for load in loads]
+    steps = [(level, traffic, load) for level in levels for traffic, load in demand]
+    unplaced = [(None, traffic, load) for traffic, load in demand]
     points = []
-    for n_ext, cfg in rows:
-        spec = _spec("2.4", AreaKind.HOME_RECT, n_ext, "multi", 1, fixed_positions=positions)
-        for b_ext in _B_EXT_GRID:
-            external = (ExternalLoad(channel=ext_channel, load_bps=b_ext,
-                                     phy_rate_bps=EXTERNAL_PHY_RATE_BPS),) if b_ext > 0 else ()
-            points.append(SweepPoint("2.4", spec, cfg, _traffic(4.32e6), external=external))
+    for n_ext, plan, selection in curves:
+        spec = ScenarioSpec(area, _N_STA, n_extenders=n_ext, channel_plan=plan, k=k, seed=seed,
+                            fixed_positions=fixed_positions)
+        points += [SweepPoint(test_id, spec, selection, traffic, load, level)
+                   for level, traffic, load in (steps if n_ext else unplaced)]
     return points
 
 
-_BUILDERS = {
-    "1.1": _build_11,
-    "1.2": _build_12,
-    "1.3": _build_13,
-    "2.1": _build_21,
-    "2.2": lambda: _weight_grid("2.2", [_la(alpha=a) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]),
-    "2.3": lambda: _weight_grid("2.3", [_la(beta_pct=b) for b in (0.0, 25.0, 50.0, 75.0, 100.0)]),
-    "2.4": _build_24,
+_PLANS = ("multi", "single")
+_RSSI = SelectionConfig(mechanism=Mechanism.RSSI_BASED)
+
+
+def _la(alpha: float = 0.5, beta_pct: float = 100.0) -> SelectionConfig:
+    return SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=alpha, beta_pct=beta_pct)
+
+
+def _ramp(stop_mbps: float) -> tuple[float, ...]:
+    """Per-station demand as the total rises from a low anchor in 0.6 Mbps
+    steps up to ``stop_mbps``."""
+    totals = [0.12e6] + [0.6e6 * j for j in range(1, int(round(stop_mbps / 0.6)) + 1)]
+    return tuple(b_t / _N_STA for b_t in totals)
+
+
+# the curves of tests 1.2 and 1.3: stock with 0, 2 and 4 extenders, then load-aware
+_CIRCLE_CURVES = [(0, "multi", _RSSI), (2, "multi", _RSSI), (4, "multi", _RSSI),
+                  (2, "multi", _la()), (4, "multi", _la())]
+
+# each test's arguments to ``_grid``
+_GRIDS = {
+    "1.1": dict(
+        seed=101, area=AreaKind.CIRCLE_DMAX, k=1000,
+        curves=[(0, "multi", _RSSI)] + [(4, plan, s) for plan in _PLANS for s in (_RSSI, _la())],
+        levels=[-50.0 - step for step in range(41)],  # -50 .. -90 dBm
+    ),
+    "1.2": dict(seed=102, area=AreaKind.CIRCLE_1P2_DMAX, k=10000, curves=_CIRCLE_CURVES),
+    "1.3": dict(seed=103, area=AreaKind.CIRCLE_DMAX, k=1000, curves=_CIRCLE_CURVES,
+                per_sta=_ramp(36.0)),
+    "2.1": dict(
+        seed=201, area=AreaKind.HOME_RECT, k=1000, per_sta=_ramp(60.0),
+        curves=[(0, "multi", _RSSI)] + [(n_ext, plan, s) for plan in _PLANS
+                                        for n_ext in (1, 2) for s in (_RSSI, _la())],
+    ),
+    "2.2": dict(
+        seed=202, area=AreaKind.HOME_RECT, k=1000, per_sta=(1.8e6, 3.0e6, 4.2e6, 5.4e6),
+        curves=[(2, plan, _la(alpha=a)) for plan in _PLANS for a in (0.0, 0.25, 0.5, 0.75, 1.0)],
+    ),
+    "2.3": dict(
+        seed=203, area=AreaKind.HOME_RECT, k=1000, per_sta=(1.8e6, 3.0e6, 4.2e6, 5.4e6),
+        curves=[(2, plan, _la(beta_pct=b)) for plan in _PLANS
+                for b in (0.0, 25.0, 50.0, 75.0, 100.0)],
+    ),
+    "2.4": dict(
+        seed=204, area=AreaKind.HOME_RECT, k=1, per_sta=(4.32e6,),
+        b_ext=[0.5e6 * j for j in range(25)],  # 0 .. 12 Mbps
+        curves=[(0, "multi", _RSSI)] + [(1, "multi", s)
+                                        for s in (_RSSI, _la(), _la(0.75), _la(1.0))],
+        fixed_stations=True,
+    ),
 }
 
 
 def build_test(test_id: str) -> list[SweepPoint]:
     """The full sweep grid of one campaign test."""
-    try:
-        builder = _BUILDERS[test_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown test id {test_id!r}; known: {', '.join(sorted(_BUILDERS))}"
-        ) from None
-    return builder()
+    if test_id not in _GRIDS:
+        raise ValueError(f"unknown test id {test_id!r}; known: {', '.join(sorted(_GRIDS))}")
+    return _grid(test_id, **_GRIDS[test_id])
 
 
 # --- measured-testbed fixture ----------------------------------------------
@@ -541,7 +481,7 @@ def fixture_topology(
     for sta_no in stas:
         sid = _sta_node_id(sta_no)
         nodes.append(
-            Node(sid, NodeKind.STA, (0.0, float(sta_no)), (_sta_radio(),),
+            Node(sid, NodeKind.STA, (0.0, float(sta_no)), (_access_radio(1),),
                  supports_11kv=capable)
         )
         rssi_ap, rssi_ext = TESTBED_RSSI[sta_no]

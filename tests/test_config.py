@@ -166,6 +166,31 @@ def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
     assert run_config_from({"run": {"workers": MAX_WORKERS}}).workers == MAX_WORKERS
 
 
+# (RunConfig field, config key, flag, bad value, the rule it breaks)
+_OUT_OF_RANGE_INPUTS = [
+    ("alpha", "selection.alpha", "--alpha", 2, "must lie in [0, 1]"),
+    ("beta_pct", "selection.beta_pct", "--beta", 200, "must lie in [0, 100]"),
+    ("seed", "run.seed", "--seed", -1, "must be non-negative"),
+    ("test_id", "run.test", "--test", "9.9",
+     "'9.9' is an unknown test id; known: 1.1, 1.2, 1.3, 2.1, 2.2, 2.3, 2.4"),
+]
+
+
+@pytest.mark.parametrize("field, key, flag, value, rule", _OUT_OF_RANGE_INPUTS,
+                         ids=[row[0] for row in _OUT_OF_RANGE_INPUTS])
+def test_out_of_range_run_inputs_fail_before_the_run_naming_their_source(
+        field, key, flag, value, rule, monkeypatch):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {rule}')}$"):
+        RunConfig(**{"test_id": "1.2", field: value})
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} {rule}')}$"):
+        run_config_from({section: {name: value}})
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("run must not start"))
+    test = [] if flag == "--test" else ["--test", "2.4"]
+    rc, _, err = _run_cli(["run", *test, flag, str(value)])
+    assert (rc, err) == (1, f"error: {flag} {rule}\n")
+
+
 def test_a_config_that_emits_events_needs_an_output_directory(tmp_path):
     with pytest.raises(ConfigError, match=r"^run\.emit_events needs run\.out_dir"):
         run_config_from({"run": {"test": "2.4", "emit_events": True}})
@@ -268,7 +293,7 @@ _BAD_DOCUMENTS = [
     ({"traffic": {}}, "traffic"),
     ({"selection": {"passes": 2}}, "selection.passes"),
     ({"selection": {"mechanism": "loadaware"}}, "selection.mechanism"),
-    ({"selection": {"alpha": 1.5}}, "selection"),
+    ({"selection": {"alpha": 1.5}}, "selection.alpha"),
     ({"selection": {"beta_pct": "50"}}, "selection.beta_pct"),
     ({"selection": None}, "selection"),
     ({"run": {"seed": 1.0}}, "run.seed"),

@@ -1,6 +1,8 @@
 """Frame-level behavior of the 802.11k/v exchange that observes the steering pass."""
+import dataclasses
 import hashlib
 import json
+import typing
 
 import pytest
 
@@ -8,20 +10,25 @@ from conftest import (
     CH1, CH6, CH11, ap_node, extender_node, radio24, sta_node, traffic, two_cell,
 )
 
-from wlansteer.model import Band, Node, NodeKind, Topology, make_node_map
+from wlansteer.model import Band, ChannelId, Node, NodeKind, Topology, make_node_map
 from wlansteer.perf import SimEnv, busy_fractions
 from wlansteer.protocol import (
     AssocRequest,
     AssocResponse,
     BeaconReport,
+    BeaconReportEntry,
     BtmRequest,
     ChannelLoadReport,
     ChannelLoadRequest,
     EventLog,
+    Frame,
     export_events,
     run_mechanism,
 )
 from wlansteer.selection import (
+    CandidateEntry,
+    CandidateList,
+    CandidateScore,
     Mechanism,
     SelectionConfig,
     initial_association,
@@ -265,3 +272,27 @@ def test_trace_bytes_are_pinned_per_branch(key, tmp_path):
     path = tmp_path / "events.ndjson"
     export_events(log, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BRANCH_TRACE_SHA256[key]
+
+
+def _dataclasses_in(value):
+    """Every dataclass instance in ``value``, as the trace encoder meets them."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _dataclasses_in(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _dataclasses_in(item)
+
+
+def test_every_traced_dataclass_holds_its_fields_and_nothing_else():
+    # export_events writes vars() of each, so a cached attribute would leak into the trace
+    seen = set()
+    for t, env in (busy_two_cell(), _deployment_13_4e()):
+        _, log = run_mechanism(t, env, LA)
+        for e in log.entries:
+            for value in _dataclasses_in(e.frame):
+                assert list(vars(value)) == [f.name for f in dataclasses.fields(value)]
+                seen.add(type(value))
+    nested = {ChannelId, BeaconReportEntry, CandidateList, CandidateEntry, CandidateScore}
+    assert seen == set(typing.get_args(Frame)) | nested

@@ -1,4 +1,5 @@
 """The scripts under scripts/, run as a user runs them."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -53,3 +54,24 @@ def test_run_campaign_fails_when_events_have_no_output_directory():
     proc = _run_campaign("--test", "2.4", "--emit-events", returncode=1)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: --emit-events needs --out")
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "scripts", "mutants.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_catalogued_mutant_still_applies_once():
+    mutants = _mutants()
+    entries = mutants.load()
+    assert len({e["label"] for e in entries}) == len(entries)
+    for entry in entries:
+        with open(os.path.join(ROOT, entry["file"]), encoding="utf-8") as fh:
+            text = fh.read()
+        assert mutants.mutated(entry, text) != text, entry["label"]
+        assert entry["tests"], entry["label"]
+        for test in entry["tests"]:
+            assert os.path.isfile(os.path.join(ROOT, test.split("::")[0])), test
