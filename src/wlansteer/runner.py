@@ -9,20 +9,22 @@ merged in grid order.
 
 Sweep points that read the same inputs of ``deployment_draw`` (and have the
 same ``k``) form a draw group: every demand step of a curve replays the same
-stations.  A group is walked in slices of deployments.  Each deployment is
-drawn once, and each transmitter's RSSI column over the slice's stations is
-computed once (``_Columns``, keyed by position, tx power and frequency, so
-that link geometries with the same AP or extender share it).  A link
-geometry of the group (``_Geometry``: what ``build_topology`` reads, the
-engine parameters and the packet length) stacks its columns into the slice's
-RSSI table, strongest-signal associations and airtimes just before its
-first batch, and drops them after its last, so a slice holds one geometry's
-links at a time.  Each batch is one numpy kernel (``_Batch``) that steers
-and evaluates the geometry's points that share the pass flags together, on
-rows of (point, deployment) pairs laid out point-major, so that a point's
-rows are one contiguous run.  It computes what ``initial_association``,
-``reassociation_pass`` and ``evaluate`` compute, to the last bit; those
-functions stay the single-topology interface and the kernel's oracle.
+stations.  A group is walked in slices of deployments.  A slice's
+deployments are drawn once, all at once (``draw_slice``, which makes
+``deployment_draw``'s stations in one numpy pass), and each transmitter's
+RSSI column over the slice's stations is computed once (``_Columns``, keyed
+by position, tx power and frequency, so that link geometries with the same
+AP or extender share it).  A link geometry of the group (``_Geometry``: what
+``build_topology`` reads, the engine parameters and the packet length) stacks
+its columns into the slice's RSSI table, strongest-signal associations and
+airtimes just before its first batch, and drops them after its last, so a
+slice holds one geometry's links at a time.  Each batch is one numpy kernel
+(``_Batch``) that steers and evaluates the geometry's points that share the
+pass flags together, on rows of (point, deployment) pairs laid out
+point-major, so that a point's rows are one contiguous run.  It computes
+what ``initial_association``, ``reassociation_pass`` and ``evaluate``
+compute, to the last bit; those functions stay the single-topology interface
+and the kernel's oracle.
 
 A worker pool gets (draw group, contiguous deployment range) tasks, one range
 per worker; each range holds all of the group's points, so all cost the same.
@@ -45,8 +47,9 @@ grid; a ``ResultRow`` is built only when it is read.  The exports read spans
 too, and cut a plain list of rows into one-point blocks first; a run writes
 its three files in one walk.  Each distinct constant is spelled once for all
 of them, each row's floats once for both row files, and each distinct
-association vector once, joined from pieces made per layout; a span's rows
-go out in slices of at most ``_EXPORT_ROWS``.
+association vector once per file: a slice's new vectors in one gather from a
+table of pieces made per layout, built only for the files being written; a
+span's rows go out in slices of at most ``_EXPORT_ROWS``.
 
 The 802.11k/v frame trace observes the kernel: a traced batch gives each row
 an ``EventLog``, which gets the row's frames from the arrays its decisions
@@ -73,7 +76,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Position, backhaul_path
+from .model import backhaul_path
 from .perf import EngineParams, SimEnv, below_mcs_error, link_rate, topology_channels
 from .radio import PropagationParams, rssi_column
 from .selection import CandidateScore, Mechanism, SelectionConfig, candidate_list, capable_count
@@ -87,8 +90,8 @@ from .scenarios import (
     add_stations,
     build_test,
     build_topology,
-    deployment_draw,
     draw_key,
+    draw_slice,
     topology_key,
 )
 
@@ -330,26 +333,33 @@ def _b_t_matches(value: float, wanted: Sequence[float]) -> bool:
 
 def apply_overrides(points: Sequence[SweepPoint], cfg: RunConfig) -> list[SweepPoint]:
     """The points ``cfg`` keeps, rewritten: each distinct ``ScenarioSpec``
-    once, and a point that no rewrite touches not at all."""
+    object once (a grid's curve shares one), and a point that no rewrite
+    touches not at all."""
     retune = _given(alpha=cfg.alpha, beta_pct=cfg.beta_pct)
     respec = _given(k=cfg.k, seed=cfg.seed)
-    specs: dict = {}
+    specs: dict = {}  # by id: ``points`` holds every spec while the dict lives
     out = []
     for point in points:
-        if cfg.mechanism is not None and point.selection.mechanism is not cfg.mechanism:
+        scenario, selection = point.scenario, point.selection
+        if cfg.mechanism is not None and selection.mechanism is not cfg.mechanism:
             continue
-        if cfg.channel_plan is not None and point.scenario.channel_plan != cfg.channel_plan:
+        if cfg.channel_plan is not None and scenario.channel_plan != cfg.channel_plan:
             continue
-        if cfg.n_ext is not None and point.scenario.n_extenders != cfg.n_ext:
+        if cfg.n_ext is not None and scenario.n_extenders != cfg.n_ext:
             continue
         if cfg.b_t_bps is not None and not _b_t_matches(point.b_t_bps, cfg.b_t_bps):
             continue
-        if respec and point.scenario not in specs:
-            specs[point.scenario] = replace(point.scenario, **respec)
-        changes = {"scenario": specs[point.scenario]} if respec else {}
-        if retune and point.selection.mechanism is Mechanism.LOAD_AWARE:
-            changes["selection"] = replace(point.selection, **retune)
-        out.append(replace(point, **changes) if changes else point)
+        if respec:
+            if id(scenario) not in specs:
+                specs[id(scenario)] = replace(scenario, **respec)
+            scenario = specs[id(scenario)]
+        if retune and selection.mechanism is Mechanism.LOAD_AWARE:
+            selection = replace(selection, **retune)
+        if scenario is not point.scenario or selection is not point.selection:
+            # the constructor, which costs half what ``replace`` does
+            point = SweepPoint(point.test_id, scenario, selection, point.traffic,
+                               point.external, point.rssi_ap_e_dbm)
+        out.append(point)
     return out
 
 
@@ -461,11 +471,10 @@ class _Columns(dict):
     A column is made when a link geometry first asks for it, and every
     geometry with that transmitter shares it."""
 
-    def __init__(self, positions: Sequence[Sequence[Position]],
-                 propagation: PropagationParams) -> None:
+    def __init__(self, positions: np.ndarray, propagation: PropagationParams) -> None:
         super().__init__()
         self.deployments = len(positions)
-        self.points = [xy for stations in positions for xy in stations]
+        self.points = positions.reshape(-1, 2).tolist()
         self.propagation = propagation
 
     def __missing__(self, tx: tuple) -> np.ndarray:
@@ -713,10 +722,10 @@ def _evaluate_range(
             for part in parts]))
     step = max(1, width // max(len(b.members) for _, bs in batches for b, _ in bs))
     for first in range(lo, hi, step):
-        draws = [deployment_draw(spec, dep, params.propagation, band_mhz=params.band_mhz)
-                 for dep in range(first, min(first + step, hi))]
-        columns = _Columns([pos for pos, _ in draws], params.propagation)
-        rank, D = np.argsort([perm for _, perm in draws], axis=1), len(draws)
+        positions, perms = draw_slice(spec, first, min(first + step, hi), params.propagation,
+                                      band_mhz=params.band_mhz)
+        columns = _Columns(positions, params.propagation)
+        rank, D = np.argsort(perms, axis=1), len(perms)
         for geom, geom_batches in batches:
             # a geometry's links live only while its batches run
             links = geom.links(columns)
@@ -894,39 +903,53 @@ _AGGREGATE_RECORD = "{{%s}}" % ",".join(
 _aggregate_fields = operator.attrgetter(*AGGREGATE_COLUMNS)
 
 
-def _layout(sta_ids: tuple[int, ...], nodes: list, columns: list[int]) -> tuple:
-    """rows.csv's and results.json's text of a layout's association vector.
-    Each joins pieces listed per station by serving index, unassociated from
-    ``len(nodes)`` on (0xff, index -1, too): a CSV cell per station, led by
-    the commas of the ``columns`` it skips, and a JSON ``"sid":node`` per
-    station in ``str(sid)`` order."""
-    unassociated, ids = 256 - len(nodes), set(sta_ids)
-    cells, gap = [], ""
+def _speller(texts: list[str], leads: list[str], end: str, order: Sequence[int]):
+    """A function that spells a list of association vectors at once: it
+    gathers each vector's pieces from a table and joins them.  Station
+    ``order[k]``'s piece for serving index ``j`` is ``leads[k]``, then
+    ``texts[j]``, or ``texts[-1]`` when unassociated (``len(texts) - 1`` and
+    up: 0xff, index -1, too), then ``end`` after the last station's."""
+    table = []
+    for lead, tail in zip(leads, [""] * (len(leads) - 1) + [end]):
+        *served, none = [f"{lead}{text}{tail}" for text in texts]
+        table.append(served + [none] * (256 - len(served)))
+    table, rows, n = np.array(table, dtype=object), np.arange(len(order)), len(order)
+
+    def spell(vectors: list[bytes]) -> list[str]:
+        serving = np.frombuffer(b"".join(vectors), dtype=np.uint8).reshape(len(vectors), n)
+        return list(map("".join, table[rows, serving[:, order]].tolist()))
+
+    return spell
+
+
+def _csv_speller(sta_ids: tuple[int, ...], nodes: list, columns: list[int]):
+    """rows.csv's text of a layout's association vectors: a cell per
+    station, led by the commas of the ``columns`` it skips, and the commas
+    of the columns after the last."""
+    leads, gap, ids = [], "", set(sta_ids)
     for sid in columns:  # ascending, as each block's sta_ids
         if sid in ids:
-            cells.append([f"{gap},{node}" for node in nodes] + [f"{gap},none"] * unassociated)
+            leads.append(gap + ",")
             gap = ""
         else:
             gap += ","
+    return _speller([*map(str, nodes), "none"], leads, gap, range(len(sta_ids)))
+
+
+def _json_speller(sta_ids: tuple[int, ...], nodes: list):
+    """results.json's text of a layout's association vectors: ``"sid":node``
+    per station in ``str(sid)`` order, in braces."""
     order = sorted(range(len(sta_ids)), key=lambda s: str(sta_ids[s]))
-    keys = [f"{_encode(str(sta_ids[s]))}:" for s in order]
-    pieces = [[key + _encode(node) for node in nodes] + [key + "null"] * unassociated
-              for key in keys]
-
-    def csv_text(vector: bytes) -> str:
-        return "".join(map(list.__getitem__, cells, vector)) + gap
-
-    def json_text(vector: bytes) -> str:
-        return "{" + ",".join(map(list.__getitem__, pieces, map(vector.__getitem__, order))) + "}"
-
-    return csv_text, json_text
+    leads = [("," if k else "{") + _encode(str(sta_ids[s])) + ":" for k, s in enumerate(order)]
+    return _speller([*map(_encode, nodes), "null"], leads, "}", order)
 
 
 def _texts(vectors: list[bytes], known: dict, spell) -> map:
-    """The text ``spell`` gives each of ``vectors``, spelling only those
-    ``known`` does not hold yet."""
-    for vector in set(vectors).difference(known):
-        known[vector] = spell(vector)
+    """The text ``spell`` gives each of ``vectors``, spelling those that
+    ``known`` does not hold yet in one call."""
+    misses = list(set(vectors).difference(known))
+    if misses:
+        known.update(zip(misses, spell(misses)))
     return map(known.__getitem__, vectors)
 
 
@@ -999,13 +1022,12 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
         layout, sep = None, ""
         for block, p0, p1 in spans:
             D, n = block.deployments, len(block.sta_ids)
-            heads, records = [], []
-            for const in block.consts[p0:p1]:
-                cells, consts = zip(*map(spell, const))
-                # _ROW_FIELDS: five constants, the deployment index, four
-                # constants, then throughput, delay and congestion
-                heads.append((",".join(cells[:5]), ",".join(cells[5:])))
-                records.append(_RECORD.format(*consts).split("\0"))
+            # each point's cells and json texts; only the files written get pieces
+            consts = [tuple(zip(*map(spell, const))) for const in block.consts[p0:p1]]
+            # _ROW_FIELDS: five constants, the deployment index, four
+            # constants, then throughput, delay and congestion
+            heads = rows_out and [(",".join(c[:5]), ",".join(c[5:])) for c, _ in consts]
+            records = results and [_RECORD.format(*j).split("\0") for _, j in consts]
             thr_rows, delay_rows = block.thr.reshape(-1), block.delay.reshape(-1)
             congested, serving = block.congested.reshape(-1), block.serving.reshape(-1, n)
             for a in range(p0 * D, p1 * D, _EXPORT_ROWS):
@@ -1013,7 +1035,8 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                 if (block.sta_ids, block.nodes) != layout \
                         or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
                     layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
-                    csv_spell, json_spell = _layout(block.sta_ids, block.nodes, columns)
+                    csv_spell = rows_out and _csv_speller(block.sta_ids, block.nodes, columns)
+                    json_spell = results and _json_speller(block.sta_ids, block.nodes)
                 # the slice's points, each row's deployment, and the row's vector
                 points = range(a // D - p0, (b - 1) // D + 1 - p0)
                 counts = [min(b, (p0 + q + 1) * D) - max(a, (p0 + q) * D) for q in points]

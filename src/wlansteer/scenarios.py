@@ -15,7 +15,13 @@ level.
 Station draws are reproducible: deployment ``i`` of a scenario uses an RNG
 substream derived from (scenario seed, i), so any deployment can be
 regenerated in isolation and the draw order never depends on worker layout
-or mechanism.
+or mechanism.  ``deployment_draw`` draws one deployment with numpy's
+``Generator``; ``draw_slice`` draws a run of them at once, bit for bit the
+same, by recomputing that generator's stream in numpy integer arithmetic:
+``SeedSequence`` hashing in uint32, PCG64's 128-bit state in uint64 limbs
+(every output of a lane at once, by jumping ahead from its seeded state),
+``uniform`` as ``high * ((x >> 11) * 2**-53)``, and ``permutation`` as
+Fisher-Yates on masked-rejection draws from the outputs' 32-bit halves.
 
 The seven campaign grids are one table, ``_GRIDS``, and one builder,
 ``_grid``.  A test is a few curves (extenders, channel plan, selection),
@@ -231,6 +237,205 @@ def deployment_draw(
     positions = _draw_positions(spec, rng, p, band_mhz)
     perm = rng.permutation(spec.n_sta)
     return positions, perm
+
+
+# --- slice draws: deployment_draw's stream in array arithmetic ---------------
+#
+# deployment_draw's Generator is PCG64 seeded by SeedSequence([seed, i]).
+# draw_slice recomputes that stream for a run of indices at once, in uint32
+# and uint64 arrays, whose arithmetic wraps silently, as the C code's does.
+
+_M32 = 0xFFFFFFFF
+# SeedSequence's hash constants, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# outputs a lane makes for its permutation before it needs more: ten
+# stations use up their 32 draws in 1.5e-7 of deployments (the exact odds of
+# the masked rejections), twelve in 2.8e-6
+_PERM_OUTPUTS = 16
+# lanes drawn at once, which bounds the (lanes, outputs) temporaries
+_LANES = 256
+
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant before each of its first ``count`` hash
+    calls, and after the last, as a uint32 column."""
+    return np.array([init * pow(mult, c, 1 << 32) & _M32 for c in range(count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hash(value: np.ndarray, consts: np.ndarray, c: int, rows: int) -> np.ndarray:
+    """SeedSequence's hash of ``value`` as hash calls ``c`` to ``c + rows - 1``
+    make it: one row per call."""
+    value = (value ^ consts[c : c + rows]) * consts[c + 1 : c + rows + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> 16)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for each column
+    of ``entropy``, its words ``(n_words, lanes)`` uint32: ``(8, lanes)``
+    uint32, the low half of each state word first."""
+    extra = max(0, len(entropy) - 4)
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = _hash(pool, consts, 0, 4)
+    # each pool word mixed into the other three, then each further word into all four
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = _mix(pool[others], _hash(pool[src], consts, 4 + 3 * src, 3))
+    for e in range(extra):
+        pool = _mix(pool, _hash(entropy[4 + e], consts, 16 + 4 * e, 4))
+    return _hash(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
+
+
+@lru_cache(maxsize=16)
+def _jumps(first: int, count: int) -> tuple:
+    """``A_t`` and ``C_t`` for outputs ``t = first .. first + count - 1``: a
+    PCG64 seeded with state ``S`` and increment ``inc`` holds ``A_t * S +
+    C_t * inc`` (mod 2**128) when it makes output ``t``.  As uint64 arrays:
+    each one's high limb, and its low limb whole and cut into 32-bit halves."""
+    mod, a, c = 1 << 128, [], []
+    power, total = 1, 1
+    # seeding steps once from inc and once from S + inc, so t = 0 holds
+    # M * S + (1 + M) * inc, and each output steps on: A_t = M**(t + 1) and
+    # C_t = 1 + M + ... + M**(t + 1)
+    for t in range(first + count):
+        power = power * _PCG_MULT % mod
+        total = (total + power) % mod
+        if t >= first:
+            a.append(power)
+            c.append(total)
+    cuts = ((64, (1 << 64) - 1), (0, (1 << 64) - 1), (0, _M32), (32, _M32))
+    return tuple(np.array([v >> shift & mask for v in values], dtype=np.uint64)
+                 for values in (a, c) for shift, mask in cuts)
+
+
+def _outputs(state: tuple, first: int, count: int) -> np.ndarray:
+    """PCG64 outputs ``first .. first + count - 1`` (1 is the first that a
+    fresh generator gives) of each lane, ``(lanes, count)`` uint64, from the
+    lane's seeded S and inc, cut as ``_jumps`` cuts A and C, ``(lanes, 1)``."""
+    a_hi, a_lo, a0, a1, c_hi, c_lo, c0, c1 = _jumps(first, count)
+    s_hi, s_lo, s0, s1, i_hi, i_lo, i0, i1 = state
+    # A * S + C * inc mod 2**128 in uint64 limbs: the low limbs' products
+    # summed in 32-bit columns, where nothing overflows, and the rest wrapping
+    p00, p01, p10 = a0 * s0, a0 * s1, a1 * s0
+    q00, q01, q10 = c0 * i0, c0 * i1, c1 * i0
+    col0 = (p00 & _M32) + (q00 & _M32)
+    col1 = ((p00 >> 32) + (q00 >> 32) + (p01 & _M32) + (p10 & _M32) + (q01 & _M32)
+            + (q10 & _M32) + (col0 >> 32))
+    lo = (col1 << 32) | (col0 & _M32)
+    hi = ((col1 >> 32) + (p01 >> 32) + (p10 >> 32) + (q01 >> 32) + (q10 >> 32) + a1 * s1
+          + c1 * i1 + a_lo * s_hi + a_hi * s_lo + c_lo * i_hi + c_hi * i_lo)
+    # XSL-RR: the halves xor'ed, rotated right by the state's top six bits
+    value, rot = hi ^ lo, hi >> 58
+    return (value >> rot) | (value << ((64 - rot) & 63))
+
+
+def _words32(outputs: np.ndarray) -> np.ndarray:
+    """Outputs as the Generator hands out 32-bit draws: low half first."""
+    halves = np.stack([outputs & _M32, outputs >> 32], axis=2)
+    return halves.reshape(len(outputs), -1).astype(np.uint32)
+
+
+def _permutations(state: tuple, first: int, n: int, words: np.ndarray) -> np.ndarray:
+    """``Generator.permutation(n)`` of each lane, whose 32-bit draws are
+    ``words``, from PCG64 output ``first`` on: Fisher-Yates from the last
+    slot down, slot ``i`` swapped with ``random_interval(i)``, which masks a
+    draw to the bits of ``i`` and draws again while it exceeds ``i``."""
+    lanes = len(words)
+    perm = np.tile(np.arange(n), (lanes, 1))
+    rows = np.arange(lanes)
+    at = np.full(lanes, -1)  # each lane's last draw read
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if mask == i:  # every draw passes
+                nxt = at + 1
+                if nxt.max() < words.shape[1]:
+                    break
+            else:
+                ok = (words & mask) <= i
+                ok &= np.arange(words.shape[1]) > at[:, None]
+                nxt = ok.argmax(axis=1)
+                if ok[rows, nxt].all():
+                    break
+            # a lane has used up its draws: extend every lane's stream
+            more = _outputs(state, first + words.shape[1] // 2, _PERM_OUTPUTS)
+            words = np.concatenate([words, _words32(more)], axis=1)
+        at = nxt
+        j = words[rows, at] & mask
+        slot = perm[:, i].copy()
+        perm[:, i] = perm[rows, j]
+        perm[rows, j] = slot
+    return perm
+
+
+def _draw_lanes(spec: ScenarioSpec, seed_words: list[int], lo: int, hi: int,
+                p: PropagationParams, band_mhz: Mapping[Band, float]) -> tuple:
+    """``draw_slice`` of indices ``lo`` to ``hi - 1``, which all take the
+    same number of entropy words."""
+    index = lo + np.arange(hi - lo, dtype=np.uint64)
+    entropy = np.zeros((len(seed_words) + 1 + (lo > _M32), hi - lo), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = index & _M32
+    entropy[len(seed_words) + 1 :] = index >> 32
+    w = _seed_state(entropy).astype(np.uint64)
+    # PCG64 seeds with S = (word 0 << 64) | word 1 and inc = (((word 2 << 64)
+    # | word 3) << 1) | 1, each state word its low 32-bit word first
+    s_hi, s_lo, seq_hi, seq_lo = w[0::2] | (w[1::2] << 32)
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    state = tuple(x[:, None] for x in (s_hi, s_lo, w[2], w[3], inc_hi, inc_lo,
+                                         inc_lo & _M32, inc_lo >> 32))
+    n = spec.n_sta
+    drawn = 0 if spec.fixed_positions is not None else 2 * n
+    outputs = _outputs(state, 1, drawn + _PERM_OUTPUTS)
+    perm = _permutations(state, 1 + drawn, n, _words32(outputs[:, drawn:]))
+    if not drawn:
+        fixed = np.array(spec.fixed_positions, dtype=float).reshape(-1, 2)
+        return np.broadcast_to(fixed, (hi - lo,) + fixed.shape), perm
+    # uniform(0, high): high * ((x >> 11) * 2**-53), for n outputs and n more
+    u = (outputs[:, :drawn] >> 11).astype(np.float64) * 2.0 ** -53
+    if spec.area is AreaKind.HOME_RECT:
+        xs, ys = HOME_WIDTH_M * u[:, :n], HOME_HEIGHT_M * u[:, n:]
+    else:
+        r = _disk_radius_m(spec.area, p, band_mhz[Band.GHZ_2_4]) * u[:, :n]
+        theta = (2.0 * np.pi) * u[:, n:]
+        xs, ys = r * np.cos(theta), r * np.sin(theta)
+    return np.stack([xs, ys], axis=2), perm
+
+
+def draw_slice(
+    spec: ScenarioSpec,
+    lo: int,
+    hi: int,
+    p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``deployment_draw`` of deployments ``lo`` to ``hi - 1`` at once, bit
+    for bit: station positions ``(D, n, 2)`` and permutations ``(D, n_sta)``."""
+    if not 0 <= lo < hi <= 1 << 64:
+        raise ValueError("a slice holds deployments lo to hi - 1, with 0 <= lo < hi <= 2**64")
+    positions, perms = [], []
+    # the seed as SeedSequence reads an int: 32-bit words, low first
+    seed_words = [spec.seed >> s & _M32 for s in range(0, max(1, spec.seed.bit_length()), 32)]
+    for start in range(lo, hi, _LANES):
+        stop = min(start + _LANES, hi)
+        # indices from 2**32 on take two entropy words
+        cut = min(max(start, 1 << 32), stop)
+        for a, b in ((start, cut), (cut, stop)):
+            if a < b:
+                pos, perm = _draw_lanes(spec, seed_words, a, b, p, band_mhz)
+                positions.append(pos)
+                perms.append(perm)
+    return np.concatenate(positions), np.concatenate(perms)
 
 
 def capable_set_for(spec: ScenarioSpec, perm: np.ndarray, beta_pct: float) -> frozenset[int]:

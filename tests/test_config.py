@@ -262,58 +262,69 @@ def test_cli_validate_builds_on_the_documents_physics(tmp_path, monkeypatch):
     assert near.nodes[1].position[0] < far.nodes[1].position[0]
 
 
+def _bad(doc, key, suffix=""):
+    """A case whose id is its key and ``suffix``, which a case that shares
+    its key sets, so that no edit of one case renames another."""
+    return pytest.param(doc, key, id=key + suffix)
+
+
 # every section of default_config() has a typo'd, mistyped or rejected variant
 # that must come back as a ConfigError starting with its dotted key
 _BAD_DOCUMENTS = [
-    ({"mcs_tables": [1]}, "mcs_tables"),
-    ({"band_mhz": [1]}, "band_mhz"),
-    ({"mac_overheads": [1]}, "mac_overheads"),
-    ({"band_mhz": {"2.4": "abc"}}, "band_mhz.2.4"),
-    ({"band_mhz": {"6": 6000.0}}, "band_mhz.6"),
+    _bad({"mcs_tables": [1]}, "mcs_tables"),
+    _bad({"band_mhz": [1]}, "band_mhz"),
+    _bad({"mac_overheads": [1]}, "mac_overheads"),
+    _bad({"band_mhz": {"2.4": "abc"}}, "band_mhz.2.4"),
+    _bad({"band_mhz": {"6": 6000.0}}, "band_mhz.6"),
     # band frequencies lie in [1, 100000) MHz
-    ({"band_mhz": {"5": 0}}, "band_mhz.5"),
-    ({"band_mhz": {"5": -1}}, "band_mhz.5"),
-    ({"band_mhz": {"5": 1e6}}, "band_mhz.5"),
-    ({"band_mhz": {"5": 1e-300}}, "band_mhz.5"),
-    ({"band_mhz": {"5": 0.5}}, "band_mhz.5"),
-    ({"propagation": {"min_distance_m": "1"}}, "propagation.min_distance_m"),
-    ({"propagation": {"floor_penetration_db": True}}, "propagation.floor_penetration_db"),
-    ({"propagation": {"min_distance_m": 0}}, "propagation"),
-    ({"congested_hop_delay_ms": [1]}, "congested_hop_delay_ms"),
-    ({"congested_hop_delay_ms": 0}, "congested_hop_delay_ms"),
-    ({"mac_overheads": {"2.4": {"difs_us": "x"}}}, "mac_overheads.2.4.difs_us"),
-    ({"mac_overheads": {"5": {"slot_us": -9.0}}}, "mac_overheads.5"),
-    ({"mcs_tables": {"5": {"entries": "x"}}}, "mcs_tables.5.entries"),
-    ({"mcs_tables": {"5": {"entries": [[0, -90.0, 1.0]]}}}, "mcs_tables.5.entries.0"),
-    ({"mcs_tables": {"5": {"entries": [[0.5, -90.0, 1.0, 2.0]]}}}, "mcs_tables.5.entries.0.0"),
-    ({"mcs_tables": {"2.4": {"channel_width_mhz": 20.0}}}, "mcs_tables.2.4.channel_width_mhz"),
-    ({"mcs_tables": {"2.4": {"entries": [[0, -90.0, -1.0, 2.0]]}}}, "mcs_tables.2.4"),
-    ({"runn": {}}, "runn"),
-    ({"bogus": 1}, "bogus"),
-    ({"traffic": {}}, "traffic"),
-    ({"selection": {"passes": 2}}, "selection.passes"),
-    ({"selection": {"mechanism": "loadaware"}}, "selection.mechanism"),
-    ({"selection": {"alpha": 1.5}}, "selection.alpha"),
-    ({"selection": {"beta_pct": "50"}}, "selection.beta_pct"),
-    ({"selection": None}, "selection"),
-    ({"run": {"seed": 1.0}}, "run.seed"),
-    ({"run": {"out_dir": 3}}, "run.out_dir"),
-    ({"propagation": {"min_distance_m": 10**400}}, "propagation.min_distance_m"),
+    _bad({"band_mhz": {"5": 0}}, "band_mhz.5", "_0"),
+    _bad({"band_mhz": {"5": -1}}, "band_mhz.5", "_1"),
+    _bad({"band_mhz": {"5": 1e6}}, "band_mhz.5", "_2"),
+    _bad({"band_mhz": {"5": 1e-300}}, "band_mhz.5", "_3"),
+    _bad({"band_mhz": {"5": 0.5}}, "band_mhz.5", "_4"),
+    _bad({"propagation": {"min_distance_m": "1"}}, "propagation.min_distance_m", "0"),
+    _bad({"propagation": {"floor_penetration_db": True}}, "propagation.floor_penetration_db"),
+    _bad({"propagation": {"min_distance_m": 0}}, "propagation"),
+    _bad({"congested_hop_delay_ms": [1]}, "congested_hop_delay_ms", "0"),
+    _bad({"congested_hop_delay_ms": 0}, "congested_hop_delay_ms", "1"),
+    _bad({"mac_overheads": {"2.4": {"difs_us": "x"}}}, "mac_overheads.2.4.difs_us"),
+    _bad({"mac_overheads": {"5": {"slot_us": -9.0}}}, "mac_overheads.5"),
+    _bad({"mcs_tables": {"5": {"entries": "x"}}}, "mcs_tables.5.entries"),
+    _bad({"mcs_tables": {"5": {"entries": [[0, -90.0, 1.0]]}}}, "mcs_tables.5.entries.0"),
+    _bad({"mcs_tables": {"5": {"entries": [[0.5, -90.0, 1.0, 2.0]]}}}, "mcs_tables.5.entries.0.0"),
+    _bad({"mcs_tables": {"2.4": {"channel_width_mhz": 20.0}}}, "mcs_tables.2.4.channel_width_mhz"),
+    _bad({"mcs_tables": {"2.4": {"entries": [[0, -90.0, -1.0, 2.0]]}}}, "mcs_tables.2.4"),
+    _bad({"runn": {}}, "runn"),
+    _bad({"bogus": 1}, "bogus"),
+    _bad({"traffic": {}}, "traffic"),
+    _bad({"selection": {"passes": 2}}, "selection.passes"),
+    _bad({"selection": {"mechanism": "loadaware"}}, "selection.mechanism"),
+    _bad({"selection": {"alpha": 1.5}}, "selection.alpha"),
+    _bad({"selection": {"beta_pct": "50"}}, "selection.beta_pct"),
+    _bad({"selection": None}, "selection"),
+    _bad({"run": {"seed": 1.0}}, "run.seed"),
+    _bad({"run": {"out_dir": 3}}, "run.out_dir"),
+    _bad({"propagation": {"min_distance_m": 10**400}}, "propagation.min_distance_m", "1"),
     # values whose ranges, 10 ** (budget / coeff), would overflow a float
-    ({"propagation": {"distance_power_loss_coeff": 1e-300}, "run": {"test": "1.2", "k": 1}},
-     "propagation: distance_power_loss_coeff"),
-    ({"propagation": {"floor_penetration_db": -1e300}}, "propagation: floor_penetration_db"),
-    ({"run": {"workers": MAX_WORKERS + 1}}, "run.workers"),
+    _bad({"propagation": {"distance_power_loss_coeff": 1e-300}, "run": {"test": "1.2", "k": 1}},
+         "propagation: distance_power_loss_coeff"),
+    _bad({"propagation": {"floor_penetration_db": -1e300}}, "propagation: floor_penetration_db"),
+    _bad({"run": {"workers": MAX_WORKERS + 1}}, "run.workers"),
     # json reads Infinity, -Infinity and NaN
-    ({"congested_hop_delay_ms": float("inf")}, "congested_hop_delay_ms"),
-    ({"mac_overheads": {"5": {"slot_us": float("-inf")}}}, "mac_overheads.5.slot_us"),
-    ({"propagation": {"distance_power_loss_coeff": float("nan")}},
-     "propagation.distance_power_loss_coeff"),
-    ({"run": {"alpha": float("nan")}}, "run.alpha"),
+    _bad({"congested_hop_delay_ms": float("inf")}, "congested_hop_delay_ms", "2"),
+    _bad({"mac_overheads": {"5": {"slot_us": float("-inf")}}}, "mac_overheads.5.slot_us"),
+    _bad({"propagation": {"distance_power_loss_coeff": float("nan")}},
+         "propagation.distance_power_loss_coeff"),
+    _bad({"run": {"alpha": float("nan")}}, "run.alpha"),
 ]
 
 
-@pytest.mark.parametrize("doc, key", _BAD_DOCUMENTS, ids=[k for _, k in _BAD_DOCUMENTS])
+def test_bad_documents_have_unique_ids():
+    ids = [case.id for case in _BAD_DOCUMENTS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("doc, key", _BAD_DOCUMENTS)
 def test_bad_config_documents_name_their_key(doc, key, tmp_path, monkeypatch):
     pattern = rf"^{re.escape(key)}[ :]"
     with pytest.raises(ConfigError, match=pattern):

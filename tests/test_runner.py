@@ -220,6 +220,38 @@ def test_overrides_replace_repetitions_and_seed():
     assert {p.scenario.seed for p in kept} == {99}
 
 
+def _replaced(points, cfg):
+    """``apply_overrides`` as ``dataclasses.replace`` spells it, point by point."""
+    out = []
+    for p in points:
+        if ((cfg.mechanism is not None and p.selection.mechanism is not cfg.mechanism)
+                or (cfg.n_ext is not None and p.scenario.n_extenders != cfg.n_ext)):
+            continue
+        respec = {f: getattr(cfg, f) for f in ("k", "seed") if getattr(cfg, f) is not None}
+        retune = {f: getattr(cfg, f) for f in ("alpha", "beta_pct")
+                  if getattr(cfg, f) is not None}
+        changes = {"scenario": replace(p.scenario, **respec)} if respec else {}
+        if retune and p.selection.mechanism is Mechanism.LOAD_AWARE:
+            changes["selection"] = replace(p.selection, **retune)
+        out.append(replace(p, **changes))
+    return out
+
+
+@pytest.mark.parametrize("test_id", sorted(runner.TEST_IDS))
+@pytest.mark.parametrize("rewrite", [
+    {}, {"k": 7}, {"seed": 99}, {"alpha": 0.9}, {"beta_pct": 25.0},
+    {"k": 3, "seed": 0, "alpha": 0.0, "beta_pct": 50.0, "mechanism": "loadaware"},
+    {"seed": 5, "n_ext": 2},
+], ids=["none", "k", "seed", "alpha", "beta", "all-loadaware", "seed-n_ext2"])
+def test_overrides_equal_the_replace_reference(test_id, rewrite):
+    pts = build_test(test_id)
+    cfg = RunConfig(test_id=test_id, **rewrite)
+    kept = apply_overrides(pts, cfg)
+    assert kept == _replaced(pts, cfg)
+    if not rewrite:  # a point that no rewrite touches is kept as it is
+        assert all(p is q for p, q in zip(kept, pts, strict=True))
+
+
 def _agg(b_t, thr, delay, cong):
     return Aggregate(test_id="x", rssi_ap_e_dbm=None, n_ext=2, channel_plan="multi",
                      b_ext_bps=0.0, mechanism="rssi", alpha=0.5,
@@ -549,6 +581,23 @@ def test_a_block_is_written_in_bounded_slices(monkeypatch, tmp_path):
     assert _bundle(sliced) == _bundle(whole)
     # rows.csv, then results.json, of each slice
     assert max(sizes) == 3 and sum(sizes) == 2 * 3 * 61 * 2
+
+
+def test_each_export_builds_only_its_own_files_pieces(monkeypatch, small_run, tmp_path):
+    res, out = small_run
+
+    def refuse(*args):
+        raise AssertionError("a piece of a file not written was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_json_speller", refuse)
+        m.setattr(runner, "_RECORD", None)  # its split would raise
+        export_rows_csv(res.rows, str(tmp_path / "rows.csv"))
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_csv_speller", refuse)
+        export_json(res.rows, res.aggregates, str(tmp_path / "results.json"))
+    for name in ("rows.csv", "results.json"):
+        assert (tmp_path / name).read_bytes() == Path(out, name).read_bytes()
 
 
 def test_the_pool_outlives_a_run_and_is_replaced_for_another_worker_count(tmp_path):

@@ -2,8 +2,11 @@
 import hashlib
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wlansteer import scenarios
 from wlansteer.model import DEFAULT_BAND_MHZ, Band, NodeKind, validate_topology
 from wlansteer.radio import DEFAULT_PROPAGATION, rssi_dbm
 from wlansteer.scenarios import (
@@ -21,6 +24,7 @@ from wlansteer.scenarios import (
     circle_radius_m,
     deployment_draw,
     draw_key,
+    draw_slice,
     extender_distance_m,
     fixed_home_positions,
     fixture_topology,
@@ -125,6 +129,62 @@ def test_draws_differ_across_seeds():
     a, _ = deployment_draw(CIRCLE_SPEC, 0)
     b, _ = deployment_draw(replace(CIRCLE_SPEC, seed=8), 0)
     assert a != b
+
+
+def _assert_slice_is_the_draws(spec, lo, hi, **kwargs):
+    positions, perms = draw_slice(spec, lo, hi, **kwargs)
+    assert positions.shape[0] == perms.shape[0] == hi - lo
+    for d in range(lo, hi):
+        want_pos, want_perm = deployment_draw(spec, d, **kwargs)
+        assert positions[d - lo].tolist() == [list(xy) for xy in want_pos], d
+        assert perms[d - lo].tolist() == want_perm.tolist(), d
+
+
+_FIXED = tuple((0.5 * i, 9.0 - i) for i in range(12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 + 1), st.integers(0, 2**128)),
+    lo=st.one_of(st.integers(0, 2000), st.integers(2**32 - 300, 2**32 + 300),
+                 st.integers(2**32, 2**40)),
+    length=st.integers(1, 300),
+    n_sta=st.integers(1, 12),
+    area=st.sampled_from(AreaKind),
+    fixed=st.booleans(),
+)
+def test_a_slice_draws_each_deployment_bit_for_bit(seed, lo, length, n_sta, area, fixed):
+    spec = ScenarioSpec(area=area, n_sta=n_sta, seed=seed,
+                        fixed_positions=_FIXED[:n_sta] if fixed else None)
+    _assert_slice_is_the_draws(spec, lo, lo + length)
+
+
+@pytest.mark.parametrize("area", list(AreaKind))
+def test_lanes_that_run_out_of_draws_extend_their_stream(monkeypatch, area):
+    """With one PCG64 output made ahead for the permutation, every lane runs
+    out of draws and extends its stream, most of them several times."""
+    monkeypatch.setattr(scenarios, "_PERM_OUTPUTS", 1)
+    spec = ScenarioSpec(area=area, n_sta=12, seed=2026)
+    _assert_slice_is_the_draws(spec, 0, 300)
+    _assert_slice_is_the_draws(spec, 2**32 - 150, 2**32 + 150)
+
+
+def test_a_slice_rejects_an_empty_or_negative_range():
+    for lo, hi in ((-1, 3), (3, 3), (0, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            draw_slice(CIRCLE_SPEC, lo, hi)
+
+
+def test_whole_slice_trig_equals_the_per_deployment_calls():
+    """A slice takes ``np.cos`` and ``np.sin`` of all its angles at once, a
+    deployment of its own ten; SIMD paths depend on the host, and the
+    slice's draws are only exact where the two agree."""
+    theta = (2.0 * np.pi) * np.random.default_rng(5).random((2048, 10))
+    for trig in (np.cos, np.sin):
+        whole = trig(theta)
+        for lanes in (theta[:1], theta[:7], theta[:200], theta):
+            assert trig(lanes).tobytes() == whole[: len(lanes)].tobytes()
+        assert all(trig(row).tobytes() == whole[d].tobytes() for d, row in enumerate(theta))
 
 
 # a second valid value of every ScenarioSpec field, against CIRCLE_SPEC
