@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Run the mutant catalogue and report which mutants the tests kill.
 
-    python3 scripts/mutants.py
+    python3 scripts/mutants.py [--only SUBSTRING]
 
 Each entry of ``scripts/mutants.json`` names a file, its exact old text, the
 new text, a label and the pytest node ids to run.  The runner copies the
 repository to a temporary directory, checks that the unmutated copy passes
 every named test, then applies one mutant at a time, runs its tests and puts
 the file back.  A mutant is killed when its tests fail.  Prints one line per
-mutant and a summary; exits 1 when a mutant survives.
+mutant and a summary; exits 1 when a mutant survives.  ``--only`` runs the
+entries whose label contains SUBSTRING, and exits 2 when there is none.
 
 The old text must occur exactly once in its file, so that an entry never
 mutates the wrong place; an entry whose code has gone no longer applies and
 is dropped from the catalogue.
 """
+import argparse
 import json
 import os
 import shutil
@@ -52,8 +54,15 @@ def _passes(root: str, tests: list[str]) -> bool:
     return proc.returncode == 0
 
 
-def main() -> int:
-    entries = load()
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", metavar="SUBSTRING",
+                        help="run only the entries whose label contains SUBSTRING")
+    only = parser.parse_args(argv).only
+    entries = [entry for entry in load() if only is None or only in entry["label"]]
+    if not entries:
+        print(f"no catalogued mutant's label contains {only!r}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as root:
         for name in COPIED:

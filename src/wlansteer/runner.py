@@ -20,11 +20,11 @@ its columns into the slice's RSSI table, strongest-signal associations and
 airtimes just before its first batch, and drops them after its last, so a
 slice holds one geometry's links at a time.  Each batch is one numpy kernel
 (``_Batch``) that steers and evaluates the geometry's points that share the
-pass flags together, on rows of (point, deployment) pairs laid out
-point-major, so that a point's rows are one contiguous run.  It computes
-what ``initial_association``, ``reassociation_pass`` and ``evaluate``
-compute, to the last bit; those functions stay the single-topology interface
-and the kernel's oracle.
+pass flags on rows of (point, deployment) pairs, point-major.  Its numpy
+calls go per batch, station and hop, not per row: all rows' loads are one
+ordered ``bincount``, and a move sums again only the loads of the rows it
+moved.  It computes what ``initial_association``, ``reassociation_pass`` and
+``evaluate`` compute, to the last bit; they stay the kernel's oracle.
 
 A worker pool gets (draw group, contiguous deployment range) tasks, one range
 per worker; each range holds all of the group's points, so all cost the same.
@@ -45,8 +45,8 @@ aggregate as a left fold in deployment order, as a single process would.
 spans, each a block and a run of its points that follow one another in the
 grid; a ``ResultRow`` is built only when it is read.  The exports read spans
 too, and cut a plain list of rows into one-point blocks first; a run writes
-its three files in one walk.  Each distinct constant is spelled once for all
-of them, each row's floats once for both row files, and each distinct
+its three files in one walk.  Constants are spelled a column at a time for
+all of them, each row's floats once for both row files, and each distinct
 association vector once per file: a slice's new vectors in one gather from a
 table of pieces made per layout, built only for the files being written; a
 span's rows go out in slices of at most ``_EXPORT_ROWS``.
@@ -71,7 +71,8 @@ import os
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate, chain, repeat
+from functools import reduce
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -368,8 +369,8 @@ class _Geometry:
 
     A link geometry is what ``build_topology`` reads, plus the engine
     parameters and the packet length; the station count comes with the draw
-    group.  Fixed here: serving nodes in AP-first order, tx powers, MCS
-    tables, station sensitivities and spatial streams, and the backhaul
+    group.  Fixed here: serving nodes in AP-first order, tx powers, the access
+    band's MCS table, station sensitivities and spatial streams, and the backhaul
     links: their airtimes, and which serving nodes' traffic rides each.
     Channels are columns 1 and up, in sorted ``topology_channels`` order
     (external loads aside).  Tables by serving index have a last row, which
@@ -396,21 +397,24 @@ class _Geometry:
         self.fixed_s = fixed_s = {b: o.total_us * 1e-6 for b, o in env.overheads.items()}
 
         radios = [t.nodes[j].access_radio for j in serving]
-        self.tx = [
-            (t.nodes[j].position, r.tx_power_dbm, env.band_mhz[r.channel.band])
-            for j, r in zip(serving, radios)
-        ]
+        if len(bands := {r.channel.band for r in radios}) > 1:  # one MCS table and frequency
+            raise ValueError(f"access radios on {len(bands)} bands; a layout takes one")
+        (band,) = bands
+        self.tx = [(t.nodes[j].position, r.tx_power_dbm, env.band_mhz[band])
+                   for j, r in zip(serving, radios)]
         self.tx_power = np.array([r.tx_power_dbm for r in radios])
         self.sens = np.array([[n.access_radio.sensitivity_dbm] for n in stations])
         sta_ss = [min(r.spatial_streams for r in n.radios) for n in stations]
-        # per serving node: MCS thresholds, a rate column per station, fixed airtime
-        self.mcs = []
-        for j, r in zip(serving, radios):
-            table = env.mcs_tables[r.channel.band]
-            ss = min(x.spatial_streams for x in t.nodes[j].radios)
-            rates = [[e.rate_bps_1ss if min(a, ss) == 1 else e.rate_bps_2ss for a in sta_ss]
-                     for e in table.entries]
-            self.mcs.append((np.array(table.thresholds), np.array(rates), fixed_s[r.channel.band]))
+        table, n = env.mcs_tables[band], len(stations)
+        self.thresholds = np.array(table.thresholds)
+        # by (serving index, thresholds passed, station), flat, the airtime: NaN below the lowest
+        streams = np.minimum(sta_ss, [[min(x.spatial_streams for x in t.nodes[j].radios)]
+                                      for j in serving])
+        rates = np.array([[math.nan] * 2]
+                         + [[e.rate_bps_1ss, e.rate_bps_2ss] for e in table.entries])
+        air = fixed_s[band] + L / rates[:, (streams != 1).astype(np.intp)].transpose(1, 0, 2)
+        self.air = air.reshape(-1)
+        self.air_at = np.arange(len(serving)) * len(rates) * n + np.arange(n)[:, None]
 
         exts = t.extenders()
         uplink = [[exts.index(c) for c, _ in backhaul_path(t, j)] for j in serving] + [[]]
@@ -429,9 +433,9 @@ class _Geometry:
             [(self.bh_ch[e], self.bh_air[e]) for e in up] + [(0, 0.0)] * (H - len(up))
             for up in uplink
         ]).reshape(len(uplink), H, 2)
-        self.hop_ch, self.hop_air = hops[:, :, 0].astype(np.intp), hops[:, :, 1]
-        self.uses = np.array([[e in up for up in uplink] for e in range(len(exts))],
-                             dtype=bool).reshape(len(exts), len(uplink))
+        self.hop_ch, self.hop_air = hops[:, :, 0].T.astype(np.intp), hops[:, :, 1].T  # (H, J + 1)
+        self.uses = np.array([[e in up for e in range(len(exts))] for up in uplink],
+                             dtype=np.intp).reshape(len(uplink), len(exts))
 
     def links(self, columns: _Columns) -> tuple:
         """What no demand changes, for the station positions of a slice's
@@ -448,12 +452,11 @@ class _Geometry:
         # argmax keeps the first maximum: ties go to the lower serving index
         strongest = np.where(in_range, rssi, -np.inf).argmax(axis=2)
         parent = np.where(in_range.any(axis=2), strongest, -1)
-        air = np.zeros(parent.shape + (len(self.serving) + 1,))
-        sta = np.arange(parent.shape[1])
-        for j, (thresholds, rates, fixed) in enumerate(self.mcs):
-            idx = np.searchsorted(thresholds, rssi[:, :, j], side="right") - 1
-            air[:, :, j] = np.where(idx >= 0, fixed + self.L / rates[idx, sta], np.nan)
-        access = np.take_along_axis(air, parent[:, :, None], axis=2)[:, :, 0]
+        # each pair's count of MCS thresholds at or below its RSSI, as bisect_right counts
+        passed = np.searchsorted(self.thresholds, rssi, side="right")
+        air = np.zeros(parent.shape + (len(self.tx) + 1,))
+        air[:, :, :-1] = self.air.take(passed * len(self.sens) + self.air_at)
+        access = air[np.arange(len(parent))[:, None], np.arange(parent.shape[1]), parent]
         below = np.argwhere(np.isnan(access))[:1]
         # evaluate rates a deployment's access links before its backhaul
         # links, and a backhaul link below the lowest MCS fails the first
@@ -491,10 +494,11 @@ class _Batch:
     Rows compute what ``initial_association``, ``reassociation_pass`` and
     ``evaluate`` compute, to the last bit.  Elementwise float64 arithmetic
     rounds as scalar Python does, so it is enough that every sum over
-    stations, hops and flows runs in the scalar order, as an ordered loop
-    over columns and never as a numpy reduction.  A term that does not apply
-    to a row adds 0.0 or multiplies by 1.0, which is exact: every sum starts
-    at +0.0 and no term is negative.
+    stations, hops and flows runs in the scalar order: ``np.bincount`` (a
+    row's loads), ``np.add.accumulate`` or a loop over rows; never ``np.sum``
+    or ``np.add.reduce``, pairwise along a contiguous axis of 8 or more.  A
+    term that does not apply adds 0.0 or multiplies by 1.0, which is exact:
+    every sum starts at +0.0 and no term is negative.
     """
 
     def __init__(self, geom: _Geometry, members: Sequence[tuple]) -> None:
@@ -507,27 +511,24 @@ class _Batch:
         self.alpha = np.array([point.selection.alpha for point in points])
         self.n_capable = np.array([capable_count(point.selection.beta_pct, n_sta)
                                    for point in points])
-        # through-load of a backhaul link carrying n stations, summed one
-        # station at a time from +0.0 as build_flows does: a left fold
-        through = np.add.accumulate(np.repeat(per_sta[:, None], n_sta, axis=1), axis=1) + 0.0
-        through = np.concatenate([np.zeros((len(points), 1)), through], axis=1) / L
-        self.through = [through * air for air in geom.bh_air]
-        # one channel map for the batch, its points' external loads included
+        # offered load of n stations, summed one station at a time from +0.0
+        # as evaluate and build_flows do: a left fold, by point and n
+        self.offered = np.add.accumulate(
+            np.where(np.arange(n_sta + 1) > 0, per_sta[:, None], 0.0), axis=1)
+        # through-load of each backhaul link carrying n stations (E, P, n + 1)
+        self.through = (self.offered / L) * np.array(geom.bh_air)[:, None, None]
+        # by point, on one channel map: the columns of the backhaul links, then of
+        # the external loads by slot, and those loads (fewer add 0.0 to column 0)
         chans = {**geom.channels, None: 0}
-        for point in points:
-            for x in point.external:
-                chans.setdefault(x.channel, len(chans))
+        ext = np.zeros((len(points), max(len(point.external) for point in points), 2))
+        for p, point in enumerate(points):
+            for slot, x in enumerate(point.external):
+                ext[p, slot] = chans.setdefault(x.channel, len(chans)), (x.load_bps / L) * (
+                    fixed[x.channel.band] + L / x.phy_rate_bps)
         self.n_columns = len(chans)
-        # external loads by slot; a point with fewer adds 0.0 to column 0
-        slots = max(len(point.external) for point in points)
-        pads = [[(chans[x.channel],
-                  (x.load_bps / L) * (fixed[x.channel.band] + L / x.phy_rate_bps))
-                 for x in point.external] + [(0, 0.0)] * (slots - len(point.external))
-                for point in points]
-        self.external = [
-            (np.array([ch for ch, _ in slot]), np.array([x for _, x in slot]))
-            for slot in zip(*pads)
-        ]
+        self.cells = np.concatenate([np.broadcast_to(geom.bh_ch, (len(points), len(geom.bh_ch))),
+                                     ext[:, :, 0]], axis=1).astype(np.intp)
+        self.external = ext[:, :, 1]
 
     def run(self, links: tuple, rank: np.ndarray, logs: Optional[list] = None) -> tuple:
         """Throughput %, mean delay (ms) and congestion flag of every row as
@@ -553,21 +554,21 @@ class _Batch:
         return self._evaluate(point, parent, air, term) + (parent,)
 
     def _util(self, point, parent, term, skip: int = -1) -> np.ndarray:
-        """Each row's channel utilization, summed as ``build_flows`` lists
-        flows: access by station, backhaul by extender, then external."""
-        util = np.zeros((len(point), self.n_columns))
-        flat = util.reshape(-1)
-        base = np.arange(len(point)) * self.n_columns
-        cell = base[:, None] + self.geom.acc[parent]
-        for s in range(parent.shape[1]):
-            if s != skip:
-                flat[cell[:, s]] += term[:, s]
-        on = self.geom.uses[:, parent] & (np.arange(parent.shape[1]) != skip)
-        for e, n_on in enumerate(np.count_nonzero(on, axis=2)):
-            util[:, self.geom.bh_ch[e]] += self.through[e][point, n_on]
-        for chs, loads in self.external:
-            flat[base + chs[point]] += loads[point]
-        return util
+        """Each row's channel utilization: one ``np.bincount`` of its flows in
+        ``build_flows``'s order.  Station ``skip`` adds 0.0 and rides no backhaul."""
+        R, C, uses = len(point), self.n_columns, self.geom.uses
+        J = len(uses)  # stations per row unassociated and by serving index, then by extender
+        n_on = np.bincount((np.arange(R)[:, None] * J + 1 + parent).reshape(-1),
+                           minlength=R * J).reshape(R, J)[:, 1:] @ uses[:-1]
+        if skip >= 0:
+            term = np.where(np.arange(parent.shape[1]) == skip, 0.0, term)
+            n_on -= uses[parent[:, skip]]
+        through = self.through[np.arange(uses.shape[1]), point[:, None], n_on]
+        cells = np.concatenate([self.geom.acc[parent], self.cells[point]], axis=1)
+        cells += (np.arange(R) * C)[:, None]
+        terms = np.concatenate([term, through, self.external[point]], axis=1)
+        return np.bincount(cells.reshape(-1), weights=terms.reshape(-1),
+                           minlength=R * C).reshape(R, C)
 
     def _steer(self, links, point, dep, parent, air, term, capable, logs) -> None:
         """``reassociation_pass`` on every row, in place: stations in
@@ -583,14 +584,15 @@ class _Batch:
             raise ValueError("sensitivity must lie below tx power")
         with np.errstate(divide="ignore", invalid="ignore"):  # out of range
             w = (np.minimum(np.maximum(rssi, sens), tx) - tx) / (sens - tx)  # weighted_rssi
+        w, heard = w[dep], in_range[dep]  # by row
         J = len(geom.serving)
-        acc, hops = geom.acc[:J], geom.hop_ch[:J]
+        acc, hops = geom.acc[:J], geom.hop_ch[:, :J]
         a, opb = self.alpha[point][:, None], self.opb[point]
 
         def loads(skip=-1):
             return np.minimum(1.0, self._util(point, parent, term, skip))
 
-        # with the station's own airtime in, the loads hold until a move
+        # with the station's own airtime in, a row's loads hold until it moves
         shared = None
         for _ in range(self.selection.passes):
             for s in range(parent.shape[1]):
@@ -602,20 +604,19 @@ class _Batch:
                     load = loads(s)
                 else:
                     load = shared = loads() if shared is None else shared
-                c_backhaul = np.zeros((len(point), J))
-                for h in range(hops.shape[1]):
-                    c_backhaul = c_backhaul + load[:, hops[:, h]]
-                y = a * (w[dep, s] + load[:, acc]) + (1.0 - a) * c_backhaul
-                best = np.where(in_range[dep, s], y, np.inf).argmin(axis=1)
+                c_backhaul = reduce(operator.add, (load[:, hop] for hop in hops),
+                                    np.zeros((len(point), J)))
+                y = a * (w[:, s] + load[:, acc]) + (1.0 - a) * c_backhaul
+                best = np.where(heard[:, s], y, np.inf).argmin(axis=1)
                 if logs is not None:  # before the moves apply
                     sta = STA_ID_BASE + s
-                    terms = np.stack([rssi[dep, s], w[dep, s], load[:, acc], c_backhaul], axis=2)
+                    terms = np.stack([rssi[dep, s], w[:, s], load[:, acc], c_backhaul], axis=2)
                     for r in np.flatnonzero(active).tolist():
                         alpha = self.members[point[r]][1].selection.alpha
                         cl = candidate_list(geom.base, sta, [
                             CandidateScore(sta, geom.serving[j], *terms[r, j].tolist(), alpha,
                                            y[r, j].item())
-                            for j in np.flatnonzero(in_range[dep[r], s])])
+                            for j in np.flatnonzero(heard[r, s])])
                         logs[r].measured(geom.base, geom.env, cl,
                                          dict(zip(geom.channels, load[r, 1:].tolist())))
                         # an associated station hears its parent, so cl has entries
@@ -630,7 +631,9 @@ class _Batch:
                 parent[:, s] = np.where(move, best, current)
                 air[:, s] = np.where(move, new_air, air[:, s])
                 term[:, s] = np.where(move, opb * new_air, term[:, s])
-                shared = None
+                if shared is not None:  # only the rows that moved change their loads
+                    m = np.flatnonzero(move)
+                    shared[m] = np.minimum(1.0, self._util(point[m], parent[m], term[m]))
 
     def _evaluate(self, point, parent, air, term) -> tuple:
         """``evaluate``'s network throughput %, mean delay and congestion flag."""
@@ -639,26 +642,23 @@ class _Batch:
         with np.errstate(over="ignore"):  # a subnormal load: 1.0 / u is inf, as in Python
             share = np.minimum(1.0, np.divide(1.0, util, out=np.ones_like(util),
                                               where=util > 0.0))
-        cap = geom.cap_ms
+        cap, base = geom.cap_ms, (np.arange(len(point)) * util.shape[1])[:, None]
         frac, delay = np.ones(parent.shape), np.zeros(parent.shape)
         # each station's access hop, then its serving node's backhaul hops
-        for h in range(-1, geom.hop_ch.shape[1]):
-            ch = geom.acc[parent] if h < 0 else geom.hop_ch[parent, h]
-            at = air if h < 0 else geom.hop_air[parent, h]
-            u = np.take_along_axis(util, ch, axis=1)
-            frac *= np.take_along_axis(share, ch, axis=1)
+        for h in range(-1, len(geom.hop_ch)):
+            cell = (geom.acc if h < 0 else geom.hop_ch[h])[parent] + base
+            at = air if h < 0 else geom.hop_air[h][parent]
+            u = util.take(cell)
+            frac = frac * share.take(cell)
             wait = np.divide(at * 1e3, 1.0 - u, out=np.full(u.shape, cap), where=u < 1.0)
-            delay += np.minimum(cap, wait, out=wait)
+            delay = delay + np.minimum(cap, wait, out=wait)
+        # delivered load and delay, folded over the associated stations (n, 2, R)
         assoc = parent >= 0
-        per_sta = self.per_sta[point]
-        delivered_sta = per_sta[:, None] * frac
-        delivered, offered, delay_sum = (np.zeros(len(point)) for _ in range(3))
-        for s in range(parent.shape[1]):
-            m = assoc[:, s]
-            delivered = delivered + np.where(m, delivered_sta[:, s], 0.0)
-            offered = np.where(m, offered + per_sta, offered)
-            delay_sum = delay_sum + np.where(m, delay[:, s], 0.0)
         n_assoc = np.count_nonzero(assoc, axis=1)
+        terms = np.where(assoc, np.stack([self.per_sta[point][:, None] * frac, delay]), 0.0)
+        delivered, delay_sum = reduce(operator.add, terms.transpose(2, 0, 1),
+                                      np.zeros((2, len(point))))
+        offered = self.offered[point, n_assoc]
         thr = np.divide(100.0 * delivered, offered, out=np.full(len(point), 100.0),
                         where=offered != 0.0)
         avg_delay = np.divide(delay_sum, n_assoc, out=np.zeros(len(point)), where=n_assoc > 0)
@@ -909,15 +909,14 @@ def _speller(texts: list[str], leads: list[str], end: str, order: Sequence[int])
     ``order[k]``'s piece for serving index ``j`` is ``leads[k]``, then
     ``texts[j]``, or ``texts[-1]`` when unassociated (``len(texts) - 1`` and
     up: 0xff, index -1, too), then ``end`` after the last station's."""
-    table = []
-    for lead, tail in zip(leads, [""] * (len(leads) - 1) + [end]):
-        *served, none = [f"{lead}{text}{tail}" for text in texts]
-        table.append(served + [none] * (256 - len(served)))
-    table, rows, n = np.array(table, dtype=object), np.arange(len(order)), len(order)
+    table = np.array([[f"{lead}{text}{tail}" for text in texts]
+                      for lead, tail in zip(leads, [""] * (len(leads) - 1) + [end])], dtype=object)
+    rows, n = np.arange(len(order)), len(order)
 
     def spell(vectors: list[bytes]) -> list[str]:
         serving = np.frombuffer(b"".join(vectors), dtype=np.uint8).reshape(len(vectors), n)
-        return list(map("".join, table[rows, serving[:, order]].tolist()))
+        served = np.minimum(serving[:, order], len(texts) - 1)
+        return list(map("".join, table[rows, served].tolist()))
 
     return spell
 
@@ -953,10 +952,12 @@ def _texts(vectors: list[bytes], known: dict, spell) -> map:
     return map(known.__getitem__, vectors)
 
 
-def _repeat(pieces: list, points: range, counts: list[int]) -> chain:
-    """``pieces[q]`` of each ``q`` of ``points``, as many times as ``counts``
-    says, in that order."""
-    return chain.from_iterable(map(repeat, map(pieces.__getitem__, points), counts))
+def _joined(template: str, columns: Sequence[Sequence[str]]) -> list[str]:
+    """``template.format(*row)`` for each row of the text ``columns``, joined a column at a time:
+    the template's text, cut by SOH around each field's column index."""
+    pieces = template.format(*(f"\1{i}\1" for i in range(len(columns)))).split("\1")
+    return list(map("".join, zip(*(columns[int(p)] if k % 2 else repeat(p)
+                                   for k, p in enumerate(pieces)))))
 
 
 def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] = None,
@@ -970,64 +971,69 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
-    station id as a string.  Each distinct constant is spelled once for all
-    files, and each point's pieces of a row once.  A span's rows are written
-    in slices of at most ``_EXPORT_ROWS``, one comprehension per file, and
-    each file spells a vector once, from its layout's pieces, while
-    consecutive slices share their stations and nodes (one geometry's stock
-    points share one vector per deployment)."""
+    station id as a string.  The aggregates and every span's constants are
+    spelled a column at a time, and each point's pieces of a row once.  A
+    span's rows are written in slices of at most ``_EXPORT_ROWS``, one
+    comprehension per file, and each file spells a vector once, from its
+    layout's pieces, while consecutive slices share their stations and nodes
+    (one geometry's stock points share one vector per deployment)."""
     columns = sorted({sid for block, _, _ in spans for sid in block.sta_ids})
     # the file's dialect: what csv quotes depends on the line terminator too
     line = io.StringIO()
     line_writer = csv.writer(line, lineterminator="\n")
     spelled: dict = {}
-    # each value spelled lives as long as the export: blocks and aggregates hold it
-    by_id: dict = {}
 
-    def spell(value) -> tuple[str, str]:
-        """A value's rows.csv cell and results.json text, made once per value
-        and, but for a finite float's repr, once per type and repr: -0.0 ==
-        0.0, True == 1 and 2 == 2.0 spell apart."""
-        text = by_id.get(id(value))
-        if text is None:
-            if type(value) is float and math.isfinite(value):
-                text = (repr(value),) * 2
+    def rule(value) -> tuple[str, str]:
+        """A value's rows.csv cell and results.json text, made once per type
+        and repr: -0.0 == 0.0, True == 1 and 2 == 2.0 spell apart."""
+        key = (type(value), repr(value))
+        if key not in spelled:
+            line.seek(0)
+            line.truncate()
+            json_text = _encode(value)
+            # flags as json has them; csv writes one lone empty field as ""
+            line_writer.writerow((json_text if isinstance(value, bool) else value, None))
+            spelled[key] = line.getvalue()[:-2], json_text
+        return spelled[key]
+
+    def spell(rows: list, width: int) -> zip:
+        """The cells and the json texts of each column of ``rows`` (tuples of
+        ``width`` values), each distinct object of a column spelled once: a
+        column of finite floats by one ``map(repr)``, any other by ``rule``."""
+        out = []
+        for values in zip(*rows) if rows else [()] * width:
+            distinct = dict(zip(map(id, values), values))  # ``values`` holds each object
+            if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+                pairs = ((text, text) for text in map(repr, distinct.values()))
             else:
-                key = (type(value), repr(value))
-                if key not in spelled:
-                    line.seek(0)
-                    line.truncate()
-                    json_text = _encode(value)
-                    # flags as json has them; csv writes one lone empty field as ""
-                    line_writer.writerow((json_text if isinstance(value, bool) else value, None))
-                    spelled[key] = line.getvalue()[:-2], json_text
-                text = spelled[key]
-            by_id[id(value)] = text
-        return text
+                pairs = map(rule, distinct.values())
+            by_id = dict(zip(distinct, pairs))
+            out.append(tuple(zip(*map(by_id.__getitem__, map(id, values)))) or [()] * 2)
+        return zip(*out)
 
     with ExitStack() as files:
         rows_out, aggs_out, results = (path and files.enter_context(open(path, "w", newline=""))
                                        for path in (rows_csv, aggregates_csv, results_json))
-        texts = []  # each aggregate's aggregates.csv line and results.json record
-        for values in map(_aggregate_fields, aggs):
-            cells, records = zip(*map(spell, values))
-            texts.append((",".join(cells), _AGGREGATE_RECORD.format(*records)))
+        # the aggregates' cells and json texts by column
+        cells, texts = spell(list(map(_aggregate_fields, aggs)), len(AGGREGATE_COLUMNS))
         if aggs_out:
-            aggs_out.write("".join([",".join(AGGREGATE_COLUMNS) + "\n",
-                                    *(cells + "\n" for cells, _ in texts)]))
+            aggs_out.write("\n".join(map(",".join, (AGGREGATE_COLUMNS, *zip(*cells)))) + "\n")
         if results:
-            results.write('{"aggregates":[' + ",".join(r for _, r in texts) + '],"rows":[')
+            results.write('{"aggregates":[' + ",".join(_joined(_AGGREGATE_RECORD, texts))
+                          + '],"rows":[')
         if rows_out:
             rows_out.write(",".join(_ROW_FIELDS + tuple(f"sta_{i}" for i in columns)) + "\n")
-        layout, sep = None, ""
+        # each point's pieces of a row, over every span; only the files written get them
+        cells, texts = spell([c for block, p0, p1 in spans for c in block.consts[p0:p1]],
+                             len(_CONSTANT))
+        # _ROW_FIELDS: five constants, the deployment index, four
+        # constants, then throughput, delay and congestion
+        heads = rows_out and list(zip(map(",".join, zip(*cells[:5])),
+                                      map(",".join, zip(*cells[5:]))))
+        records = results and [record.split("\0") for record in _joined(_RECORD, texts)]
+        layout, sep, at = None, "", 0  # at: the span's first point in heads and records
         for block, p0, p1 in spans:
             D, n = block.deployments, len(block.sta_ids)
-            # each point's cells and json texts; only the files written get pieces
-            consts = [tuple(zip(*map(spell, const))) for const in block.consts[p0:p1]]
-            # _ROW_FIELDS: five constants, the deployment index, four
-            # constants, then throughput, delay and congestion
-            heads = rows_out and [(",".join(c[:5]), ",".join(c[5:])) for c, _ in consts]
-            records = results and [_RECORD.format(*j).split("\0") for _, j in consts]
             thr_rows, delay_rows = block.thr.reshape(-1), block.delay.reshape(-1)
             congested, serving = block.congested.reshape(-1), block.serving.reshape(-1, n)
             for a in range(p0 * D, p1 * D, _EXPORT_ROWS):
@@ -1037,12 +1043,10 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                     layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
                     csv_spell = rows_out and _csv_speller(block.sta_ids, block.nodes, columns)
                     json_spell = results and _json_speller(block.sta_ids, block.nodes)
-                # the slice's points, each row's deployment, and the row's vector
-                points = range(a // D - p0, (b - 1) // D + 1 - p0)
-                counts = [min(b, (p0 + q + 1) * D) - max(a, (p0 + q) * D) for q in points]
-                deps = (np.arange(a, b) % D + block.first).tolist()
-                raw = serving[a:b].tobytes()
-                vectors = [raw[i * n : (i + 1) * n] for i in range(b - a)]
+                # each row's point in heads and records, its deployment and its vector
+                point, dep = np.divmod(np.arange(a, b), D)
+                points, deps = (point + at - p0).tolist(), (dep + block.first).tolist()
+                vectors = serving[a:b].view(np.dtype((np.void, n))).ravel().tolist()
                 flags = list(map(_FLAGS.__getitem__, congested[a:b].tolist()))
                 thr = list(map(repr, thr_rows[a:b].tolist()))
                 delay = list(map(repr, delay_rows[a:b].tolist()))
@@ -1050,7 +1054,7 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                     rows_out.write("".join([
                         f"{head},{dep},{mid},{t},{d},{c}{text}\n"
                         for (head, mid), dep, t, d, c, text in zip(
-                            _repeat(heads, points, counts), deps, thr, delay, flags,
+                            map(heads.__getitem__, points), deps, thr, delay, flags,
                             _texts(vectors, csv_texts, csv_spell))
                     ]))
                 if results:
@@ -1060,10 +1064,11 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                     results.write(sep + ",".join([
                         f"{q0}{text}{q1}{d}{q2}{c}{q3}{dep}{q4}{t}{q5}"
                         for (q0, q1, q2, q3, q4, q5), text, d, c, dep, t in zip(
-                            _repeat(records, points, counts),
+                            map(records.__getitem__, points),
                             _texts(vectors, json_texts, json_spell), delay, flags, deps, thr)
                     ]))
                     sep = ","
+            at += p1 - p0
         if results:
             results.write("]}\n")
 

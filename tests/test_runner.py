@@ -21,7 +21,9 @@ from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
 from wlansteer.perf import MacOverheads, SimEnv, evaluate, link_rssi
 from wlansteer.protocol import export_events, run_mechanism
-from wlansteer.radio import _BOUNDS, DEFAULT_MCS_TABLES, PropagationParams, max_range_m
+from wlansteer.radio import (
+    _BOUNDS, DEFAULT_MCS_TABLES, PropagationParams, max_range_m, mcs_for_rssi,
+)
 from wlansteer.runner import (
     AGGREGATE_COLUMNS,
     Aggregate,
@@ -961,6 +963,111 @@ def test_one_point_batches_match_the_topology_api():
     for point in (BATCH_GRID[5], BATCH_GRID[-3], BATCH_GRID[-1]):
         rows, agg = evaluate_point(0, point, _CAPPED)
         assert (list(rows), agg) == _scalar_point(point, _CAPPED)
+
+
+class _GivenColumns(dict):
+    """A slice's RSSI columns by transmitter, given outright, as
+    ``_Geometry.links`` reads ``_Columns``."""
+
+    def __init__(self, deployments, columns):
+        super().__init__(columns)
+        self.deployments = deployments
+
+
+def test_links_rate_every_mcs_boundary_as_mcs_for_rssi():
+    # drawn positions never land on a threshold: each serving node in turn
+    # hears every MCS threshold exactly, the float just below each, and a
+    # value below the lowest, while the next node holds the stations
+    point, params = BATCH_GRID[-3], EngineParams()
+    geom = runner._Geometry(point, params)
+    n, J = point.scenario.n_sta, len(geom.serving)
+    t = add_stations(geom.base, [(0.0, 0.0)] * n)
+    for j, node in enumerate(geom.serving):
+        band = t.nodes[node].access_radio.channel.band
+        table = params.mcs_tables[band]
+        values = [v for thr in table.thresholds for v in (thr, math.nextafter(thr, -math.inf))]
+        values.append(table.thresholds[0] - 1.0)
+        D = -(-len(values) // n)
+        values += [values[-1]] * (D * n - len(values))
+        columns = _GivenColumns(D, {tx: np.full(D * n, -200.0) for tx in geom.tx})
+        columns[geom.tx[j]] = np.array(values)
+        columns[geom.tx[(j + 1) % J]] = np.full(D * n, -20.0)
+        _, _, parent, air, _ = geom.links(columns)
+        assert (parent == (j + 1) % J).all()
+        for i, rssi in enumerate(values):
+            sta = STA_ID_BASE + i % n
+            streams = min(r.spatial_streams for r in t.nodes[sta].radios + t.nodes[node].radios)
+            got = mcs_for_rssi(table, rssi, streams)
+            want = math.nan if got is None else geom.fixed_s[band] + geom.L / got[1]
+            assert repr(air[i // n, i % n, j].item()) == repr(want), (node, rssi)
+
+
+def test_a_layout_with_access_radios_on_two_bands_is_refused(monkeypatch):
+    # the link table keeps one MCS table and one frequency for all serving
+    # nodes; Node serves on 2.4 GHz, so only a patched node can mix bands
+    def add_stations(base, positions):
+        t = real(base, positions)
+        object.__setattr__(t.nodes[1], "_access", t.nodes[1].backhaul_radio)
+        return t
+
+    point = replace(BATCH_GRID[0], scenario=replace(BATCH_GRID[0].scenario, n_extenders=2))
+    runner._Geometry(point, EngineParams())
+    real = runner.add_stations
+    monkeypatch.setattr(runner, "add_stations", add_stations)
+    with pytest.raises(ValueError, match="access radios on 2 bands; a layout takes one"):
+        runner._Geometry(point, EngineParams())
+
+
+def _flows(batch, point, parent, term, skip):
+    """Each row's flows as (column, load) pairs, in the order
+    ``build_flows`` lists them: access by station, backhaul by extender,
+    then the external loads by slot."""
+    geom, E = batch.geom, len(batch.through)
+    rows = []
+    for p, served, terms in zip(point.tolist(), parent.tolist(), term.tolist()):
+        flows = [(geom.acc[j], x) for s, (j, x) in enumerate(zip(served, terms)) if s != skip]
+        for e in range(E):
+            on = sum(1 for s, j in enumerate(served) if s != skip and geom.uses[j, e])
+            flows.append((batch.cells[p, e], batch.through[e, p, on].item()))
+        flows += zip(batch.cells[p, E:], batch.external[p].tolist())
+        rows.append(flows)
+    return rows
+
+
+def _left_folds(batch, rows):
+    """Each row's channel loads, its flows summed one at a time from +0.0."""
+    out = []
+    for flows in rows:
+        util = [0.0] * batch.n_columns
+        for column, load in flows:
+            util[column] += load
+        out.append(util)
+    return out
+
+
+def test_util_sums_each_channel_in_build_flows_order():
+    # 1.0 and two halves of its ulp sum to 1.0 or to the next float up,
+    # depending on the order: here access terms are half an ulp of 1.0, the
+    # backhaul links carry 1.0 per station on the AP's access channel, and
+    # the external loads of 1.0 sit on access channels too
+    geom = runner._Geometry(BATCH_GRID[16], EngineParams())
+    batch = runner._Batch(geom, [(0, BATCH_GRID[16]), (1, BATCH_GRID[18])])
+    E, n = len(batch.through), len(geom.sens)
+    batch.through[:] = np.arange(n + 1.0)
+    batch.cells[:, :E] = geom.acc[0]
+    external = batch.cells[:, E:] > 0
+    batch.external[external] = 1.0
+    assert set(batch.cells[:, E:][external].tolist()) <= set(geom.acc[:-1].tolist())
+    rng = np.random.default_rng(7)
+    point = np.repeat(np.arange(2), 6)
+    parent = rng.integers(-1, len(geom.serving), size=(len(point), n))
+    term = np.full(parent.shape, 2.0**-53)
+    for skip in (-1, 0, 4):
+        rows = _flows(batch, point, parent, term, skip)
+        want = _left_folds(batch, rows)
+        assert batch._util(point, parent, term, skip).tolist() == want
+        # the loads were chosen so that the order shows
+        assert _left_folds(batch, [flows[::-1] for flows in rows]) != want
 
 
 def _raised_floor(floor_dbm):

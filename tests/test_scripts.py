@@ -75,3 +75,19 @@ def test_every_catalogued_mutant_still_applies_once():
         assert entry["tests"], entry["label"]
         for test in entry["tests"]:
             assert os.path.isfile(os.path.join(ROOT, test.split("::")[0])), test
+
+
+def test_mutants_only_runs_the_entries_whose_label_contains_it(monkeypatch, capsys):
+    # the copy passes its tests unmutated, then fails them with the mutant
+    mutants = _mutants()
+    (entry,) = [e for e in mutants.load() if "MCS count" in e["label"]]
+    runs = []
+    monkeypatch.setattr(mutants, "_passes",
+                        lambda root, tests: runs.append(tests) or len(runs) == 1)
+    assert mutants.main(["--only", "MCS count"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"killed    {entry['label']}"
+    assert lines[1].startswith("1 of 1 killed in ")
+    assert runs == [entry["tests"], entry["tests"]]
+    assert mutants.main(["--only", "no such label"]) == 2
+    assert capsys.readouterr().err == "no catalogued mutant's label contains 'no such label'\n"
