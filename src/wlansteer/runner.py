@@ -40,16 +40,21 @@ Results are columnar.  A task returns a block per kernel batch: its points
 by the range's deployments, point-major as the kernel makes them, and each
 point's constant fields once; one ``put`` per slice fills it.  The parent
 joins a batch's blocks along the deployment axis and sums each point's
-aggregate as a left fold in deployment order, as a single process would.
-``RunResult.rows`` and ``evaluate_point``'s rows are a ``ResultRows`` of
-spans, each a block and a run of its points that follow one another in the
-grid; a ``ResultRow`` is built only when it is read.  The exports read spans
-too, and cut a plain list of rows into one-point blocks first; a run writes
-its three files in one walk.  Constants are spelled a column at a time for
-all of them, each row's floats once for both row files, and each distinct
-association vector once per file: a slice's new vectors in one gather from a
-table of pieces made per layout, built only for the files being written; a
-span's rows go out in slices of at most ``_EXPORT_ROWS``.
+aggregate as a left fold in deployment order, as a single process would,
+into four mean columns on the block.  ``RunResult.rows`` and
+``RunResult.aggregates`` (and ``evaluate_point``'s) are a ``ResultRows`` and
+an ``Aggregates`` of spans, each a block and a run of its points that
+follow one another in the grid; a ``ResultRow`` or ``Aggregate`` is built
+only when it is read.  The exports read spans too, cut a plain list of rows
+into one-point blocks first and turn a plain list of aggregates into the
+same columns; a run writes its three files in one walk.  Each distinct
+constants tuple is spelled once for all three files, a column at a time,
+and an aggregate is its constant texts, ``k`` and its means, each mean
+column spelled by one ``map(repr)``; each row's floats are spelled once for
+both row files, and each distinct association vector once per file: a
+slice's new vectors in one gather from a table of pieces made per layout,
+built only for the files being written; a span's rows go out in slices of
+at most ``_EXPORT_ROWS``.
 
 The 802.11k/v frame trace observes the kernel: a traced batch gives each row
 an ``EventLog``, which gets the row's frames from the arrays its decisions
@@ -72,7 +77,7 @@ from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,11 +89,11 @@ from .selection import CandidateScore, Mechanism, SelectionConfig, candidate_lis
 from .protocol import EventLog, export_events
 from .scenarios import (
     STA_ID_BASE,
+    STATION_RADIO,
     TEST_IDS,
     AreaKind,
     ScenarioSpec,
     SweepPoint,
-    add_stations,
     build_test,
     build_topology,
     draw_key,
@@ -164,7 +169,8 @@ class _Block:
     values and ``nodes`` the serving node of each serving index.  Columns:
     float64 throughput and delay and bool congestion ``(P, D)``, and an int8
     serving index per station of ``sta_ids`` ``(P, D, n_sta)``, -1 when
-    unassociated.  Sized once, a block is filled by one ``put`` per slice."""
+    unassociated.  Sized once, a block is filled by one ``put`` per slice;
+    ``means`` then holds ``_aggregate``'s four columns."""
 
     def __init__(self, index: Sequence[int], consts: Sequence[tuple], sta_ids: tuple[int, ...],
                  nodes: list, first: int, deployments: int) -> None:
@@ -207,6 +213,9 @@ class _Block:
                           for sid, j in zip(self.sta_ids, self.serving[p, d].tolist())},
         )
 
+    def aggregate(self, p: int) -> Aggregate:
+        return Aggregate(*self.consts[p], self.deployments, *(m[p] for m in self.means))
+
 
 def _spans(rows: Sequence[ResultRow]) -> list:
     """A run's spans, or a list's rows cut into one-point blocks wherever a
@@ -240,14 +249,15 @@ def _spans(rows: Sequence[ResultRow]) -> list:
     return spans
 
 
-class ResultRows(Sequence):
-    """A run's rows in (point, deployment) order, held as spans: a block and
-    a run of its points ``p0`` to ``p1 - 1`` that come one after another in
-    the grid.  Each ``ResultRow`` is built when it is read."""
+class _Spanned(Sequence):
+    """Items of a run in grid order, held as spans: a block and a run of its
+    points ``p0`` to ``p1 - 1`` that come one after another in the grid,
+    ``width(block)`` items per point.  Each item is built when it is read,
+    by ``item(block, p, j)``, and none to take the length."""
 
     def __init__(self, spans: Sequence) -> None:
         self.spans = spans
-        self._ends = list(accumulate((p1 - p0) * b.deployments for b, p0, p1 in spans))
+        self._ends = list(accumulate((p1 - p0) * self.width(b) for b, p0, p1 in spans))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -257,17 +267,40 @@ class ResultRows(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = operator.index(i)
         if not -len(self) <= i < len(self):
-            raise IndexError("row index out of range")
+            raise IndexError(f"{type(self).__name__} index out of range")
         i %= len(self)
         s = bisect_right(self._ends, i)
         block, p0, p1 = self.spans[s]
-        p, d = divmod(i - self._ends[s] + (p1 - p0) * block.deployments, block.deployments)
-        return block.row(p0 + p, d)
+        width = self.width(block)
+        p, j = divmod(i - self._ends[s] + (p1 - p0) * width, width)
+        return self.item(block, p0 + p, j)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ResultRows, list, tuple)):
+        if not isinstance(other, (_Spanned, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class ResultRows(_Spanned):
+    """A run's rows in (point, deployment) order: a ``ResultRow`` per
+    deployment of each point."""
+
+    def width(self, block: _Block) -> int:
+        return block.deployments
+
+    def item(self, block: _Block, p: int, d: int) -> ResultRow:
+        return block.row(p, d)
+
+
+class Aggregates(_Spanned):
+    """A run's aggregates in grid order: an ``Aggregate`` per point, from its
+    block's ``means``."""
+
+    def width(self, block: _Block) -> int:
+        return 1
+
+    def item(self, block: _Block, p: int, _: int) -> Aggregate:
+        return block.aggregate(p)
 
 
 # the most worker processes a run may start, the same on every machine so
@@ -325,7 +358,7 @@ def _given(**fields) -> dict:
 class RunResult:
     points: tuple[SweepPoint, ...]
     rows: Sequence[ResultRow]  # a ResultRows when run() made it
-    aggregates: tuple[Aggregate, ...]
+    aggregates: Sequence[Aggregate]  # an Aggregates when run() made it
 
 
 def _b_t_matches(value: float, wanted: Sequence[float]) -> bool:
@@ -370,8 +403,9 @@ class _Geometry:
     A link geometry is what ``build_topology`` reads, plus the engine
     parameters and the packet length; the station count comes with the draw
     group.  Fixed here: serving nodes in AP-first order, tx powers, the access
-    band's MCS table, station sensitivities and spatial streams, and the backhaul
-    links: their airtimes, and which serving nodes' traffic rides each.
+    band's MCS table, station sensitivities and spatial streams (every station's
+    radio is ``STATION_RADIO``), and the backhaul links: their airtimes, and
+    which serving nodes' traffic rides each.
     Channels are columns 1 and up, in sorted ``topology_channels`` order
     (external loads aside).  Tables by serving index have a last row, which
     index -1 (unassociated) reads: column 0, a sentinel channel that only
@@ -387,9 +421,7 @@ class _Geometry:
             traffic=point.traffic,
             **{f.name: getattr(params, f.name) for f in fields(EngineParams)},
         )
-        # station radios as add_stations makes them; positions come per deployment
-        t = add_stations(self.base, [(0.0, 0.0)] * spec.n_sta)
-        stations = [t.nodes[sid] for sid in t.stations()]
+        t, n = self.base, spec.n_sta
         self.serving = serving = list(t.serving_nodes())
         self.channels = chans = {c: i + 1 for i, c in enumerate(topology_channels(t, env))}
         self.L = L = env.traffic.packet_length_bits
@@ -403,13 +435,14 @@ class _Geometry:
         self.tx = [(t.nodes[j].position, r.tx_power_dbm, env.band_mhz[band])
                    for j, r in zip(serving, radios)]
         self.tx_power = np.array([r.tx_power_dbm for r in radios])
-        self.sens = np.array([[n.access_radio.sensitivity_dbm] for n in stations])
-        sta_ss = [min(r.spatial_streams for r in n.radios) for n in stations]
-        table, n = env.mcs_tables[band], len(stations)
+        # stations differ only by their positions, which come per deployment
+        self.sens = np.full((n, 1), STATION_RADIO.sensitivity_dbm)
+        table = env.mcs_tables[band]
         self.thresholds = np.array(table.thresholds)
         # by (serving index, thresholds passed, station), flat, the airtime: NaN below the lowest
-        streams = np.minimum(sta_ss, [[min(x.spatial_streams for x in t.nodes[j].radios)]
-                                      for j in serving])
+        streams = np.minimum([STATION_RADIO.spatial_streams] * n,
+                             [[min(x.spatial_streams for x in t.nodes[j].radios)]
+                              for j in serving])
         rates = np.array([[math.nan] * 2]
                          + [[e.rate_bps_1ss, e.rate_bps_2ss] for e in table.entries])
         air = fixed_s[band] + L / rates[:, (streams != 1).astype(np.intp)].transpose(1, 0, 2)
@@ -508,9 +541,6 @@ class _Batch:
         L, n_sta, fixed = geom.L, len(geom.sens), geom.fixed_s
         self.per_sta = per_sta = np.array([point.traffic.per_sta_load_bps for point in points])
         self.opb = per_sta / L
-        self.alpha = np.array([point.selection.alpha for point in points])
-        self.n_capable = np.array([capable_count(point.selection.beta_pct, n_sta)
-                                   for point in points])
         # offered load of n stations, summed one station at a time from +0.0
         # as evaluate and build_flows do: a left fold, by point and n
         self.offered = np.add.accumulate(
@@ -539,17 +569,20 @@ class _Batch:
         _, _, parent, _, access = links
         D, P = len(parent), len(self.members)
         point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
-        # station s is in capable_set_for's set iff it comes within the
-        # first capable_count entries of the deployment's permutation
-        capable = rank[dep] < self.n_capable[point][:, None]
         parent, air = parent[dep], access[dep]
+        steer = self.selection.mechanism is Mechanism.LOAD_AWARE
+        if steer or logs is not None:
+            # station s is in capable_set_for's set iff it comes within the
+            # first capable_count entries of the deployment's permutation
+            n_capable = [capable_count(p.selection.beta_pct, rank.shape[1]) for _, p in self.members]
+            capable = rank[dep] < np.array(n_capable)[point][:, None]
         if logs is not None:  # stage 1: the strongest-signal parents
             for log, row, flags in zip(logs, parent.tolist(), capable.tolist()):
                 for s, j in enumerate(row):
                     if j >= 0:
                         log.associated(STA_ID_BASE + s, self.geom.serving[j], flags[s])
         term = self.opb[point][:, None] * air
-        if self.selection.mechanism is Mechanism.LOAD_AWARE and capable.any():
+        if steer and capable.any():
             self._steer(links, point, dep, parent, air, term, capable, logs)
         return self._evaluate(point, parent, air, term) + (parent,)
 
@@ -587,7 +620,8 @@ class _Batch:
         w, heard = w[dep], in_range[dep]  # by row
         J = len(geom.serving)
         acc, hops = geom.acc[:J], geom.hop_ch[:, :J]
-        a, opb = self.alpha[point][:, None], self.opb[point]
+        alpha = np.array([p.selection.alpha for _, p in self.members])
+        a, opb = alpha[point][:, None], self.opb[point]
 
         def loads(skip=-1):
             return np.minimum(1.0, self._util(point, parent, term, skip))
@@ -741,8 +775,9 @@ def _evaluate_range(
     return [block for _, geom_batches in batches for _, block in geom_batches]
 
 
-def _aggregate(block: _Block) -> list[Aggregate]:
-    """Each point's mean outcome over the block's deployments.  Each sum is a
+def _aggregate(block: _Block) -> list[list[float]]:
+    """Each point's mean throughput, delay, congestion % and association
+    rate % over the block's deployments, as four columns.  Each sum is a
     left fold in deployment order, as a float loop from +0.0 makes it:
     ``np.add.accumulate``, then + 0.0, which turns a sum of -0.0 terms into
     the loop's +0.0 (numpy's reductions sum pairwise, and ``sum``
@@ -752,27 +787,28 @@ def _aggregate(block: _Block) -> list[Aggregate]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
         thr, delay, assoc = [np.add.accumulate(x, axis=1)[:, -1] + 0.0
                              for x in (block.thr, block.delay, assoc)]
-    means = zip((thr / k).tolist(), (delay / k).tolist(),
-                (100.0 * np.count_nonzero(block.congested, axis=1) / k).tolist(),
-                (100.0 * assoc / k).tolist())
-    return [Aggregate(*const, k, *m) for const, m in zip(block.consts, means)]
+    return [(thr / k).tolist(), (delay / k).tolist(),
+            (100.0 * np.count_nonzero(block.congested, axis=1) / k).tolist(),
+            (100.0 * assoc / k).tolist()]
 
 
-def _grid_order(blocks: Sequence[_Block]) -> tuple[list, list[Aggregate]]:
-    """The points of ``blocks`` in grid order: as spans, each a block and a
-    run of its points that follow one another, and as aggregates.  A block
-    holds its points in grid order, so two that follow one another in the
-    grid are two that follow one another in the block."""
-    at = {pi: (block, p, agg) for block in blocks
-          for p, (pi, agg) in enumerate(zip(block.index, _aggregate(block)))}
+def _grid_order(blocks: Sequence[_Block]) -> list:
+    """The points of ``blocks`` in grid order, as spans, each a block and a
+    run of its points that follow one another; each block gets its
+    ``means``.  A block holds its points in grid order, so two that follow
+    one another in the grid are two that follow one another in the block."""
+    at = {}
+    for block in blocks:
+        block.means = _aggregate(block)
+        at.update((pi, (block, p)) for p, pi in enumerate(block.index))
     spans: list[list] = []
     for pi in sorted(at):
-        block, p, _ = at[pi]
+        block, p = at[pi]
         if spans and spans[-1][0] is block:
             spans[-1][2] += 1
         else:
             spans.append([block, p, p + 1])
-    return spans, [at[pi][2] for pi in sorted(at)]
+    return spans
 
 
 def evaluate_point(
@@ -784,8 +820,8 @@ def evaluate_point(
     """All deployments of one sweep point, plus their aggregate: the batch
     of one point, whose rows are its deployments."""
     blocks = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
-    spans, (agg,) = _grid_order(blocks)
-    return ResultRows(spans), agg
+    spans = _grid_order(blocks)
+    return ResultRows(spans), Aggregates(spans)[0]
 
 
 # the process-wide pool, as (workers, pool): see the module docstring
@@ -857,13 +893,13 @@ def run(cfg: RunConfig) -> RunResult:
     ranges: dict[int, list] = {}
     for task, task_blocks in zip(tasks, results):
         ranges.setdefault(id(task[0]), []).append(task_blocks)
-    spans, aggregates = _grid_order([_Block.joined(parts) for per_range in ranges.values()
-                                     for parts in zip(*per_range)])
-    rows = ResultRows(spans)
+    spans = _grid_order([_Block.joined(parts) for per_range in ranges.values()
+                         for parts in zip(*per_range)])
+    aggregates = Aggregates(spans)
     if cfg.out_dir is not None:
         _export(spans, aggregates, *(os.path.join(cfg.out_dir, name) for name in
                                      ("rows.csv", "aggregates.csv", "results.json")))
-    return RunResult(points=tuple(points), rows=rows, aggregates=tuple(aggregates))
+    return RunResult(points=tuple(points), rows=ResultRows(spans), aggregates=aggregates)
 
 
 # --- exports ----------------------------------------------------------------
@@ -889,18 +925,35 @@ def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# a row's record in results.json, keys sorted: "{i}" is _CONSTANT[i], and a
-# NUL (json writes \u0000) cuts it where associations, avg_delay_ms,
-# congested, deployment_index and throughput_pct go
-_RECORD = "{{%s}}" % ",".join(
-    f'"{f}":' + (f"{{{_CONSTANT.index(f)}}}" if f in _CONSTANT else "\0")
-    for f in sorted((*_ROW_FIELDS, "associations"))
-)
-# an aggregate's record in results.json, keys sorted: "{i}" is AGGREGATE_COLUMNS[i]
-_AGGREGATE_RECORD = "{{%s}}" % ",".join(
-    f'"{f}":{{{AGGREGATE_COLUMNS.index(f)}}}' for f in sorted(AGGREGATE_COLUMNS)
-)
-_aggregate_fields = operator.attrgetter(*AGGREGATE_COLUMNS)
+
+
+def _record(names: Sequence[str]) -> str:
+    """A record of results.json with the keys ``names``, sorted: "{i}" is
+    _CONSTANT[i], and a NUL (json writes \\u0000) cuts it where each other
+    field goes."""
+    return "{{%s}}" % ",".join(
+        f'"{f}":' + (f"{{{_CONSTANT.index(f)}}}" if f in _CONSTANT else "\0")
+        for f in sorted(names))
+
+
+# cut where associations, avg_delay_ms, congested, deployment_index and throughput_pct go
+_RECORD = _record((*_ROW_FIELDS, "associations"))
+# cut where association_rate_pct, congested_pct, k, mean_delay_ms and mean_throughput_pct go
+_AGGREGATE_RECORD = _record(AGGREGATE_COLUMNS)
+# an aggregate's fields after its _CONSTANT ones: k and the four means
+_aggregate_tail = operator.attrgetter(*AGGREGATE_COLUMNS[len(_CONSTANT):])
+
+
+def _aggregate_columns(aggs: Sequence[Aggregate]) -> list[list]:
+    """``aggs`` as six columns: their ``_CONSTANT`` tuples, ``k`` and the four
+    means.  An ``Aggregates`` reads them from its blocks, any other sequence
+    from its ``Aggregate``s' fields."""
+    if not isinstance(aggs, Aggregates):
+        return [list(map(_constant, aggs)), *map(list, zip(*map(_aggregate_tail, aggs)))] \
+            if len(aggs) else [[]] * 6
+    cuts = [(b.consts[p0:p1], [b.deployments] * (p1 - p0), *(m[p0:p1] for m in b.means))
+            for b, p0, p1 in aggs.spans]
+    return [list(chain.from_iterable(column)) for column in zip(*cuts)] or [[]] * 6
 
 
 def _speller(texts: list[str], leads: list[str], end: str, order: Sequence[int]):
@@ -971,12 +1024,14 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
-    station id as a string.  The aggregates and every span's constants are
-    spelled a column at a time, and each point's pieces of a row once.  A
-    span's rows are written in slices of at most ``_EXPORT_ROWS``, one
-    comprehension per file, and each file spells a vector once, from its
-    layout's pieces, while consecutive slices share their stations and nodes
-    (one geometry's stock points share one vector per deployment)."""
+    station id as a string.  Each distinct constants tuple, of a span's
+    points or of the aggregates, is spelled once for all three files, a
+    column at a time, and so are the aggregates' ``k`` and means; each
+    point's pieces of a row are made once.  A span's rows are written in
+    slices of at most ``_EXPORT_ROWS``, one comprehension per file, and each
+    file spells a vector once, from its layout's pieces, while consecutive
+    slices share their stations and nodes (one geometry's stock points share
+    one vector per deployment)."""
     columns = sorted({sid for block, _, _ in spans for sid in block.sta_ids})
     # the file's dialect: what csv quotes depends on the line terminator too
     line = io.StringIO()
@@ -996,41 +1051,57 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
             spelled[key] = line.getvalue()[:-2], json_text
         return spelled[key]
 
-    def spell(rows: list, width: int) -> zip:
-        """The cells and the json texts of each column of ``rows`` (tuples of
-        ``width`` values), each distinct object of a column spelled once: a
-        column of finite floats by one ``map(repr)``, any other by ``rule``."""
-        out = []
-        for values in zip(*rows) if rows else [()] * width:
-            distinct = dict(zip(map(id, values), values))  # ``values`` holds each object
-            if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
-                pairs = ((text, text) for text in map(repr, distinct.values()))
-            else:
-                pairs = map(rule, distinct.values())
-            by_id = dict(zip(distinct, pairs))
-            out.append(tuple(zip(*map(by_id.__getitem__, map(id, values)))) or [()] * 2)
-        return zip(*out)
+    def column(values: Sequence) -> tuple:
+        """The cells and the json texts of ``values``: finite floats by one
+        ``map(repr)``, each distinct object of any other column by ``rule``."""
+        if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+            texts = list(map(repr, values))
+            return texts, texts
+        ids = list(map(id, values))
+        distinct = dict(zip(ids, values))  # ``values`` holds each object
+        if len(distinct) == 1:  # as a grid's curve has its test id, plan and mechanism
+            cell, text = rule(values[0])
+            return [cell] * len(ids), [text] * len(ids)
+        by_id = dict(zip(distinct, map(rule, distinct.values())))
+        return tuple(zip(*map(by_id.__getitem__, ids)))
+
+    # every span's points' constants, then the aggregates' and their k and means
+    consts = [c for block, p0, p1 in spans for c in block.consts[p0:p1]]
+    agg_consts, *tail = _aggregate_columns(aggs)
+    # each distinct constants tuple spelled once for all three files, a column at a time
+    distinct = {id(c): c for c in chain(consts, agg_consts)}
+    cells, texts = zip(*map(column, list(zip(*distinct.values())) or [()] * len(_CONSTANT)))
+    # _ROW_FIELDS: five constants, the deployment index, four constants, then
+    # throughput, delay and congestion; AGGREGATE_COLUMNS: the nine, then the tail
+    cuts = dict(zip(distinct, zip(map(",".join, zip(*cells[:5])),
+                                  map(",".join, zip(*cells[5:])))))
+
+    def pieces(template: str, of: list) -> list:
+        """The ``template`` record of each constants tuple of ``of``, cut at its NULs."""
+        records = dict(zip(distinct, _joined(template, texts)))
+        return [records[id(c)].split("\0") for c in of]
 
     with ExitStack() as files:
         rows_out, aggs_out, results = (path and files.enter_context(open(path, "w", newline=""))
                                        for path in (rows_csv, aggregates_csv, results_json))
-        # the aggregates' cells and json texts by column
-        cells, texts = spell(list(map(_aggregate_fields, aggs)), len(AGGREGATE_COLUMNS))
+        tail = [column(values) for values in tail] if aggs_out or results else ()
         if aggs_out:
-            aggs_out.write("\n".join(map(",".join, (AGGREGATE_COLUMNS, *zip(*cells)))) + "\n")
+            aggs_out.write(",".join(AGGREGATE_COLUMNS) + "\n" + "".join([
+                f"{head},{mid},{k},{thr},{delay},{c},{assoc}\n"
+                for (head, mid), k, thr, delay, c, assoc in zip(
+                    map(cuts.__getitem__, map(id, agg_consts)), *(cell for cell, _ in tail))]))
         if results:
-            results.write('{"aggregates":[' + ",".join(_joined(_AGGREGATE_RECORD, texts))
-                          + '],"rows":[')
+            results.write('{"aggregates":[' + ",".join([
+                f"{q0}{assoc}{q1}{c}{q2}{k}{q3}{delay}{q4}{thr}{q5}"
+                for (q0, q1, q2, q3, q4, q5), k, thr, delay, c, assoc in zip(
+                    pieces(_AGGREGATE_RECORD, agg_consts), *(text for _, text in tail))])
+                + '],"rows":[')
+        del tail  # before the rows' texts are made
         if rows_out:
             rows_out.write(",".join(_ROW_FIELDS + tuple(f"sta_{i}" for i in columns)) + "\n")
-        # each point's pieces of a row, over every span; only the files written get them
-        cells, texts = spell([c for block, p0, p1 in spans for c in block.consts[p0:p1]],
-                             len(_CONSTANT))
-        # _ROW_FIELDS: five constants, the deployment index, four
-        # constants, then throughput, delay and congestion
-        heads = rows_out and list(zip(map(",".join, zip(*cells[:5])),
-                                      map(",".join, zip(*cells[5:]))))
-        records = results and [record.split("\0") for record in _joined(_RECORD, texts)]
+        # each row point's pieces, for the files written
+        heads = rows_out and [cuts[id(c)] for c in consts]
+        records = results and pieces(_RECORD, consts)
         layout, sep, at = None, "", 0  # at: the span's first point in heads and records
         for block, p0, p1 in spans:
             D, n = block.deployments, len(block.sta_ids)

@@ -80,6 +80,10 @@ def _access_radio(channel_number: int) -> RadioConfig:
     return RadioConfig(band=Band.GHZ_2_4, channel=ChannelId(Band.GHZ_2_4, channel_number))
 
 
+# every station's one radio
+STATION_RADIO = _access_radio(1)
+
+
 def _backhaul_radio() -> RadioConfig:
     return RadioConfig(band=Band.GHZ_5, channel=BACKHAUL_CHANNEL)
 
@@ -449,6 +453,7 @@ def add_stations(
     positions: Sequence[Position],
     capable: frozenset[int] = frozenset(),
 ) -> Topology:
+    """``base`` with a station on ``STATION_RADIO`` at each position."""
     nodes = dict(base.nodes)
     for i, pos in enumerate(positions):
         sid = STA_ID_BASE + i
@@ -456,7 +461,7 @@ def add_stations(
             sid,
             NodeKind.STA,
             (float(pos[0]), float(pos[1])),
-            (_access_radio(1),),
+            (STATION_RADIO,),
             supports_11kv=sid in capable,
         )
     return replace(base, nodes=nodes)
@@ -503,18 +508,26 @@ EXTERNAL_PHY_RATE_BPS = 6e6
 _N_STA = 10
 
 
-def fixed_home_positions(seed: int = FIXED_DEPLOYMENT_SEED) -> tuple[Position, ...]:
+def fixed_home_positions() -> tuple[Position, ...]:
     """Ten stations for the one-deployment interference study.
 
     Five sit clearly on the AP side of the flat and five clearly on the
-    extender side, drawn once from a named seed.
+    extender side: x uniform in [2, 13) m, then in [19, 43) m, and y in
+    [0.5, 9.5) m, drawn once by numpy's ``Generator`` seeded with
+    ``SeedSequence([FIXED_DEPLOYMENT_SEED])`` and written down here.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    left_x = rng.uniform(2.0, 13.0, 5)
-    right_x = rng.uniform(19.0, 43.0, 5)
-    ys = rng.uniform(0.5, 9.5, 10)
-    xs = np.concatenate([left_x, right_x])
-    return tuple((float(x), float(y)) for x, y in zip(xs, ys))
+    return (
+        (9.109470469807022, 1.8982192332891215),
+        (11.765983457680427, 5.742147399538415),
+        (3.8464482544567025, 8.231279273999242),
+        (6.207633904266965, 6.4276341996157),
+        (7.16477707717521, 6.330676475791738),
+        (34.711391563818935, 4.739254610295635),
+        (37.04571746988761, 3.9009402780184264),
+        (39.49328848167064, 1.0745707415726193),
+        (41.921802174390294, 7.413568165094441),
+        (26.367112480830446, 4.786234553869332),
+    )
 
 
 def _grid(
@@ -600,11 +613,17 @@ _GRIDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _grid_points(test_id: str) -> tuple[SweepPoint, ...]:
+    return tuple(_grid(test_id, **_GRIDS[test_id]))
+
+
 def build_test(test_id: str) -> list[SweepPoint]:
-    """The full sweep grid of one campaign test."""
+    """The full sweep grid of one campaign test: a new list each call, of
+    points built once per process (they are frozen)."""
     if test_id not in _GRIDS:
         raise ValueError(f"unknown test id {test_id!r}; known: {', '.join(sorted(_GRIDS))}")
-    return _grid(test_id, **_GRIDS[test_id])
+    return list(_grid_points(test_id))
 
 
 # --- measured-testbed fixture ----------------------------------------------

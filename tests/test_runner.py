@@ -16,7 +16,7 @@ import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from wlansteer import runner
+from wlansteer import runner, scenarios
 from wlansteer.config import run_config_from
 from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
 from wlansteer.perf import MacOverheads, SimEnv, evaluate, link_rssi
@@ -602,6 +602,35 @@ def test_each_export_builds_only_its_own_files_pieces(monkeypatch, small_run, tm
         assert (tmp_path / name).read_bytes() == Path(out, name).read_bytes()
 
 
+def _fresh_run(out, **fields):
+    """``run(RunConfig(**fields))`` into ``out`` in a new interpreter."""
+    code = ("from wlansteer.runner import RunConfig, run\n"
+            f"run(RunConfig(out_dir={str(out)!r}, **{fields!r}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(runner.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_grids_are_built_once_and_handed_out_fresh(tmp_path):
+    grid = build_test("2.4")
+    assert build_test("2.4") == grid and build_test("2.4") is not grid
+    # a caller's list is its own: changing it changes no later run
+    grid.reverse()
+    del grid[3:]
+    runs = [dict(test_id="2.4", mechanism="loadaware", alpha=0.0),
+            dict(test_id="2.4", n_ext=0, seed=7)]
+    for i, fields in enumerate(runs):
+        run(RunConfig(out_dir=str(tmp_path / f"here{i}"), **fields))
+        _fresh_run(tmp_path / f"fresh{i}", **fields)
+        for name in ("rows.csv", "aggregates.csv", "results.json"):
+            assert (tmp_path / f"here{i}" / name).read_bytes() == \
+                (tmp_path / f"fresh{i}" / name).read_bytes(), (fields, name)
+    assert len(build_test("2.4")) == 125
+
+
 def test_the_pool_outlives_a_run_and_is_replaced_for_another_worker_count(tmp_path):
     serial = tmp_path / "serial"
     run(RunConfig(test_id="1.2", k=6, workers=1, out_dir=str(serial)))
@@ -657,19 +686,30 @@ def test_the_pool_closes_at_exit_without_a_warning():
 _FIELDS = ROW_COLUMNS[:13]
 
 
-def _reference_exports(rows, aggs, csv_path, json_path):
-    """rows.csv and results.json written a row at a time, field by field,
-    with throughput and delay as floats and congestion as a flag."""
+def _cells(record, names):
+    """``record``'s fields ``names`` as csv.writer takes them, flags as json has them."""
+    return [("true" if v else "false") if isinstance(v, bool) else v
+            for v in (getattr(record, f) for f in names)]
+
+
+def _reference_exports(rows, aggs, csv_path, json_path, aggregates_csv_path=None):
+    """rows.csv, results.json and, given its path, aggregates.csv written a
+    record at a time, field by field, with a row's throughput and delay as
+    floats and its congestion as a flag."""
     rows = [replace(r, throughput_pct=float(r.throughput_pct),
                     avg_delay_ms=float(r.avg_delay_ms), congested=bool(r.congested))
             for r in rows]
     sta_ids = sorted({sid for r in rows for sid in r.associations})
+    if aggregates_csv_path is not None:
+        with open(aggregates_csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(AGGREGATE_COLUMNS)
+            writer.writerows(_cells(a, AGGREGATE_COLUMNS) for a in aggs)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_FIELDS + tuple(f"sta_{i}" for i in sta_ids))
         for r in rows:
-            cells = [("true" if v else "false") if isinstance(v, bool) else v
-                     for v in (getattr(r, f) for f in _FIELDS)]
+            cells = _cells(r, _FIELDS)
             for sid in sta_ids:
                 node = r.associations.get(sid, "")
                 cells.append("none" if node is None else node)
@@ -795,6 +835,90 @@ def test_runs_build_no_result_row(monkeypatch, tmp_path):
     assert len(evaluate_point(0, res.points[0], EngineParams())[0]) == 3
 
 
+def test_runs_build_no_aggregate(monkeypatch, tmp_path):
+    def refuse(self, p):
+        raise AssertionError("an Aggregate was built")
+
+    monkeypatch.setattr(runner._Block, "aggregate", refuse)
+    res = run(RunConfig(test_id="1.2", k=3, out_dir=str(tmp_path)))
+    assert len(res.aggregates) == 5
+    assert (tmp_path / "aggregates.csv").read_text().count("\n") == 6
+
+
+def test_run_aggregates_read_like_the_point_aggregates():
+    # 2.4's blocks hold 25 and 75 points, each point's one deployment
+    res = run(RunConfig(test_id="2.4"))
+    want = [evaluate_point(i, p, EngineParams())[1] for i, p in enumerate(res.points)]
+    assert len(res.aggregates) == len(want) == 125
+    assert len(res.rows.spans) == 3
+    assert [res.aggregates[i] for i in range(-125, 125)] == want + want
+    assert res.aggregates[20:30] == want[20:30]
+    assert res.aggregates[::-7] == want[::-7]
+    assert list(res.aggregates) == want
+    assert res.aggregates == want and want == res.aggregates
+    assert res.aggregates == tuple(want) and tuple(want) == res.aggregates
+    assert res.aggregates != want[:-1] and res.aggregates != want[::-1]
+    assert res.aggregates != res.rows
+    for i in (125, -126):
+        with pytest.raises(IndexError):
+            res.aggregates[i]
+    assert isinstance(res.aggregates[0].k, int)
+
+
+def test_run_aggregates_and_their_list_export_the_same_bytes(small_run, tmp_path):
+    res, out = small_run
+    listed = list(res.aggregates)
+    export_aggregates_csv(listed, str(tmp_path / "aggregates.csv"))
+    export_json(res.rows, listed, str(tmp_path / "results.json"))
+    for name in ("aggregates.csv", "results.json"):
+        assert (tmp_path / name).read_bytes() == Path(out, name).read_bytes(), name
+    # and a list of both writes what the reference writes
+    _reference_exports(list(res.rows), listed, tmp_path / "ref.csv", tmp_path / "ref.json",
+                       tmp_path / "ref-aggregates.csv")
+    assert (tmp_path / "ref.json").read_bytes() == Path(out, "results.json").read_bytes()
+    assert (tmp_path / "ref-aggregates.csv").read_bytes() == \
+        Path(out, "aggregates.csv").read_bytes()
+
+
+def _hand_built_aggregates():
+    """Aggregates whose fields compare equal but spell apart: alpha -0.0
+    after 0.0, n_ext True after 1, k 2 against 2.0; NaN and infinite means,
+    an int mean, a 17-digit one, and constants that csv quotes."""
+    agg = _agg(6e6, 100.0, 1.0, 0.0)
+    return [
+        agg,
+        replace(agg, mean_throughput_pct=math.nan, mean_delay_ms=math.inf),
+        replace(agg, congested_pct=-math.inf, association_rate_pct=1 / 3),
+        replace(agg, alpha=0.0),
+        replace(agg, alpha=-0.0),
+        replace(agg, n_ext=1),
+        replace(agg, n_ext=True),
+        replace(agg, k=2),
+        replace(agg, k=2.0),
+        replace(agg, mean_throughput_pct=100),
+        replace(agg, test_id='2,"x"', channel_plan="a\nb"),
+    ]
+
+
+def test_hand_built_aggregates_export_the_reference_bytes(tmp_path):
+    rows, aggs = _hand_built_rows(), _hand_built_aggregates()
+    _reference_exports(rows, aggs, tmp_path / "ref.csv", tmp_path / "ref.json",
+                       tmp_path / "ref-aggregates.csv")
+    export_aggregates_csv(aggs, str(tmp_path / "aggregates.csv"))
+    got_csv, got_json = _exports(rows, aggs, str(tmp_path))
+    assert got_json == (tmp_path / "ref.json").read_bytes()
+    got = (tmp_path / "aggregates.csv").read_bytes()
+    assert got == (tmp_path / "ref-aggregates.csv").read_bytes()
+    lines = got.decode().splitlines()
+    assert lines[2] == "x,,2,multi,0.0,rssi,0.5,100.0,6000000.0,10,nan,inf,0.0,100.0"
+    assert [line.split(",")[6] for line in lines[4:6]] == ["0.0", "-0.0"]
+    assert [line.split(",")[2] for line in lines[6:8]] == ["1", "true"]
+    assert [line.split(",")[9] for line in lines[8:10]] == ["2", "2.0"]
+    assert lines[10].split(",")[10] == "100"
+    assert b'"association_rate_pct":0.3333333333333333,"b_ext_bps":0.0,' in got_json
+    assert b'"mean_delay_ms":Infinity,"mean_throughput_pct":NaN,' in got_json
+
+
 def test_aggregate_sums_in_deployment_order():
     """A left-to-right float sum: numpy's pairwise sum, ``math.fsum`` and
     Python 3.12's ``sum`` each give another mean for these throughputs."""
@@ -806,7 +930,7 @@ def test_aggregate_sums_in_deployment_order():
     for t in thr:
         total += t
     assert total == 0.0 != math.fsum(thr)
-    assert runner._aggregate(block)[0].mean_throughput_pct == total / 16
+    assert runner._aggregate(block)[0][0] == total / 16
 
 
 def _loop_aggregate(block, p):
@@ -856,7 +980,8 @@ def _drawn_block(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(block=_drawn_block())
 def test_block_aggregates_are_the_loops_over_its_columns(block):
-    got = runner._aggregate(block)
+    block.means = runner._aggregate(block)
+    got = runner.Aggregates([(block, 0, len(block.consts))])
     assert [runner._constant(a) + (a.k,) for a in got] == [
         c + (block.deployments,) for c in block.consts]
     assert [repr((a.mean_throughput_pct, a.mean_delay_ms, a.congested_pct,
@@ -1002,18 +1127,34 @@ def test_links_rate_every_mcs_boundary_as_mcs_for_rssi():
             assert repr(air[i // n, i % n, j].item()) == repr(want), (node, rssi)
 
 
+def test_the_kernel_reads_the_station_radio(monkeypatch):
+    # every station has add_stations' radio: one with its own sensitivity and
+    # stream count moves the rows of the kernel and of the Topology API alike
+    params = EngineParams()
+    points = [ORACLE_CASES[name] for name in ("1.2-stock-0E", "1.2-loadaware-4E")]
+    before = [evaluate_point(0, point, params) for point in points]
+    radio = replace(scenarios.STATION_RADIO, sensitivity_dbm=-80.0, spatial_streams=1)
+    monkeypatch.setattr(scenarios, "STATION_RADIO", radio)
+    monkeypatch.setattr(runner, "STATION_RADIO", radio)
+    for point, (rows, agg) in zip(points, before):
+        got = evaluate_point(0, point, params)
+        assert got == _scalar_point(point, params)
+        assert got[1].association_rate_pct < agg.association_rate_pct
+        assert got[1].mean_delay_ms != agg.mean_delay_ms
+
+
 def test_a_layout_with_access_radios_on_two_bands_is_refused(monkeypatch):
     # the link table keeps one MCS table and one frequency for all serving
     # nodes; Node serves on 2.4 GHz, so only a patched node can mix bands
-    def add_stations(base, positions):
-        t = real(base, positions)
+    def build_topology(*args, **kwargs):
+        t = real(*args, **kwargs)
         object.__setattr__(t.nodes[1], "_access", t.nodes[1].backhaul_radio)
         return t
 
     point = replace(BATCH_GRID[0], scenario=replace(BATCH_GRID[0].scenario, n_extenders=2))
     runner._Geometry(point, EngineParams())
-    real = runner.add_stations
-    monkeypatch.setattr(runner, "add_stations", add_stations)
+    real = runner.build_topology
+    monkeypatch.setattr(runner, "build_topology", build_topology)
     with pytest.raises(ValueError, match="access radios on 2 bands; a layout takes one"):
         runner._Geometry(point, EngineParams())
 
@@ -1353,8 +1494,8 @@ def test_points_on_one_draw_match_the_topology_api(case):
                 return
             blocks = runner._evaluate_range(members, params, str(kernel), 0, k)
         assert _traces(kernel) == _traces(scalar)
-    spans, aggs = runner._grid_order(blocks)
+    spans = runner._grid_order(blocks)
     views = [(block, p, p + 1) for block, p0, p1 in spans for p in range(p0, p1)]
     for view, (want_rows, _) in zip(views, want):
         assert list(runner.ResultRows([view])) == want_rows
-    assert aggs == [agg for _, agg in want]
+    assert runner.Aggregates(spans) == [agg for _, agg in want]

@@ -1,6 +1,10 @@
 """Scenario generators: layouts, channel plans, seeded deployment draws."""
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,12 +291,24 @@ def test_capable_sets_nest_as_the_share_grows():
 
 # --- fixed deployment -------------------------------------------------------
 
+def _drawn_home_positions(seed):
+    """The interference study's stations as numpy's ``Generator`` draws them
+    from ``seed``: the oracle of ``fixed_home_positions``' table."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    left_x = rng.uniform(2.0, 13.0, 5)
+    right_x = rng.uniform(19.0, 43.0, 5)
+    ys = rng.uniform(0.5, 9.5, 10)
+    xs = np.concatenate([left_x, right_x])
+    return tuple((float(x), float(y)) for x, y in zip(xs, ys))
+
+
 def test_fixed_home_positions_are_frozen():
     pos = fixed_home_positions()
     assert len(pos) == 10
     assert pos[0] == (9.109470469807022, 1.8982192332891215)
     assert pos[5] == (34.711391563818935, 4.739254610295635)
-    assert fixed_home_positions(FIXED_DEPLOYMENT_SEED) == pos
+    # the table is the seeded draw, to the last bit
+    assert repr(_drawn_home_positions(FIXED_DEPLOYMENT_SEED)) == repr(pos)
     # first half near the root, second half toward the extender end
     assert all(2.0 <= x <= 13.0 for x, _ in pos[:5])
     assert all(19.0 <= x <= 43.0 for x, _ in pos[5:])
@@ -300,7 +316,22 @@ def test_fixed_home_positions_are_frozen():
 
 
 def test_fixed_home_positions_change_with_the_seed():
-    assert fixed_home_positions(1) != fixed_home_positions()
+    assert _drawn_home_positions(1) != fixed_home_positions()
+
+
+@pytest.mark.parametrize("test_id", ["1.3", "2.4"])
+def test_a_run_imports_no_numpy_random(test_id):
+    # no output byte depends on numpy's generator code
+    code = ("import sys\n"
+            "from wlansteer.runner import RunConfig, run\n"
+            f"run(RunConfig(test_id={test_id!r}, k=1))\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(scenarios.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 # --- bench fixture ----------------------------------------------------------

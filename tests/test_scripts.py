@@ -91,3 +91,16 @@ def test_mutants_only_runs_the_entries_whose_label_contains_it(monkeypatch, caps
     assert runs == [entry["tests"], entry["tests"]]
     assert mutants.main(["--only", "no such label"]) == 2
     assert capsys.readouterr().err == "no catalogued mutant's label contains 'no such label'\n"
+
+
+def test_ab_alternates_two_trees_in_one_process():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "ab.py"), ROOT, ROOT,
+         "--test", "1.3", "--mechanism", "rssi", "--k", "8", "--seconds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    old, new, ratio = proc.stdout.splitlines()
+    assert old.startswith(f"old  {ROOT}: median ") and old.endswith(" runs")
+    assert new.startswith(f"new  {ROOT}: median ") and new.endswith(" runs")
+    assert ratio.startswith("speed-up: median ") and ratio.endswith(" pairs")
