@@ -2,12 +2,15 @@
 """Time two source trees' ``runner.run`` in one process, call for call.
 
     python3 scripts/ab.py OLD_TREE NEW_TREE --test 1.3 --mechanism rssi --k 8 --seconds 20
+    python3 scripts/ab.py OLD_TREE NEW_TREE --test 1.2 --k 400 --workers 2
 
 Each tree is a checkout whose ``src/wlansteer`` is loaded as a package of
 its own, so both live in one interpreter.  The script alternates their runs,
 each writing its bundle into a fresh directory, for about ``--seconds`` of
 wall time after one warm-up run each, then prints each tree's median run
 time and the median of the per-pair speed-ups (old time over new time).
+``--workers`` runs both trees on that many pool processes; each tree keeps
+its own pool for the whole script, as a process that makes several runs does.
 Medians of separate processes can differ by far more than a change moves
 them on a shared machine; pairs taken in one process ride out most of that.
 This is a sizing aid: it checks no output and times no set-up, which
@@ -42,10 +45,12 @@ def main(argv=None) -> int:
     ap.add_argument("--test", required=True)
     ap.add_argument("--mechanism")
     ap.add_argument("--k", type=int)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     runners = [load(tree, f"_ab{i}_wlansteer") for i, tree in enumerate((args.old, args.new))]
-    configs = [r.RunConfig(test_id=args.test, mechanism=args.mechanism, k=args.k)
+    configs = [r.RunConfig(test_id=args.test, mechanism=args.mechanism, k=args.k,
+                           workers=args.workers)
                for r in runners]
     times: list[list[float]] = [[], []]
     with tempfile.TemporaryDirectory() as tmp:

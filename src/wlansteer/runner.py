@@ -7,14 +7,14 @@ seed produce identical CSV/JSON no matter how many worker processes are used,
 because randomness is keyed to the deployment index alone and results are
 merged in grid order.
 
-Sweep points that read the same inputs of ``deployment_draw`` (and have the
-same ``k``) form a draw group: every demand step of a curve replays the same
+Sweep points that read the same inputs of ``draw_slice`` (and have the same
+``k``) form a draw group: every demand step of a curve replays the same
 stations.  A group is walked in slices of deployments.  A slice's
-deployments are drawn once, all at once (``draw_slice``, which makes
-``deployment_draw``'s stations in one numpy pass), and each transmitter's
-RSSI column over the slice's stations is computed once (``_Columns``, keyed
-by position, tx power and frequency, so that link geometries with the same
-AP or extender share it).  A link geometry of the group (``_Geometry``: what
+deployments are drawn once, all at once (``draw_slice``, the one station
+draw, in one numpy pass), and each transmitter's RSSI column over the
+slice's stations is computed once (``_Columns``, keyed by position, tx power
+and frequency, so that link geometries with the same AP or extender share
+it).  A link geometry of the group (``_Geometry``: what
 ``build_topology`` reads, the engine parameters and the packet length) stacks
 its columns into the slice's RSSI table, strongest-signal associations and
 airtimes just before its first batch, and drops them after its last, so a

@@ -15,13 +15,15 @@ level.
 Station draws are reproducible: deployment ``i`` of a scenario uses an RNG
 substream derived from (scenario seed, i), so any deployment can be
 regenerated in isolation and the draw order never depends on worker layout
-or mechanism.  ``deployment_draw`` draws one deployment with numpy's
-``Generator``; ``draw_slice`` draws a run of them at once, bit for bit the
-same, by recomputing that generator's stream in numpy integer arithmetic:
-``SeedSequence`` hashing in uint32, PCG64's 128-bit state in uint64 limbs
-(every output of a lane at once, by jumping ahead from its seeded state),
-``uniform`` as ``high * ((x >> 11) * 2**-53)``, and ``permutation`` as
-Fisher-Yates on masked-rejection draws from the outputs' 32-bit halves.
+or mechanism.  The substream is the one numpy's ``Generator`` gives
+``SeedSequence([seed, i])``, but no numpy generator code runs.  There is one
+draw, ``draw_slice``, which draws a run of deployments at once in numpy
+integer arithmetic (``deployment_draw`` is its slice of one): ``SeedSequence``
+hashing in uint32, PCG64's 128-bit state in uint64 limbs (every output of a
+lane at once, by jumping ahead from its seeded state), ``uniform`` as
+``high * ((x >> 11) * 2**-53)``, and ``permutation`` as Fisher-Yates on
+masked-rejection draws from the outputs' 32-bit halves.  The tests keep the
+``Generator`` draw as its oracle, bit for bit.
 
 The seven campaign grids are one table, ``_GRIDS``, and one builder,
 ``_grid``.  A test is a few curves (extenders, channel plan, selection),
@@ -135,13 +137,6 @@ def circle_radius_m(
     return base
 
 
-@lru_cache(maxsize=64)
-def _disk_radius_m(area: AreaKind, p: PropagationParams, mhz_2_4: float) -> float:
-    """``circle_radius_m`` once per (area, propagation, 2.4 GHz frequency),
-    which every deployment drawn on a circle reads."""
-    return circle_radius_m(area, p, {Band.GHZ_2_4: mhz_2_4})
-
-
 def extender_distance_m(
     rssi_target_dbm: float,
     p: PropagationParams = DEFAULT_PROPAGATION,
@@ -192,62 +187,19 @@ def build_topology(
     return Topology(nodes=make_node_map(nodes), backhaul_parent=parent_of)
 
 
-def deployment_rng(seed: int, deployment_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, deployment_index]))
-
-
-def _draw_positions(
-    spec: ScenarioSpec,
-    rng: np.random.Generator,
-    p: PropagationParams,
-    band_mhz: Mapping[Band, float],
-) -> list[Position]:
-    if spec.fixed_positions is not None:
-        return list(spec.fixed_positions)
-    n = spec.n_sta
-    if spec.area is AreaKind.HOME_RECT:
-        xs = rng.uniform(0.0, HOME_WIDTH_M, n)
-        ys = rng.uniform(0.0, HOME_HEIGHT_M, n)
-        return list(zip(xs.tolist(), ys.tolist()))
-    r = rng.uniform(0.0, _disk_radius_m(spec.area, p, band_mhz[Band.GHZ_2_4]), n)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    xs = r * np.cos(theta)
-    ys = r * np.sin(theta)
-    return list(zip(xs.tolist(), ys.tolist()))
-
-
 def draw_key(spec: ScenarioSpec) -> tuple:
-    """Everything ``deployment_draw`` reads besides the deployment index, the
+    """Everything ``draw_slice`` reads besides the deployment indices, the
     propagation and the band table: specs with equal keys draw the same
     stations."""
     return (spec.seed, spec.n_sta, spec.area, spec.fixed_positions)
 
 
-def deployment_draw(
-    spec: ScenarioSpec,
-    deployment_index: int,
-    p: PropagationParams = DEFAULT_PROPAGATION,
-    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
-) -> tuple[list[Position], np.ndarray]:
-    """Station positions plus the capability permutation for one deployment.
-
-    The permutation is consumed from the same substream right after the
-    positions, so capability membership is identical for every mechanism and
-    nested across growing capable shares.
-    """
-    if deployment_index < 0:
-        raise ValueError("deployment index must be non-negative")
-    rng = deployment_rng(spec.seed, deployment_index)
-    positions = _draw_positions(spec, rng, p, band_mhz)
-    perm = rng.permutation(spec.n_sta)
-    return positions, perm
-
-
-# --- slice draws: deployment_draw's stream in array arithmetic ---------------
+# --- slice draws: the Generator's stream in array arithmetic -----------------
 #
-# deployment_draw's Generator is PCG64 seeded by SeedSequence([seed, i]).
-# draw_slice recomputes that stream for a run of indices at once, in uint32
-# and uint64 arrays, whose arithmetic wraps silently, as the C code's does.
+# Deployment i's stream is that of PCG64 seeded by SeedSequence([seed, i]),
+# as numpy's Generator makes it.  draw_slice computes it for a run of
+# indices at once, in uint32 and uint64 arrays, whose arithmetic wraps
+# silently, as the C code's does.
 
 _M32 = 0xFFFFFFFF
 # SeedSequence's hash constants, and PCG64's 128-bit multiplier
@@ -410,7 +362,7 @@ def _draw_lanes(spec: ScenarioSpec, seed_words: list[int], lo: int, hi: int,
     if spec.area is AreaKind.HOME_RECT:
         xs, ys = HOME_WIDTH_M * u[:, :n], HOME_HEIGHT_M * u[:, n:]
     else:
-        r = _disk_radius_m(spec.area, p, band_mhz[Band.GHZ_2_4]) * u[:, :n]
+        r = circle_radius_m(spec.area, p, band_mhz) * u[:, :n]
         theta = (2.0 * np.pi) * u[:, n:]
         xs, ys = r * np.cos(theta), r * np.sin(theta)
     return np.stack([xs, ys], axis=2), perm
@@ -423,8 +375,12 @@ def draw_slice(
     p: PropagationParams = DEFAULT_PROPAGATION,
     band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``deployment_draw`` of deployments ``lo`` to ``hi - 1`` at once, bit
-    for bit: station positions ``(D, n, 2)`` and permutations ``(D, n_sta)``."""
+    """Deployments ``lo`` to ``hi - 1`` at once: station positions ``(D, n,
+    2)`` and permutations ``(D, n_sta)``.
+
+    Each deployment's permutation is drawn from its substream right after its
+    positions, so capability membership is identical for every mechanism and
+    nested across growing capable shares."""
     if not 0 <= lo < hi <= 1 << 64:
         raise ValueError("a slice holds deployments lo to hi - 1, with 0 <= lo < hi <= 2**64")
     positions, perms = [], []
@@ -440,6 +396,20 @@ def draw_slice(
                 positions.append(pos)
                 perms.append(perm)
     return np.concatenate(positions), np.concatenate(perms)
+
+
+def deployment_draw(
+    spec: ScenarioSpec,
+    deployment_index: int,
+    p: PropagationParams = DEFAULT_PROPAGATION,
+    band_mhz: Mapping[Band, float] = DEFAULT_BAND_MHZ,
+) -> tuple[list[Position], np.ndarray]:
+    """Station positions, a list of ``(x, y)`` float tuples, and the
+    capability permutation of one deployment: ``draw_slice`` of it alone."""
+    if not 0 <= deployment_index < 1 << 64:
+        raise ValueError(f"deployment index {deployment_index} is outside [0, 2**64)")
+    positions, perms = draw_slice(spec, deployment_index, deployment_index + 1, p, band_mhz)
+    return list(map(tuple, positions[0].tolist())), perms[0]
 
 
 def capable_set_for(spec: ScenarioSpec, perm: np.ndarray, beta_pct: float) -> frozenset[int]:

@@ -51,6 +51,7 @@ from wlansteer.scenarios import (
     build_topology,
     capable_set_for,
     deployment_draw,
+    draw_slice,
     extender_distance_m,
 )
 from wlansteer.selection import SelectionConfig, initial_association, reassociation_pass
@@ -286,10 +287,10 @@ def test_operational_range_rejects_unknown_criteria():
 
 
 def _scalar_point(point, params, trace_path=None):
-    """Rows and aggregate of one point, recomputed deployment by deployment
-    through the public ``Topology`` API.  With ``trace_path``, each
-    deployment runs through ``run_mechanism``, and its frame trace goes to
-    ``trace_path(deployment)``."""
+    """Rows and aggregate of one point, its deployments drawn in one
+    ``draw_slice`` and recomputed one by one through the public ``Topology``
+    API.  With ``trace_path``, each deployment runs through
+    ``run_mechanism``, and its frame trace goes to ``trace_path(deployment)``."""
     spec, sel = point.scenario, point.selection
     base = build_topology(spec, point.rssi_ap_e_dbm, params.propagation,
                           band_mhz=params.band_mhz)
@@ -300,9 +301,8 @@ def _scalar_point(point, params, trace_path=None):
     rows = []
     thr_sum = delay_sum = assoc_sum = 0.0
     congested_n = 0
-    for dep in range(spec.k):
-        positions, perm = deployment_draw(spec, dep, params.propagation,
-                                          band_mhz=params.band_mhz)
+    drawn, perms = draw_slice(spec, 0, spec.k, params.propagation, band_mhz=params.band_mhz)
+    for dep, (positions, perm) in enumerate(zip(drawn, perms)):
         topo = add_stations(base, positions, capable_set_for(spec, perm, sel.beta_pct))
         if trace_path is not None:
             steered, log = run_mechanism(topo, env, sel)

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from wlansteer import scenarios
 from wlansteer.model import DEFAULT_BAND_MHZ, Band, NodeKind, validate_topology
-from wlansteer.radio import DEFAULT_PROPAGATION, rssi_dbm
+from wlansteer.radio import DEFAULT_PROPAGATION, PropagationParams, rssi_dbm
 from wlansteer.scenarios import (
+    TEST_IDS,
     AreaKind,
     BACKHAUL_CHANNEL,
     FIXED_DEPLOYMENT_SEED,
@@ -135,11 +136,29 @@ def test_draws_differ_across_seeds():
     assert a != b
 
 
+def _generator_draw(spec, index, p=DEFAULT_PROPAGATION, band_mhz=DEFAULT_BAND_MHZ):
+    """Deployment ``index`` as numpy's ``Generator`` draws it from
+    ``SeedSequence([seed, index])``: the oracle of ``draw_slice``."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
+    n = spec.n_sta
+    if spec.fixed_positions is not None:
+        positions = list(spec.fixed_positions)
+    elif spec.area is AreaKind.HOME_RECT:
+        xs = rng.uniform(0.0, HOME_WIDTH_M, n)
+        ys = rng.uniform(0.0, HOME_HEIGHT_M, n)
+        positions = list(zip(xs.tolist(), ys.tolist()))
+    else:
+        r = rng.uniform(0.0, circle_radius_m(spec.area, p, band_mhz), n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        positions = list(zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()))
+    return positions, rng.permutation(n)
+
+
 def _assert_slice_is_the_draws(spec, lo, hi, **kwargs):
     positions, perms = draw_slice(spec, lo, hi, **kwargs)
     assert positions.shape[0] == perms.shape[0] == hi - lo
     for d in range(lo, hi):
-        want_pos, want_perm = deployment_draw(spec, d, **kwargs)
+        want_pos, want_perm = _generator_draw(spec, d, **kwargs)
         assert positions[d - lo].tolist() == [list(xy) for xy in want_pos], d
         assert perms[d - lo].tolist() == want_perm.tolist(), d
 
@@ -171,6 +190,28 @@ def test_lanes_that_run_out_of_draws_extend_their_stream(monkeypatch, area):
     spec = ScenarioSpec(area=area, n_sta=12, seed=2026)
     _assert_slice_is_the_draws(spec, 0, 300)
     _assert_slice_is_the_draws(spec, 2**32 - 150, 2**32 + 150)
+
+
+@pytest.mark.parametrize("area", list(AreaKind))
+def test_one_deployment_draw_is_the_generator_draw(area):
+    spec = ScenarioSpec(area=area, n_sta=10, seed=2**40 + 3)
+    for index in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
+        positions, perm = deployment_draw(spec, index)
+        want_pos, want_perm = _generator_draw(spec, index)
+        assert positions == want_pos, index  # a list of (x, y) tuples
+        assert perm.tolist() == want_perm.tolist(), index
+
+
+@pytest.mark.parametrize("area", [AreaKind.CIRCLE_DMAX, AreaKind.CIRCLE_1P2_DMAX])
+def test_circle_draws_read_the_band_table_and_the_propagation(area):
+    """The disk's radius is the AP's reach on the run's own link model."""
+    spec = ScenarioSpec(area=area, n_sta=10, seed=9)
+    bands = {**DEFAULT_BAND_MHZ, Band.GHZ_2_4: 2462.0}
+    steep = PropagationParams(distance_power_loss_coeff=35.0)
+    for kwargs in (dict(band_mhz=bands), dict(p=steep)):
+        assert circle_radius_m(area, **kwargs) != circle_radius_m(area)
+        _assert_slice_is_the_draws(spec, 0, 40, **kwargs)
+        assert deployment_draw(spec, 5, **kwargs)[0] == _generator_draw(spec, 5, **kwargs)[0]
 
 
 def test_a_slice_rejects_an_empty_or_negative_range():
@@ -231,31 +272,31 @@ def test_the_area_picks_the_layout_family():
 
 
 def test_deployment_draw_rejects_negative_index():
-    with pytest.raises(ValueError):
-        deployment_draw(CIRCLE_SPEC, -1)
+    for index in (-1, 2**64):
+        with pytest.raises(ValueError,
+                           match=rf"^deployment index {index} is outside \[0, 2\*\*64\)$"):
+            deployment_draw(CIRCLE_SPEC, index)
 
 
 def test_radial_sampling_follows_the_uniform_radius_law():
     """r ~ U[0, R]: the share of points inside R/1.2 approaches 1/1.2."""
     R = circle_radius_m(AreaKind.CIRCLE_1P2_DMAX)
     inner = R / 1.2
-    n_inside = 0
-    n_total = 0
-    for dep in range(10_000):
-        for (x, y) in deployment_draw(CIRCLE_SPEC, dep)[0]:
-            n_total += 1
-            if (x * x + y * y) ** 0.5 <= inner:
-                n_inside += 1
+    positions, _ = draw_slice(CIRCLE_SPEC, 0, 10_000)
+    xs, ys = positions[..., 0], positions[..., 1]
+    n_inside = int(((xs * xs + ys * ys) ** 0.5 <= inner).sum())
+    n_total = xs.size
     assert n_total == 100_000
     assert n_inside / n_total == pytest.approx(1.0 / 1.2, abs=0.004)
 
 
 def test_home_rect_draws_stay_inside_the_rectangle():
     spec = ScenarioSpec(area=AreaKind.HOME_RECT, n_sta=10, n_extenders=1, k=10, seed=3)
-    for dep in range(50):
-        for (x, y) in deployment_draw(spec, dep)[0]:
-            assert 0.0 <= x <= HOME_WIDTH_M
-            assert 0.0 <= y <= HOME_HEIGHT_M
+    positions, _ = draw_slice(spec, 0, 50)
+    xs, ys = positions[..., 0], positions[..., 1]
+    assert xs.shape == (50, 10)
+    assert ((0.0 <= xs) & (xs <= HOME_WIDTH_M)).all()
+    assert ((0.0 <= ys) & (ys <= HOME_HEIGHT_M)).all()
 
 
 def test_add_stations_appends_numbered_stations():
@@ -321,17 +362,30 @@ def test_fixed_home_positions_change_with_the_seed():
 
 @pytest.mark.parametrize("test_id", ["1.3", "2.4"])
 def test_a_run_imports_no_numpy_random(test_id):
-    # no output byte depends on numpy's generator code
+    """No output byte depends on numpy's generator code: every test id of
+    ``test_id``'s family (circle 1.x or home 2.x) runs, and the public draw
+    draws, in one interpreter that never imports it."""
+    family = [t for t in TEST_IDS if t.split(".")[0] == test_id.split(".")[0]]
+    assert test_id in family and len(family) >= 3
     code = ("import sys\n"
             "from wlansteer.runner import RunConfig, run\n"
-            f"run(RunConfig(test_id={test_id!r}, k=1))\n"
+            "from wlansteer.scenarios import ScenarioSpec, AreaKind, deployment_draw\n"
+            f"for test_id in {family!r}:\n"
+            "    run(RunConfig(test_id=test_id, k=1))\n"
+            "deployment_draw(ScenarioSpec(AreaKind.CIRCLE_DMAX), 0)\n"
             "print('numpy.random' in sys.modules)\n")
+    package = Path(scenarios.__file__).parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(scenarios.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(package.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+    sources = [path for path in package.rglob("*")
+               if path.is_file() and "__pycache__" not in path.parts]
+    assert len(sources) >= 10
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "np.random" not in text and "numpy.random" not in text, path
 
 
 # --- bench fixture ----------------------------------------------------------

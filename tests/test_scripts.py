@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import uuid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -93,14 +94,34 @@ def test_mutants_only_runs_the_entries_whose_label_contains_it(monkeypatch, caps
     assert capsys.readouterr().err == "no catalogued mutant's label contains 'no such label'\n"
 
 
+def _processes_holding(marker: str) -> list[int]:
+    """The pids of the running processes whose environment holds ``marker``."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/environ", "rb") as fh:
+                if marker.encode() in fh.read():
+                    found.append(int(pid))
+        except OSError:  # gone, or another user's
+            pass
+    return found
+
+
 def test_ab_alternates_two_trees_in_one_process():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "ab.py"), ROOT, ROOT,
-         "--test", "1.3", "--mechanism", "rssi", "--k", "8", "--seconds", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    old, new, ratio = proc.stdout.splitlines()
-    assert old.startswith(f"old  {ROOT}: median ") and old.endswith(" runs")
-    assert new.startswith(f"new  {ROOT}: median ") and new.endswith(" runs")
-    assert ratio.startswith("speed-up: median ") and ratio.endswith(" pairs")
+    # a second case runs both trees on two pool processes each, and leaves
+    # none of them running; the pool workers inherit the script's environment
+    token = uuid.uuid4().hex
+    env = dict(os.environ, WLANSTEER_AB_TEST=token)
+    for extra in (["--seconds", "1"], ["--seconds", "0", "--workers", "2"]):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "ab.py"), ROOT, ROOT,
+             "--test", "1.3", "--mechanism", "rssi", "--k", "8", *extra],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        old, new, ratio = proc.stdout.splitlines()
+        assert old.startswith(f"old  {ROOT}: median ") and old.endswith(" runs")
+        assert new.startswith(f"new  {ROOT}: median ") and new.endswith(" runs")
+        assert ratio.startswith("speed-up: median ") and ratio.endswith(" pairs")
+    if os.path.isdir("/proc"):
+        assert _processes_holding(f"WLANSTEER_AB_TEST={token}") == []
