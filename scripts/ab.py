@@ -5,18 +5,21 @@
     python3 scripts/ab.py OLD_TREE NEW_TREE --test 1.2 --k 400 --workers 2
 
 Each tree is a checkout whose ``src/wlansteer`` is loaded as a package of
-its own, so both live in one interpreter.  The script alternates their runs,
-each writing its bundle into a fresh directory, for about ``--seconds`` of
-wall time after one warm-up run each, then prints each tree's median run
-time and the median of the per-pair speed-ups (old time over new time).
+its own, so both live in one interpreter.  After one warm-up run each, the
+script checks that both trees wrote the same bytes: when they did not, it
+names the files that differ on stderr and exits 1.  Then it alternates their
+runs, each writing its bundle into a fresh directory, for about
+``--seconds`` of wall time, and prints each tree's median run time and the
+median of the per-pair speed-ups (old time over new time).
 ``--workers`` runs both trees on that many pool processes; each tree keeps
 its own pool for the whole script, as a process that makes several runs does.
 Medians of separate processes can differ by far more than a change moves
 them on a shared machine; pairs taken in one process ride out most of that.
-This is a sizing aid: it checks no output and times no set-up, which
-``perfbench/run.py`` does.
+This is a sizing aid: it checks only that the trees agree, not that either
+is right, and times no set-up; ``perfbench/run.py`` does both.
 """
 import argparse
+import filecmp
 import importlib.util
 import os
 import shutil
@@ -24,6 +27,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+BUNDLE = ("rows.csv", "aggregates.csv", "results.json")
 
 
 def load(tree: str, name: str):
@@ -55,23 +60,29 @@ def main(argv=None) -> int:
     times: list[list[float]] = [[], []]
     with tempfile.TemporaryDirectory() as tmp:
 
-        def one(side: int) -> float:
+        def one(side: int) -> tuple[float, str]:
+            """The wall time of one run of the tree ``side``, and its bundle's directory."""
             out = tempfile.mkdtemp(dir=tmp)
             cfg = configs[side]
             cfg.out_dir = out
             t0 = time.perf_counter()
             runners[side].run(cfg)
-            wall = time.perf_counter() - t0
-            shutil.rmtree(out)
-            return wall
+            return time.perf_counter() - t0, out
 
-        one(0), one(1)
+        warm = [one(0)[1], one(1)[1]]
+        differ = [name for name in BUNDLE if not filecmp.cmp(
+            os.path.join(warm[0], name), os.path.join(warm[1], name), shallow=False)]
+        if differ:
+            print(f"the trees write different bytes: {', '.join(differ)}", file=sys.stderr)
+            return 1
         start = time.perf_counter()
         while not times[0] or time.perf_counter() - start < args.seconds:
             # each pair alternates which tree runs first
             order = (0, 1) if len(times[0]) % 2 == 0 else (1, 0)
             for side in order:
-                times[side].append(one(side))
+                wall, out = one(side)
+                times[side].append(wall)
+                shutil.rmtree(out)
     ratios = [old / new for old, new in zip(*times)]
     for label, tree, ts in zip(("old", "new"), (args.old, args.new), times):
         print(f"{label}  {tree}: median {statistics.median(ts) * 1e3:.3f} ms over {len(ts)} runs")

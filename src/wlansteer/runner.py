@@ -36,25 +36,18 @@ it is closed at exit.  Only a process that makes several runs gains: one
 that makes a single run, as ``wlansteer run`` does, starts the pool once
 and closes it at exit.
 
-Results are columnar.  A task returns a block per kernel batch: its points
-by the range's deployments, point-major as the kernel makes them, and each
-point's constant fields once; one ``put`` per slice fills it.  The parent
-joins a batch's blocks along the deployment axis and sums each point's
-aggregate as a left fold in deployment order, as a single process would,
-into four mean columns on the block.  ``RunResult.rows`` and
-``RunResult.aggregates`` (and ``evaluate_point``'s) are a ``ResultRows`` and
-an ``Aggregates`` of spans, each a block and a run of its points that
-follow one another in the grid; a ``ResultRow`` or ``Aggregate`` is built
-only when it is read.  The exports read spans too, cut a plain list of rows
-into one-point blocks first and turn a plain list of aggregates into the
-same columns; a run writes its three files in one walk.  Each distinct
-constants tuple is spelled once for all three files, a column at a time,
-and an aggregate is its constant texts, ``k`` and its means, each mean
-column spelled by one ``map(repr)``; each row's floats are spelled once for
-both row files, and each distinct association vector once per file: a
-slice's new vectors in one gather from a table of pieces made per layout,
-built only for the files being written; a span's rows go out in slices of
-at most ``_EXPORT_ROWS``.
+Results are one table.  A task yields each kernel batch's rows of a slice
+as soon as the batch has run, with int8 serving indices, and the parent
+copies each into one block that holds every point of the run, in grid
+order, by every deployment.  It then sums each point's aggregate as a left
+fold in deployment order, as a single process would, into four mean
+columns on the block.  ``RunResult.rows`` and ``RunResult.aggregates`` (and
+``evaluate_point``'s) are a ``ResultRows`` and an ``Aggregates`` over that
+block: each indexes it by ``divmod`` and builds a ``ResultRow`` or
+``Aggregate`` only when it is read.  The exports write whole blocks, a
+run's one or a plain list of rows cut into one-point blocks, and spell each
+distinct constants tuple and association vector once (see ``_export``); a
+run writes its three files in one walk.
 
 The 802.11k/v frame trace observes the kernel: a traced batch gives each row
 an ``EventLog``, which gets the row's frames from the arrays its decisions
@@ -71,14 +64,14 @@ import io
 import json
 import math
 import multiprocessing
+import numbers
 import operator
 import os
-from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from itertools import accumulate, chain, repeat
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -162,47 +155,20 @@ def _constants(point: SweepPoint) -> tuple:
 
 
 class _Block:
-    """The rows of one kernel batch over a range of deployments, as columns
-    over (point, deployment), point-major as the batch makes them: flat row
-    ``p * D + d`` is point ``p`` on deployment ``first + d``.  ``index``
-    holds the points' grid indices, ``consts`` each point's ``_CONSTANT``
-    values and ``nodes`` the serving node of each serving index.  Columns:
-    float64 throughput and delay and bool congestion ``(P, D)``, and an int8
-    serving index per station of ``sta_ids`` ``(P, D, n_sta)``, -1 when
-    unassociated.  Sized once, a block is filled by one ``put`` per slice;
-    ``means`` then holds ``_aggregate``'s four columns."""
+    """Results as a table of points by deployments: row ``p`` is a point and
+    column ``d`` deployment ``first + d``.  A run's block holds all of its
+    points in grid order by all of its deployments; a list of rows becomes
+    one-point blocks.  ``consts`` holds each point's ``_CONSTANT`` values and
+    ``nodes`` the serving node of each serving index.  Columns: float64
+    throughput and delay and bool congestion ``(P, D)``, and an int8 serving
+    index per station of ``sta_ids`` ``(P, D, n_sta)``, -1 when unassociated.
+    A run's block gets ``means``, ``_aggregate``'s four columns."""
 
-    def __init__(self, index: Sequence[int], consts: Sequence[tuple], sta_ids: tuple[int, ...],
-                 nodes: list, first: int, deployments: int) -> None:
-        self.index, self.consts, self.sta_ids, self.nodes = index, consts, sta_ids, nodes
-        self.first, shape = first, (len(consts), deployments)
-        self.thr, self.delay = np.zeros(shape), np.zeros(shape)
-        self.congested = np.zeros(shape, dtype=bool)
-        self.serving = np.zeros(shape + (len(sta_ids),), dtype=np.int8)
-
-    @property
-    def deployments(self) -> int:
-        return self.thr.shape[1]
-
-    def put(self, i: int, thr, delay, congested, serving) -> None:
-        """Write deployments ``i`` on of every point from point-major rows:
-        throughput, delay and congestion ``(P * D,)`` and serving indices
-        ``(P * D, n_sta)``."""
-        P, n = len(self.consts), len(self.sta_ids)
-        j = i + len(thr) // P
-        self.thr[:, i:j], self.delay[:, i:j] = thr.reshape(P, -1), delay.reshape(P, -1)
-        self.congested[:, i:j] = congested.reshape(P, -1)
-        self.serving[:, i:j] = serving.reshape(P, j - i, n)
-
-    @staticmethod
-    def joined(parts: Sequence[_Block]) -> _Block:
-        """The blocks of one batch's points over consecutive deployment
-        ranges, as one block."""
-        block = parts[0]
-        if len(parts) > 1:
-            for name in ("thr", "delay", "congested", "serving"):
-                setattr(block, name, np.concatenate([getattr(b, name) for b in parts], axis=1))
-        return block
+    def __init__(self, consts: Sequence[tuple], sta_ids: tuple[int, ...], nodes: list,
+                 first: int, thr, delay, congested, serving) -> None:
+        self.consts, self.sta_ids, self.nodes, self.first = consts, sta_ids, nodes, first
+        self.thr, self.delay, self.congested, self.serving = thr, delay, congested, serving
+        self.deployments = thr.shape[1]
 
     def row(self, p: int, d: int) -> ResultRow:
         return ResultRow(
@@ -217,17 +183,16 @@ class _Block:
         return Aggregate(*self.consts[p], self.deployments, *(m[p] for m in self.means))
 
 
-def _spans(rows: Sequence[ResultRow]) -> list:
-    """A run's spans, or a list's rows cut into one-point blocks wherever a
+def _blocks(rows: Sequence[ResultRow]) -> list[_Block]:
+    """A run's block, or a list's rows cut into one-point blocks wherever a
     row stops sharing the last one's constant fields (by type and repr),
     station ids or deployment sequence.  The columns hold throughput and
     delay as floats and congestion as a flag, as a run makes them, so a
     hand-built row's throughput ``100`` reads back, and is exported, as
     ``100.0``."""
     if isinstance(rows, ResultRows):
-        return rows.spans
-    cuts: list[tuple] = []
-    last = None
+        return [rows.block]
+    cuts, last = [], None
     for row in rows:
         const, sta_ids = _constant(row), tuple(sorted(row.associations))
         key = (tuple(map(type, const)), tuple(map(repr, const)), sta_ids)
@@ -239,28 +204,18 @@ def _spans(rows: Sequence[ResultRow]) -> list:
         cut.append((row.throughput_pct, row.avg_delay_ms, bool(row.congested),
                     [-1 if n is None else nodes.index(n) for n in got]))
         last = (key, row.deployment_index + 1)
-    spans = []
-    for const, sta_ids, first, nodes, cut in cuts:
-        block = _Block((0,), (const,), sta_ids, nodes, first, len(cut))
-        thr, delay, congested, serving = zip(*cut)
-        block.put(0, np.array(thr, dtype=float), np.array(delay, dtype=float),
-                  np.array(congested), np.array(serving, dtype=np.int8))
-        spans.append((block, 0, 1))
-    return spans
+    dtypes = (float, float, bool, np.int8)  # throughput, delay, congestion, serving
+    return [_Block((const,), sta_ids, nodes, first,
+                   *(np.array([column], dtype=t) for column, t in zip(zip(*cut), dtypes)))
+            for const, sta_ids, first, nodes, cut in cuts]
 
 
-class _Spanned(Sequence):
-    """Items of a run in grid order, held as spans: a block and a run of its
-    points ``p0`` to ``p1 - 1`` that come one after another in the grid,
-    ``width(block)`` items per point.  Each item is built when it is read,
-    by ``item(block, p, j)``, and none to take the length."""
+class _Table(Sequence):
+    """Items of a block, point by point.  Item ``i`` is built when it is
+    read, by ``item(i)``, and none to take the length."""
 
-    def __init__(self, spans: Sequence) -> None:
-        self.spans = spans
-        self._ends = list(accumulate((p1 - p0) * self.width(b) for b, p0, p1 in spans))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+    def __init__(self, block: _Block) -> None:
+        self.block = block
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -268,39 +223,34 @@ class _Spanned(Sequence):
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError(f"{type(self).__name__} index out of range")
-        i %= len(self)
-        s = bisect_right(self._ends, i)
-        block, p0, p1 = self.spans[s]
-        width = self.width(block)
-        p, j = divmod(i - self._ends[s] + (p1 - p0) * width, width)
-        return self.item(block, p0 + p, j)
+        return self.item(i % len(self))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (_Spanned, list, tuple)):
+        if not isinstance(other, (_Table, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-class ResultRows(_Spanned):
+class ResultRows(_Table):
     """A run's rows in (point, deployment) order: a ``ResultRow`` per
     deployment of each point."""
 
-    def width(self, block: _Block) -> int:
-        return block.deployments
+    def __len__(self) -> int:
+        return len(self.block.consts) * self.block.deployments
 
-    def item(self, block: _Block, p: int, d: int) -> ResultRow:
-        return block.row(p, d)
+    def item(self, i: int) -> ResultRow:
+        return self.block.row(*divmod(i, self.block.deployments))
 
 
-class Aggregates(_Spanned):
+class Aggregates(_Table):
     """A run's aggregates in grid order: an ``Aggregate`` per point, from its
     block's ``means``."""
 
-    def width(self, block: _Block) -> int:
-        return 1
+    def __len__(self) -> int:
+        return len(self.block.consts)
 
-    def item(self, block: _Block, p: int, _: int) -> Aggregate:
-        return block.aggregate(p)
+    def item(self, i: int) -> Aggregate:
+        return self.block.aggregate(i)
 
 
 # the most worker processes a run may start, the same on every machine so
@@ -339,6 +289,8 @@ class RunConfig:
         # a rewrite passes the check of the field it rewrites
         SelectionConfig(**_given(alpha=self.alpha, beta_pct=self.beta_pct))
         ScenarioSpec(AreaKind.CIRCLE_DMAX, **_given(k=self.k, seed=self.seed))
+        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
+            raise ValueError("workers must be an integer")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.workers > MAX_WORKERS:
@@ -346,7 +298,11 @@ class RunConfig:
         if isinstance(self.mechanism, str):
             self.mechanism = Mechanism(self.mechanism)
         if self.b_t_bps is not None:
-            self.b_t_bps = tuple(float(b) for b in self.b_t_bps)
+            rates = tuple(self.b_t_bps) if isinstance(self.b_t_bps, Iterable) \
+                and not isinstance(self.b_t_bps, str) else (None,)
+            if not all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in rates):
+                raise ValueError("b_t_bps must be a sequence of numbers")
+            self.b_t_bps = tuple(map(float, rates))
 
 
 def _given(**fields) -> dict:
@@ -719,10 +675,13 @@ def _evaluate_range(
     events_dir: Optional[str],
     lo: int,
     hi: int,
-) -> list[_Block]:
-    """One block per kernel batch of ``points``, which are (grid index, point)
-    pairs sharing one deployment draw, holding deployments ``lo`` to
-    ``hi - 1``.
+) -> Iterator[tuple]:
+    """The rows of ``points``, which are (grid index, point) pairs sharing one
+    deployment draw, on deployments ``lo`` to ``hi - 1``: a part per kernel
+    batch and slice, yielded as soon as the batch has run.  A part is the
+    batch's grid indices, its geometry's serving nodes, the slice's first
+    deployment, and its rows, point-major: throughput, delay and congestion
+    ``(P * D,)`` and int8 serving indices ``(P * D, n_sta)``.
 
     The walk goes by slices of deployments: each is drawn once, each
     transmitter's RSSI column made once, and then geometry by geometry, the
@@ -730,7 +689,6 @@ def _evaluate_range(
     its rows.
     """
     spec = points[0][1].scenario
-    sta_ids = tuple(STA_ID_BASE + i for i in range(spec.n_sta))
     # each link geometry, with its points by pass flags
     geoms: dict[tuple, tuple[_Geometry, dict]] = {}
     for pi, point in points:
@@ -747,14 +705,11 @@ def _evaluate_range(
         members.setdefault(flags, []).append((pi, point))
     # a traced batch's logs wait for it to end, so it runs at most 32 points
     width = _ROWS if events_dir is None else min(_ROWS, 32)
-    batches = []  # (geometry, [(batch, its block), ...])
-    for geom, members in geoms.values():
-        parts = [m[i : i + width] for m in members.values() for i in range(0, len(m), width)]
-        batches.append((geom, [
-            (_Batch(geom, part), _Block([pi for pi, _ in part], [_constants(p) for _, p in part],
-                                        sta_ids, geom.serving, lo, hi - lo))
-            for part in parts]))
-    step = max(1, width // max(len(b.members) for _, bs in batches for b, _ in bs))
+    # each batch with its points' grid indices, one list that every part shares
+    batches = [(geom, [(_Batch(geom, part), [pi for pi, _ in part]) for m in members.values()
+                       for part in (m[i : i + width] for i in range(0, len(m), width))])
+               for geom, members in geoms.values()]
+    step = max(1, width // max(len(index) for _, bs in batches for _, index in bs))
     for first in range(lo, hi, step):
         positions, perms = draw_slice(spec, first, min(first + step, hi), params.propagation,
                                       band_mhz=params.band_mhz)
@@ -763,16 +718,21 @@ def _evaluate_range(
         for geom, geom_batches in batches:
             # a geometry's links live only while its batches run
             links = geom.links(columns)
-            for batch, block in geom_batches:
+            for batch, index in geom_batches:
                 logs = None if events_dir is None else [
                     EventLog() for _ in range(len(batch.members) * D)]
-                block.put(first - lo, *batch.run(links, rank, logs))
+                thr, delay, congested, serving = batch.run(links, rank, logs)
                 for r, log in enumerate(logs or ()):
                     pi, point = batch.members[r // D]
                     name = f"t{point.test_id}_p{pi:04d}_d{first + r % D:05d}.ndjson"
                     export_events(log, os.path.join(events_dir, name))
+                yield index, geom.serving, first, thr, delay, congested, serving.astype(np.int8)
             del links
-    return [block for _, geom_batches in batches for _, block in geom_batches]
+
+
+def _listed(*task) -> list:
+    """``_evaluate_range``'s parts as a list, which a pool worker can send."""
+    return list(_evaluate_range(*task))
 
 
 def _aggregate(block: _Block) -> list[list[float]]:
@@ -781,34 +741,49 @@ def _aggregate(block: _Block) -> list[list[float]]:
     left fold in deployment order, as a float loop from +0.0 makes it:
     ``np.add.accumulate``, then + 0.0, which turns a sum of -0.0 terms into
     the loop's +0.0 (numpy's reductions sum pairwise, and ``sum``
-    compensates from Python 3.12)."""
+    compensates from Python 3.12).  The points are folded ``4 * _ROWS //
+    deployments`` at a time: few enough rows that the temporaries stay far
+    below the block, enough that numpy's cost per call is spread."""
     k, n = block.deployments, len(block.sta_ids)
-    assoc = (n - np.count_nonzero(block.serving < 0, axis=2)) / n
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
-        thr, delay, assoc = [np.add.accumulate(x, axis=1)[:, -1] + 0.0
-                             for x in (block.thr, block.delay, assoc)]
-    return [(thr / k).tolist(), (delay / k).tolist(),
-            (100.0 * np.count_nonzero(block.congested, axis=1) / k).tolist(),
-            (100.0 * assoc / k).tolist()]
+    step = max(1, 4 * _ROWS // k)
+    means = []
+    for a in range(0, len(block.consts), step):
+        cut = slice(a, a + step)
+        assoc = (n - np.count_nonzero(block.serving[cut] < 0, axis=2)) / n
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as in Python
+            thr, delay, assoc = [np.add.accumulate(x, axis=1)[:, -1] + 0.0
+                                 for x in (block.thr[cut], block.delay[cut], assoc)]
+        congested = np.count_nonzero(block.congested[cut], axis=1)
+        means.append((thr / k, delay / k, 100.0 * congested / k, 100.0 * assoc / k))
+    return [np.concatenate(column).tolist() for column in zip(*means)]
 
 
-def _grid_order(blocks: Sequence[_Block]) -> list:
-    """The points of ``blocks`` in grid order, as spans, each a block and a
-    run of its points that follow one another; each block gets its
-    ``means``.  A block holds its points in grid order, so two that follow
-    one another in the grid are two that follow one another in the block."""
-    at = {}
-    for block in blocks:
-        block.means = _aggregate(block)
-        at.update((pi, (block, p)) for p, pi in enumerate(block.index))
-    spans: list[list] = []
-    for pi in sorted(at):
-        block, p = at[pi]
-        if spans and spans[-1][0] is block:
-            spans[-1][2] += 1
-        else:
-            spans.append([block, p, p + 1])
-    return spans
+def _in_grid_order(points: Sequence[tuple[int, SweepPoint]], parts: Iterable[tuple]) -> _Block:
+    """One block of ``points``, (grid index, point) pairs in grid order, by
+    all their deployments, which share ``k`` and the station count.  Each of
+    ``parts`` (``_evaluate_range``'s) is copied in as it comes, its serving
+    indices looked up by node; then the block's ``means`` are summed."""
+    spec = points[0][1].scenario
+    P, k, n = len(points), spec.k, spec.n_sta
+    if any((p.scenario.k, p.scenario.n_sta) != (k, n) for _, p in points):
+        raise ValueError("the points of a run must share k and n_sta")
+    at = {pi: r for r, (pi, _) in enumerate(points)}
+    nodes: dict = {}  # the block's serving index of each node, in the order they come
+    block = _Block([_constants(p) for _, p in points], tuple(range(STA_ID_BASE, STA_ID_BASE + n)),
+                   [], 0, np.zeros((P, k)), np.zeros((P, k)), np.zeros((P, k), dtype=bool),
+                   np.zeros((P, k, n), dtype=np.int8))
+    for index, part_nodes, first, thr, delay, congested, serving in parts:
+        lookup = [nodes.setdefault(node, len(nodes)) for node in part_nodes]
+        if lookup != list(range(len(lookup))):  # the part numbers its nodes otherwise
+            serving = np.array(lookup + [-1], dtype=np.int8).take(serving)  # -1: unassociated
+        rows, D = [at[pi] for pi in index], len(thr) // len(index)
+        cut = slice(first, first + D)
+        block.thr[rows, cut], block.delay[rows, cut] = thr.reshape(-1, D), delay.reshape(-1, D)
+        block.congested[rows, cut] = congested.reshape(-1, D)
+        block.serving[rows, cut] = serving.reshape(-1, D, n)
+    block.nodes = list(nodes)
+    block.means = _aggregate(block)
+    return block
 
 
 def evaluate_point(
@@ -819,9 +794,10 @@ def evaluate_point(
 ) -> tuple[ResultRows, Aggregate]:
     """All deployments of one sweep point, plus their aggregate: the batch
     of one point, whose rows are its deployments."""
-    blocks = _evaluate_range(((point_index, point),), params, events_dir, 0, point.scenario.k)
-    spans = _grid_order(blocks)
-    return ResultRows(spans), Aggregates(spans)[0]
+    members = ((point_index, point),)
+    block = _in_grid_order(members, _evaluate_range(members, params, events_dir, 0,
+                                                    point.scenario.k))
+    return ResultRows(block), block.aggregate(0)
 
 
 # the process-wide pool, as (workers, pool): see the module docstring
@@ -836,9 +812,9 @@ def _close_pool() -> None:
         pool.join()
 
 
-def _starmap(workers: int, tasks: list) -> list:
-    """``_evaluate_range`` over ``tasks`` on the pool of ``workers``
-    processes, started on first use."""
+def _starmap(workers: int, tasks: list) -> Iterator[list]:
+    """The parts of each of ``tasks``, a list per task, from the pool of
+    ``workers`` processes, started on first use."""
     global _pool
     if _pool is not None and _pool[0] != workers:
         pool, _pool = _pool[1], None
@@ -849,7 +825,7 @@ def _starmap(workers: int, tasks: list) -> list:
         atexit.unregister(_close_pool)
         atexit.register(_close_pool)
     try:
-        return _pool[1].starmap(_evaluate_range, tasks)
+        results = _pool[1].starmap(_listed, tasks)
     except Exception:
         raise  # a task's own error: the pool stays usable
     except BaseException:
@@ -857,6 +833,8 @@ def _starmap(workers: int, tasks: list) -> list:
         pool, _pool = _pool[1], None
         pool.terminate()
         raise
+    # each task's list taken out as it is read, so that it is freed once copied
+    return map(results.pop, repeat(0, len(results)))
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -884,22 +862,14 @@ def run(cfg: RunConfig) -> RunResult:
                 (members, cfg.params, events_dir, lo, hi)
                 for lo, hi in zip(bounds, bounds[1:])
             )
-    if cfg.workers > 1 and len(tasks) > 1:
-        results = _starmap(cfg.workers, tasks)
-    else:
-        results = [_evaluate_range(*t) for t in tasks]
-    # a task's blocks, one per batch, join the same batches' blocks of the
-    # other ranges of its points (tasks over one part share its members)
-    ranges: dict[int, list] = {}
-    for task, task_blocks in zip(tasks, results):
-        ranges.setdefault(id(task[0]), []).append(task_blocks)
-    spans = _grid_order([_Block.joined(parts) for per_range in ranges.values()
-                         for parts in zip(*per_range)])
-    aggregates = Aggregates(spans)
+    pooled = cfg.workers > 1 and len(tasks) > 1
+    results = _starmap(cfg.workers, tasks) if pooled else (_evaluate_range(*t) for t in tasks)
+    block = _in_grid_order(tuple(enumerate(points)), chain.from_iterable(results))
+    aggregates = Aggregates(block)
     if cfg.out_dir is not None:
-        _export(spans, aggregates, *(os.path.join(cfg.out_dir, name) for name in
-                                     ("rows.csv", "aggregates.csv", "results.json")))
-    return RunResult(points=tuple(points), rows=ResultRows(spans), aggregates=aggregates)
+        _export([block], aggregates, *(os.path.join(cfg.out_dir, name) for name in
+                                       ("rows.csv", "aggregates.csv", "results.json")))
+    return RunResult(points=tuple(points), rows=ResultRows(block), aggregates=aggregates)
 
 
 # --- exports ----------------------------------------------------------------
@@ -913,7 +883,7 @@ _EXPORT_ROWS = 512
 
 
 def export_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
-    _export(_spans(rows), (), rows_csv=path)
+    _export(_blocks(rows), (), rows_csv=path)
 
 
 def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
@@ -921,7 +891,7 @@ def export_aggregates_csv(aggs: Sequence[Aggregate], path: str) -> None:
 
 
 def export_json(rows: Sequence[ResultRow], aggs: Sequence[Aggregate], path: str) -> None:
-    _export(_spans(rows), aggs, results_json=path)
+    _export(_blocks(rows), aggs, results_json=path)
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -946,14 +916,12 @@ _aggregate_tail = operator.attrgetter(*AGGREGATE_COLUMNS[len(_CONSTANT):])
 
 def _aggregate_columns(aggs: Sequence[Aggregate]) -> list[list]:
     """``aggs`` as six columns: their ``_CONSTANT`` tuples, ``k`` and the four
-    means.  An ``Aggregates`` reads them from its blocks, any other sequence
+    means.  An ``Aggregates`` reads them from its block, any other sequence
     from its ``Aggregate``s' fields."""
-    if not isinstance(aggs, Aggregates):
-        return [list(map(_constant, aggs)), *map(list, zip(*map(_aggregate_tail, aggs)))] \
-            if len(aggs) else [[]] * 6
-    cuts = [(b.consts[p0:p1], [b.deployments] * (p1 - p0), *(m[p0:p1] for m in b.means))
-            for b, p0, p1 in aggs.spans]
-    return [list(chain.from_iterable(column)) for column in zip(*cuts)] or [[]] * 6
+    if isinstance(aggs, Aggregates):
+        return [aggs.block.consts, [aggs.block.deployments] * len(aggs), *aggs.block.means]
+    return [list(map(_constant, aggs)), *map(list, zip(*map(_aggregate_tail, aggs)))] \
+        if len(aggs) else [[]] * 6
 
 
 def _speller(texts: list[str], leads: list[str], end: str, order: Sequence[int]):
@@ -1013,26 +981,27 @@ def _joined(template: str, columns: Sequence[Sequence[str]]) -> list[str]:
                                    for k, p in enumerate(pieces)))))
 
 
-def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] = None,
+def _export(blocks: Sequence[_Block], aggs: Sequence[Aggregate], rows_csv: Optional[str] = None,
             aggregates_csv: Optional[str] = None, results_json: Optional[str] = None) -> None:
     """Write each file whose path is given: rows.csv and results.json from
-    the rows of ``spans`` (see ``ResultRows``), aggregates.csv and the
-    aggregates of results.json from ``aggs``.
+    the rows of ``blocks`` (a run's one block, or ``_blocks``' one-point
+    blocks of a list), aggregates.csv and the aggregates of results.json
+    from ``aggs``.
 
     rows.csv has a line per row: its fields, then a ``sta_<id>`` column per
     station id of any block, holding the serving node, ``none`` when the
     station is unassociated, or nothing when the row has no such station.
     results.json is ``{"aggregates": [...], "rows": [...]}`` as ``json.dumps``
     writes it with sorted keys and no spaces, a row's associations keyed by
-    station id as a string.  Each distinct constants tuple, of a span's
+    station id as a string.  Each distinct constants tuple, of a block's
     points or of the aggregates, is spelled once for all three files, a
     column at a time, and so are the aggregates' ``k`` and means; each
-    point's pieces of a row are made once.  A span's rows are written in
+    point's pieces of a row are made once.  A block's rows are written in
     slices of at most ``_EXPORT_ROWS``, one comprehension per file, and each
     file spells a vector once, from its layout's pieces, while consecutive
-    slices share their stations and nodes (one geometry's stock points share
-    one vector per deployment)."""
-    columns = sorted({sid for block, _, _ in spans for sid in block.sta_ids})
+    slices share their stations and nodes (a run's block has one layout, and
+    one geometry's stock points share one vector per deployment)."""
+    columns = sorted({sid for block in blocks for sid in block.sta_ids})
     # the file's dialect: what csv quotes depends on the line terminator too
     line = io.StringIO()
     line_writer = csv.writer(line, lineterminator="\n")
@@ -1065,8 +1034,8 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
         by_id = dict(zip(distinct, map(rule, distinct.values())))
         return tuple(zip(*map(by_id.__getitem__, ids)))
 
-    # every span's points' constants, then the aggregates' and their k and means
-    consts = [c for block, p0, p1 in spans for c in block.consts[p0:p1]]
+    # every block's points' constants, then the aggregates' and their k and means
+    consts = [c for block in blocks for c in block.consts]
     agg_consts, *tail = _aggregate_columns(aggs)
     # each distinct constants tuple spelled once for all three files, a column at a time
     distinct = {id(c): c for c in chain(consts, agg_consts)}
@@ -1102,13 +1071,13 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
         # each row point's pieces, for the files written
         heads = rows_out and [cuts[id(c)] for c in consts]
         records = results and pieces(_RECORD, consts)
-        layout, sep, at = None, "", 0  # at: the span's first point in heads and records
-        for block, p0, p1 in spans:
+        layout, sep, at = None, "", 0  # at: the block's first point in heads and records
+        for block in blocks:
             D, n = block.deployments, len(block.sta_ids)
             thr_rows, delay_rows = block.thr.reshape(-1), block.delay.reshape(-1)
             congested, serving = block.congested.reshape(-1), block.serving.reshape(-1, n)
-            for a in range(p0 * D, p1 * D, _EXPORT_ROWS):
-                b = min(a + _EXPORT_ROWS, p1 * D)
+            for a in range(0, len(thr_rows), _EXPORT_ROWS):
+                b = min(a + _EXPORT_ROWS, len(thr_rows))
                 if (block.sta_ids, block.nodes) != layout \
                         or max(len(csv_texts), len(json_texts)) > _ENCODED_VECTORS:
                     layout, csv_texts, json_texts = (block.sta_ids, block.nodes), {}, {}
@@ -1116,7 +1085,7 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                     json_spell = results and _json_speller(block.sta_ids, block.nodes)
                 # each row's point in heads and records, its deployment and its vector
                 point, dep = np.divmod(np.arange(a, b), D)
-                points, deps = (point + at - p0).tolist(), (dep + block.first).tolist()
+                points, deps = (point + at).tolist(), (dep + block.first).tolist()
                 vectors = serving[a:b].view(np.dtype((np.void, n))).ravel().tolist()
                 flags = list(map(_FLAGS.__getitem__, congested[a:b].tolist()))
                 thr = list(map(repr, thr_rows[a:b].tolist()))
@@ -1139,7 +1108,7 @@ def _export(spans: Sequence, aggs: Sequence[Aggregate], rows_csv: Optional[str] 
                             _texts(vectors, json_texts, json_spell), delay, flags, deps, thr)
                     ]))
                     sep = ","
-            at += p1 - p0
+            at += len(block.consts)
         if results:
             results.write("]}\n")
 

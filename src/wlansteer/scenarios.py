@@ -34,6 +34,7 @@ extender level x per-station demand x neighbour load.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -112,6 +113,10 @@ class ScenarioSpec:
             raise ValueError(f"unknown area {self.area!r}")
         if self.channel_plan not in ("multi", "single"):
             raise ValueError(f"unknown channel plan {self.channel_plan!r}")
+        for name in ("n_sta", "n_extenders", "k", "seed"):  # a bool is no count
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         home = self.area is AreaKind.HOME_RECT
         if not home and self.n_extenders not in (0, 2, 4):
             raise ValueError("circle layouts support 0, 2 or 4 extenders")

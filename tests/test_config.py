@@ -4,6 +4,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from wlansteer.model import Band, NodeKind
 from wlansteer.perf import DEFAULT_OVERHEADS, EngineParams
 from wlansteer.radio import DEFAULT_MCS_TABLES
 from wlansteer.runner import MAX_WORKERS, RunConfig, RunResult
+from wlansteer.scenarios import AreaKind, ScenarioSpec
 
 
 def test_default_config_survives_a_save_load_cycle(tmp_path):
@@ -164,6 +166,39 @@ def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
     with pytest.raises(ValueError, match="^k must be at least 1$"):
         RunConfig(test_id="1.2", k=0)
     assert run_config_from({"run": {"workers": MAX_WORKERS}}).workers == MAX_WORKERS
+
+
+# (RunConfig field, a value of the wrong type, the rule it breaks); each
+# used to fail only once the run had started, or to run as 1
+_WRONG_TYPE_INPUTS = [
+    ("workers", 2.0, "must be an integer"),
+    ("workers", True, "must be an integer"),
+    ("k", 2.5, "must be an integer"),
+    ("k", True, "must be an integer"),
+    ("seed", 1.5, "must be an integer"),
+    ("b_t_bps", 5e6, "must be a sequence of numbers"),
+    ("b_t_bps", "6e6", "must be a sequence of numbers"),
+    ("b_t_bps", (6e6, True), "must be a sequence of numbers"),
+]
+
+
+@pytest.mark.parametrize("field, value, rule", _WRONG_TYPE_INPUTS,
+                         ids=[f"{row[0]}={row[1]!r}" for row in _WRONG_TYPE_INPUTS])
+def test_run_sizes_of_the_wrong_type_fail_before_the_run_naming_their_field(
+        field, value, rule):
+    with pytest.raises(ValueError, match=f"^{field} {rule}$"):
+        RunConfig(**{"test_id": "2.4", field: value})
+
+
+def test_scenario_counts_must_be_integers():
+    for name in ("n_sta", "n_extenders", "k", "seed"):
+        for value in (2.0, True):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                ScenarioSpec(AreaKind.CIRCLE_DMAX, **{name: value})
+    spec = ScenarioSpec(AreaKind.CIRCLE_DMAX, n_sta=np.int64(4), k=np.int32(3), seed=np.uint8(0))
+    assert (spec.n_sta, spec.k, spec.seed) == (4, 3, 0)
+    cfg = RunConfig(test_id="2.4", workers=np.int64(2), k=3, seed=0, b_t_bps=[6e6, 12, 1.5])
+    assert (cfg.workers, cfg.b_t_bps) == (2, (6e6, 12.0, 1.5))
 
 
 # (RunConfig field, config key, flag, bad value, the rule it breaks)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -825,6 +826,44 @@ def test_run_rows_read_like_the_point_rows(small_run):
     assert isinstance(res.rows[4].deployment_index, int)
 
 
+def test_the_table_reads_each_part_serving_index_by_its_node():
+    # two parts on two points of three stations by two deployments: the
+    # first part's layout numbers its serving nodes 0 and 2, the second's
+    # 0, 1 and 2, so the table's index 1 is node 2
+    spec = replace(build_test("1.2")[0].scenario, k=2, n_sta=3)
+    points = [(i, replace(p, scenario=spec)) for i, p in enumerate(build_test("1.2")[:2])]
+    parts = [
+        ([1], [0, 2], 0, np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([False, True]),
+         np.array([[1, 0, -1], [1, 1, 1]], dtype=np.int8)),
+        ([0], [0, 1, 2], 0, np.array([5.0, 6.0]), np.array([7.0, 8.0]), np.array([True, False]),
+         np.array([[0, 1, 2], [2, -1, 0]], dtype=np.int8)),
+    ]
+    rows = runner.ResultRows(runner._in_grid_order(points, parts))
+    assert [row.associations for row in rows] == [
+        {10: 0, 11: 1, 12: 2}, {10: 2, 11: None, 12: 0},
+        {10: 2, 11: 0, 12: None}, {10: 2, 11: 2, 12: 2}]
+    assert [(row.throughput_pct, row.congested) for row in rows] == [
+        (5.0, True), (6.0, False), (1.0, False), (2.0, True)]
+    # a table has one k and one station count
+    for other in (replace(spec, k=3), replace(spec, n_sta=4)):
+        with pytest.raises(ValueError, match="^the points of a run must share k and n_sta$"):
+            runner._in_grid_order(points[:1] + [(1, replace(points[1][1], scenario=other))], [])
+
+
+def test_a_run_holds_one_copy_of_its_results():
+    # 2.1's stock rows, 505,000 of 27 bytes each (two floats, a flag and ten
+    # serving indices): a second copy, or the kernel's intp serving indices
+    # kept, would take the traced peak past 1.75 times that
+    tracemalloc.start()
+    try:
+        res = run(RunConfig(test_id="2.1", mechanism="rssi", k=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.rows) == 505_000
+    assert peak < 1.75 * 27 * len(res.rows)
+
+
 def test_runs_build_no_result_row(monkeypatch, tmp_path):
     def refuse(self, p, d):
         raise AssertionError("a ResultRow was built")
@@ -846,11 +885,13 @@ def test_runs_build_no_aggregate(monkeypatch, tmp_path):
 
 
 def test_run_aggregates_read_like_the_point_aggregates():
-    # 2.4's blocks hold 25 and 75 points, each point's one deployment
+    # 2.4's one table holds its 125 points, from batches of 25 and 75, by
+    # each point's one deployment
     res = run(RunConfig(test_id="2.4"))
     want = [evaluate_point(i, p, EngineParams())[1] for i, p in enumerate(res.points)]
     assert len(res.aggregates) == len(want) == 125
-    assert len(res.rows.spans) == 3
+    assert res.rows.block is res.aggregates.block
+    assert res.rows.block.thr.shape == (125, 1)
     assert [res.aggregates[i] for i in range(-125, 125)] == want + want
     assert res.aggregates[20:30] == want[20:30]
     assert res.aggregates[::-7] == want[::-7]
@@ -925,7 +966,7 @@ def test_aggregate_sums_in_deployment_order():
     thr = [1e16] + [1.0] * 14 + [-1e16]
     stations = {sid: 0 for sid in range(10, 20)}
     rows = [_row(i, stations, throughput_pct=t) for i, t in enumerate(thr)]
-    ((block, _, _),) = runner._spans(rows)
+    (block,) = runner._blocks(rows)
     total = 0.0
     for t in thr:
         total += t
@@ -968,20 +1009,21 @@ def _drawn_block(draw):
 
     # each row's unassociated stations first, the others on node 0
     unassociated = draw(st.lists(st.integers(0, n), min_size=P * D, max_size=P * D))
-    block = runner._Block(list(range(P)), [runner._constant(_row(0, {}))] * P,
-                          tuple(range(10, 10 + n)), [0], 0, D)
-    block.put(0, np.array([x for _ in range(P) for x in column()]),
-              np.array([x for _ in range(P) for x in column()]),
-              np.array(draw(st.lists(st.booleans(), min_size=P * D, max_size=P * D))),
-              np.array([[-1] * u + [0] * (n - u) for u in unassociated]))
-    return block
+    return runner._Block(
+        [runner._constant(_row(0, {}))] * P, tuple(range(10, 10 + n)), [0], 0,
+        np.array([column() for _ in range(P)]), np.array([column() for _ in range(P)]),
+        np.array(draw(st.lists(st.booleans(), min_size=P * D, max_size=P * D))).reshape(P, D),
+        np.array([[-1] * u + [0] * (n - u) for u in unassociated],
+                 dtype=np.int8).reshape(P, D, n))
 
 
+# folding at most 48 rows at once, _aggregate takes one or more points at a time
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(block=_drawn_block())
-def test_block_aggregates_are_the_loops_over_its_columns(block):
-    block.means = runner._aggregate(block)
-    got = runner.Aggregates([(block, 0, len(block.consts))])
+@given(block=_drawn_block(), rows=st.integers(1, 12))
+def test_block_aggregates_are_the_loops_over_its_columns(block, rows):
+    with mock.patch.object(runner, "_ROWS", rows):
+        block.means = runner._aggregate(block)
+    got = runner.Aggregates(block)
     assert [runner._constant(a) + (a.k,) for a in got] == [
         c + (block.deployments,) for c in block.consts]
     assert [repr((a.mean_throughput_pct, a.mean_delay_ms, a.congested_pct,
@@ -1489,13 +1531,11 @@ def test_points_on_one_draw_match_the_topology_api(case):
                 # rows run station by station, so the error may be any
                 # point's first
                 with pytest.raises(ValueError) as raised:
-                    runner._evaluate_range(members, params, str(kernel), 0, k)
+                    list(runner._evaluate_range(members, params, str(kernel), 0, k))
                 assert str(raised.value) in errors
                 return
-            blocks = runner._evaluate_range(members, params, str(kernel), 0, k)
+            block = runner._in_grid_order(
+                members, runner._evaluate_range(members, params, str(kernel), 0, k))
         assert _traces(kernel) == _traces(scalar)
-    spans = runner._grid_order(blocks)
-    views = [(block, p, p + 1) for block, p0, p1 in spans for p in range(p0, p1)]
-    for view, (want_rows, _) in zip(views, want):
-        assert list(runner.ResultRows([view])) == want_rows
-    assert runner.Aggregates(spans) == [agg for _, agg in want]
+    assert list(runner.ResultRows(block)) == [row for want_rows, _ in want for row in want_rows]
+    assert runner.Aggregates(block) == [agg for _, agg in want]

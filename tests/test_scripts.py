@@ -1,6 +1,7 @@
 """The scripts under scripts/, run as a user runs them."""
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import uuid
@@ -107,17 +108,21 @@ def _processes_holding(marker: str) -> list[int]:
     return found
 
 
-def test_ab_alternates_two_trees_in_one_process():
+def _ab(old_tree, new_tree, *extra, env=None):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "ab.py"), str(old_tree), str(new_tree),
+         "--test", "1.3", "--mechanism", "rssi", "--k", "8", *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_ab_alternates_two_trees_in_one_process(tmp_path):
     # a second case runs both trees on two pool processes each, and leaves
     # none of them running; the pool workers inherit the script's environment
     token = uuid.uuid4().hex
     env = dict(os.environ, WLANSTEER_AB_TEST=token)
     for extra in (["--seconds", "1"], ["--seconds", "0", "--workers", "2"]):
-        proc = subprocess.run(
-            [sys.executable, os.path.join(ROOT, "scripts", "ab.py"), ROOT, ROOT,
-             "--test", "1.3", "--mechanism", "rssi", "--k", "8", *extra],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _ab(ROOT, ROOT, *extra, env=env)
         assert proc.returncode == 0, proc.stderr
         old, new, ratio = proc.stdout.splitlines()
         assert old.startswith(f"old  {ROOT}: median ") and old.endswith(" runs")
@@ -125,3 +130,14 @@ def test_ab_alternates_two_trees_in_one_process():
         assert ratio.startswith("speed-up: median ") and ratio.endswith(" pairs")
     if os.path.isdir("/proc"):
         assert _processes_holding(f"WLANSTEER_AB_TEST={token}") == []
+    # a tree that spells the congestion flags as Python does writes other
+    # bytes into both row files, and is timed against no other
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runner_py = tmp_path / "src" / "wlansteer" / "runner.py"
+    text = runner_py.read_text()
+    assert text.count('_FLAGS = ("false", "true")') == 1
+    runner_py.write_text(text.replace('_FLAGS = ("false", "true")', '_FLAGS = ("False", "True")'))
+    proc = _ab(ROOT, tmp_path, "--seconds", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "the trees write different bytes: rows.csv, results.json\n"
