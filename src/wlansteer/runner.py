@@ -19,8 +19,8 @@ it).  A link geometry of the group (``_Geometry``: what
 its columns into the slice's RSSI table, strongest-signal associations and
 airtimes just before its first batch, and drops them after its last, so a
 slice holds one geometry's links at a time.  Each batch is one numpy kernel
-(``_Batch``) that steers and evaluates the geometry's points that share the
-pass flags on rows of (point, deployment) pairs, point-major.  Its numpy
+(``_Batch``) that steers and evaluates the geometry's points of one
+mechanism on rows of (point, deployment) pairs, point-major.  Its numpy
 calls go per batch, station and hop, not per row: all rows' loads are one
 ordered ``bincount``, and a move sums again only the loads of the rows it
 moved.  It computes what ``initial_association``, ``reassociation_pass`` and
@@ -295,8 +295,11 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
-        if isinstance(self.mechanism, str):
-            self.mechanism = Mechanism(self.mechanism)
+        if self.mechanism is not None:
+            try:
+                self.mechanism = Mechanism(self.mechanism)
+            except ValueError:
+                raise ValueError("mechanism must be rssi or loadaware") from None
         if self.b_t_bps is not None:
             rates = tuple(self.b_t_bps) if isinstance(self.b_t_bps, Iterable) \
                 and not isinstance(self.b_t_bps, str) else (None,)
@@ -379,6 +382,8 @@ class _Geometry:
         )
         t, n = self.base, spec.n_sta
         self.serving = serving = list(t.serving_nodes())
+        if serving != list(range(1 + spec.n_extenders)):  # as the result table numbers them
+            raise ValueError(f"a layout must number its serving nodes 0 to {spec.n_extenders}")
         self.channels = chans = {c: i + 1 for i, c in enumerate(topology_channels(t, env))}
         self.L = L = env.traffic.packet_length_bits
         self.cap_ms = env.congested_hop_delay_ms
@@ -475,8 +480,8 @@ class _Columns(dict):
 
 
 class _Batch:
-    """The points of one link geometry that share the pass flags, steered and
-    evaluated at once on rows of (point, deployment) pairs, point-major: row
+    """The points of one link geometry and mechanism, steered and evaluated
+    at once on rows of (point, deployment) pairs, point-major: row
     ``p * D + d`` is point ``p`` on deployment ``d`` of a slice, and
     ``members`` holds the points' (grid index, point) pairs.
 
@@ -493,7 +498,7 @@ class _Batch:
     def __init__(self, geom: _Geometry, members: Sequence[tuple]) -> None:
         self.geom, self.members = geom, members
         points = [point for _, point in members]
-        self.selection = points[0].selection  # its pass flags
+        self.steer = points[0].selection.mechanism is Mechanism.LOAD_AWARE
         L, n_sta, fixed = geom.L, len(geom.sens), geom.fixed_s
         self.per_sta = per_sta = np.array([point.traffic.per_sta_load_bps for point in points])
         self.opb = per_sta / L
@@ -526,8 +531,7 @@ class _Batch:
         D, P = len(parent), len(self.members)
         point, dep = np.repeat(np.arange(P), D), np.tile(np.arange(D), P)
         parent, air = parent[dep], access[dep]
-        steer = self.selection.mechanism is Mechanism.LOAD_AWARE
-        if steer or logs is not None:
+        if self.steer or logs is not None:
             # station s is in capable_set_for's set iff it comes within the
             # first capable_count entries of the deployment's permutation
             n_capable = [capable_count(p.selection.beta_pct, rank.shape[1]) for _, p in self.members]
@@ -538,20 +542,17 @@ class _Batch:
                     if j >= 0:
                         log.associated(STA_ID_BASE + s, self.geom.serving[j], flags[s])
         term = self.opb[point][:, None] * air
-        if steer and capable.any():
+        if self.steer and capable.any():
             self._steer(links, point, dep, parent, air, term, capable, logs)
         return self._evaluate(point, parent, air, term) + (parent,)
 
-    def _util(self, point, parent, term, skip: int = -1) -> np.ndarray:
+    def _util(self, point, parent, term) -> np.ndarray:
         """Each row's channel utilization: one ``np.bincount`` of its flows in
-        ``build_flows``'s order.  Station ``skip`` adds 0.0 and rides no backhaul."""
+        ``build_flows``'s order."""
         R, C, uses = len(point), self.n_columns, self.geom.uses
         J = len(uses)  # stations per row unassociated and by serving index, then by extender
         n_on = np.bincount((np.arange(R)[:, None] * J + 1 + parent).reshape(-1),
                            minlength=R * J).reshape(R, J)[:, 1:] @ uses[:-1]
-        if skip >= 0:
-            term = np.where(np.arange(parent.shape[1]) == skip, 0.0, term)
-            n_on -= uses[parent[:, skip]]
         through = self.through[np.arange(uses.shape[1]), point[:, None], n_on]
         cells = np.concatenate([self.geom.acc[parent], self.cells[point]], axis=1)
         cells += (np.arange(R) * C)[:, None]
@@ -562,10 +563,11 @@ class _Batch:
     def _steer(self, links, point, dep, parent, air, term, capable, logs) -> None:
         """``reassociation_pass`` on every row, in place: stations in
         ascending index, each capable associated one scored as
-        ``rank_candidates`` scores, on loads that every earlier move has
-        updated; out of range never wins, and the first minimum does, as the
-        lowest serving index wins ties there.  A row with a log gets each
-        station's stages 2 to 4 from the arrays its move is chosen on."""
+        ``rank_candidates`` scores, on loads that count its own airtime and
+        that every earlier move has updated; out of range never wins, and
+        the first minimum does, as the lowest serving index wins ties there.
+        A row with a log gets each station's stages 2 to 4 from the arrays
+        its move is chosen on."""
         geom = self.geom
         rssi, in_range, _, air_tab, _ = links
         tx, sens = geom.tx_power, geom.sens
@@ -578,52 +580,44 @@ class _Batch:
         acc, hops = geom.acc[:J], geom.hop_ch[:, :J]
         alpha = np.array([p.selection.alpha for _, p in self.members])
         a, opb = alpha[point][:, None], self.opb[point]
-
-        def loads(skip=-1):
-            return np.minimum(1.0, self._util(point, parent, term, skip))
-
-        # with the station's own airtime in, a row's loads hold until it moves
-        shared = None
-        for _ in range(self.selection.passes):
-            for s in range(parent.shape[1]):
-                current = parent[:, s]
-                active = capable[:, s] & (current >= 0)
-                if not active.any():
-                    continue
-                if not self.selection.include_self_load:
-                    load = loads(s)
-                else:
-                    load = shared = loads() if shared is None else shared
-                c_backhaul = reduce(operator.add, (load[:, hop] for hop in hops),
-                                    np.zeros((len(point), J)))
-                y = a * (w[:, s] + load[:, acc]) + (1.0 - a) * c_backhaul
-                best = np.where(heard[:, s], y, np.inf).argmin(axis=1)
-                if logs is not None:  # before the moves apply
-                    sta = STA_ID_BASE + s
-                    terms = np.stack([rssi[dep, s], w[:, s], load[:, acc], c_backhaul], axis=2)
-                    for r in np.flatnonzero(active).tolist():
-                        alpha = self.members[point[r]][1].selection.alpha
-                        cl = candidate_list(geom.base, sta, [
-                            CandidateScore(sta, geom.serving[j], *terms[r, j].tolist(), alpha,
-                                           y[r, j].item())
-                            for j in np.flatnonzero(heard[r, s])])
-                        logs[r].measured(geom.base, geom.env, cl,
-                                         dict(zip(geom.channels, load[r, 1:].tolist())))
-                        # an associated station hears its parent, so cl has entries
-                        logs[r].steered(sta, geom.serving[current[r]], geom.serving[best[r]], True)
-                move = active & (best != current)
-                if not move.any():
-                    continue
-                new_air = air_tab[dep, s, best]
-                for r in np.flatnonzero(move & np.isnan(new_air))[:1]:
-                    j = best[r]
-                    raise below_mcs_error(geom.serving[j], STA_ID_BASE + s, rssi[dep[r], s, j])
-                parent[:, s] = np.where(move, best, current)
-                air[:, s] = np.where(move, new_air, air[:, s])
-                term[:, s] = np.where(move, opb * new_air, term[:, s])
-                if shared is not None:  # only the rows that moved change their loads
-                    m = np.flatnonzero(move)
-                    shared[m] = np.minimum(1.0, self._util(point[m], parent[m], term[m]))
+        load = None  # each row's, from the first active station on; redone for rows that move
+        for s in range(parent.shape[1]):
+            current = parent[:, s]
+            active = capable[:, s] & (current >= 0)
+            if not active.any():
+                continue
+            if load is None:
+                load = np.minimum(1.0, self._util(point, parent, term))
+            c_backhaul = reduce(operator.add, (load[:, hop] for hop in hops),
+                                np.zeros((len(point), J)))
+            y = a * (w[:, s] + load[:, acc]) + (1.0 - a) * c_backhaul
+            best = np.where(heard[:, s], y, np.inf).argmin(axis=1)
+            if logs is not None:  # before the moves apply
+                sta = STA_ID_BASE + s
+                terms = np.stack([rssi[dep, s], w[:, s], load[:, acc], c_backhaul], axis=2)
+                for r in np.flatnonzero(active).tolist():
+                    alpha = self.members[point[r]][1].selection.alpha
+                    cl = candidate_list(geom.base, sta, [
+                        CandidateScore(sta, geom.serving[j], *terms[r, j].tolist(), alpha,
+                                       y[r, j].item())
+                        for j in np.flatnonzero(heard[r, s])])
+                    logs[r].measured(geom.base, geom.env, cl,
+                                     dict(zip(geom.channels, load[r, 1:].tolist())))
+                    # an associated station hears its parent, so cl has entries
+                    logs[r].steered(sta, geom.serving[current[r]], geom.serving[best[r]], True)
+            move = active & (best != current)
+            if not move.any():
+                continue
+            new_air = air_tab[dep, s, best]
+            for r in np.flatnonzero(move & np.isnan(new_air))[:1]:
+                j = best[r]
+                raise below_mcs_error(geom.serving[j], STA_ID_BASE + s, rssi[dep[r], s, j])
+            parent[:, s] = np.where(move, best, current)
+            air[:, s] = np.where(move, new_air, air[:, s])
+            term[:, s] = np.where(move, opb * new_air, term[:, s])
+            # only the rows that moved change their loads
+            m = np.flatnonzero(move)
+            load[m] = np.minimum(1.0, self._util(point[m], parent[m], term[m]))
 
     def _evaluate(self, point, parent, air, term) -> tuple:
         """``evaluate``'s network throughput %, mean delay and congestion flag."""
@@ -679,9 +673,10 @@ def _evaluate_range(
     """The rows of ``points``, which are (grid index, point) pairs sharing one
     deployment draw, on deployments ``lo`` to ``hi - 1``: a part per kernel
     batch and slice, yielded as soon as the batch has run.  A part is the
-    batch's grid indices, its geometry's serving nodes, the slice's first
-    deployment, and its rows, point-major: throughput, delay and congestion
-    ``(P * D,)`` and int8 serving indices ``(P * D, n_sta)``.
+    batch's grid indices, the slice's first deployment, and its rows,
+    point-major: throughput, delay and congestion ``(P * D,)`` and int8
+    serving indices ``(P * D, n_sta)``.  Load-aware points take the grids'
+    one pass; other pass settings are refused before a slice is drawn.
 
     The walk goes by slices of deployments: each is drawn once, each
     transmitter's RSSI column made once, and then geometry by geometry, the
@@ -689,20 +684,22 @@ def _evaluate_range(
     its rows.
     """
     spec = points[0][1].scenario
-    # each link geometry, with its points by pass flags
+    # each link geometry, with its points by mechanism
     geoms: dict[tuple, tuple[_Geometry, dict]] = {}
     for pi, point in points:
+        sel = point.selection
+        if sel.mechanism is Mechanism.LOAD_AWARE:  # stock points ignore the pass settings
+            for name, value in (("passes", 1), ("include_self_load", True)):
+                if getattr(sel, name) != value:
+                    raise ValueError(f"{name} must be {value}; see selection.reassociation_pass")
         key = (
             topology_key(point.scenario, point.rssi_ap_e_dbm),
             point.traffic.packet_length_bits,
         )
         if key not in geoms:
             geoms[key] = _Geometry(point, params), {}
-        geom, members = geoms[key]
-        sel = point.selection
         # stock points form their own batch, which skips the pass
-        flags = sel.mechanism is Mechanism.LOAD_AWARE and (sel.passes, sel.include_self_load)
-        members.setdefault(flags, []).append((pi, point))
+        geoms[key][1].setdefault(sel.mechanism, []).append((pi, point))
     # a traced batch's logs wait for it to end, so it runs at most 32 points
     width = _ROWS if events_dir is None else min(_ROWS, 32)
     # each batch with its points' grid indices, one list that every part shares
@@ -726,7 +723,7 @@ def _evaluate_range(
                     pi, point = batch.members[r // D]
                     name = f"t{point.test_id}_p{pi:04d}_d{first + r % D:05d}.ndjson"
                     export_events(log, os.path.join(events_dir, name))
-                yield index, geom.serving, first, thr, delay, congested, serving.astype(np.int8)
+                yield index, first, thr, delay, congested, serving.astype(np.int8)
             del links
 
 
@@ -761,27 +758,24 @@ def _aggregate(block: _Block) -> list[list[float]]:
 def _in_grid_order(points: Sequence[tuple[int, SweepPoint]], parts: Iterable[tuple]) -> _Block:
     """One block of ``points``, (grid index, point) pairs in grid order, by
     all their deployments, which share ``k`` and the station count.  Each of
-    ``parts`` (``_evaluate_range``'s) is copied in as it comes, its serving
-    indices looked up by node; then the block's ``means`` are summed."""
+    ``parts`` (``_evaluate_range``'s) is copied in as it comes; then the
+    block's ``means`` are summed.  Serving index j is node j, as
+    ``_Geometry`` checks, up to the widest layout's AP and extenders."""
     spec = points[0][1].scenario
     P, k, n = len(points), spec.k, spec.n_sta
     if any((p.scenario.k, p.scenario.n_sta) != (k, n) for _, p in points):
         raise ValueError("the points of a run must share k and n_sta")
     at = {pi: r for r, (pi, _) in enumerate(points)}
-    nodes: dict = {}  # the block's serving index of each node, in the order they come
+    nodes = list(range(1 + max(p.scenario.n_extenders for _, p in points)))
     block = _Block([_constants(p) for _, p in points], tuple(range(STA_ID_BASE, STA_ID_BASE + n)),
-                   [], 0, np.zeros((P, k)), np.zeros((P, k)), np.zeros((P, k), dtype=bool),
+                   nodes, 0, np.zeros((P, k)), np.zeros((P, k)), np.zeros((P, k), dtype=bool),
                    np.zeros((P, k, n), dtype=np.int8))
-    for index, part_nodes, first, thr, delay, congested, serving in parts:
-        lookup = [nodes.setdefault(node, len(nodes)) for node in part_nodes]
-        if lookup != list(range(len(lookup))):  # the part numbers its nodes otherwise
-            serving = np.array(lookup + [-1], dtype=np.int8).take(serving)  # -1: unassociated
+    for index, first, thr, delay, congested, serving in parts:
         rows, D = [at[pi] for pi in index], len(thr) // len(index)
         cut = slice(first, first + D)
         block.thr[rows, cut], block.delay[rows, cut] = thr.reshape(-1, D), delay.reshape(-1, D)
         block.congested[rows, cut] = congested.reshape(-1, D)
         block.serving[rows, cut] = serving.reshape(-1, D, n)
-    block.nodes = list(nodes)
     block.means = _aggregate(block)
     return block
 

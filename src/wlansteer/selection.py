@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Any, Mapping, Optional
 
 from .model import ChannelId, NodeKind, Topology, backhaul_path, set_association
@@ -42,6 +43,9 @@ class SelectionConfig:
     include_self_load: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta_pct"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 <= self.beta_pct <= 100.0):

@@ -169,7 +169,8 @@ def test_worker_count_is_bounded_before_any_pool_starts(monkeypatch):
 
 
 # (RunConfig field, a value of the wrong type, the rule it breaks); each
-# used to fail only once the run had started, or to run as 1
+# used to fail only once the run had started, to run as 1, or to fail
+# naming no field
 _WRONG_TYPE_INPUTS = [
     ("workers", 2.0, "must be an integer"),
     ("workers", True, "must be an integer"),
@@ -179,6 +180,12 @@ _WRONG_TYPE_INPUTS = [
     ("b_t_bps", 5e6, "must be a sequence of numbers"),
     ("b_t_bps", "6e6", "must be a sequence of numbers"),
     ("b_t_bps", (6e6, True), "must be a sequence of numbers"),
+    ("alpha", True, "must be a number"),
+    ("alpha", "0.5", "must be a number"),
+    ("beta_pct", False, "must be a number"),
+    ("beta_pct", [50.0], "must be a number"),
+    ("mechanism", "x", "must be rssi or loadaware"),
+    ("mechanism", 1, "must be rssi or loadaware"),
 ]
 
 

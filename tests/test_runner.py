@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wlansteer import runner, scenarios
 from wlansteer.config import run_config_from
-from wlansteer.model import Band, ChannelId, ExternalLoad, TrafficProfile
+from wlansteer.model import Band, ChannelId, ExternalLoad, Topology, TrafficProfile
 from wlansteer.perf import MacOverheads, SimEnv, evaluate, link_rssi
 from wlansteer.protocol import export_events, run_mechanism
 from wlansteer.radio import (
@@ -392,14 +392,8 @@ def _oracle_cases():
     cases["1.2-ties-loadaware"] = ring
     cases["1.2-ties-stock"] = replace(ring, selection=replace(
         ring.selection, mechanism=Mechanism.RSSI_BASED))
-    sel = steer_pt.selection
-    for name, opts in {
-        "passes3": dict(passes=3),
-        "no-self-load": dict(include_self_load=False),
-        "no-self-load-passes2": dict(include_self_load=False, passes=2),
-        "beta50-alpha0.25": dict(beta_pct=50.0, alpha=0.25),
-    }.items():
-        cases[f"2.1-{name}"] = replace(steer_pt, selection=replace(sel, **opts))
+    cases["2.1-beta50-alpha0.25"] = replace(steer_pt, selection=replace(
+        steer_pt.selection, beta_pct=50.0, alpha=0.25))
     return cases
 
 
@@ -826,28 +820,71 @@ def test_run_rows_read_like_the_point_rows(small_run):
     assert isinstance(res.rows[4].deployment_index, int)
 
 
-def test_the_table_reads_each_part_serving_index_by_its_node():
-    # two parts on two points of three stations by two deployments: the
-    # first part's layout numbers its serving nodes 0 and 2, the second's
-    # 0, 1 and 2, so the table's index 1 is node 2
-    spec = replace(build_test("1.2")[0].scenario, k=2, n_sta=3)
-    points = [(i, replace(p, scenario=spec)) for i, p in enumerate(build_test("1.2")[:2])]
+def test_the_table_reads_each_part_serving_index_by_its_node(monkeypatch):
+    # every layout numbers serving index j as node j: parts on points of two
+    # extenders and of one, three stations by two deployments, make a table
+    # of nodes 0 to 2
+    base = build_test("2.1")[0]
+    points = [(i, replace(base, scenario=replace(base.scenario, k=2, n_sta=3, n_extenders=n)))
+              for i, n in enumerate((2, 1))]
     parts = [
-        ([1], [0, 2], 0, np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([False, True]),
+        ([1], 0, np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([False, True]),
          np.array([[1, 0, -1], [1, 1, 1]], dtype=np.int8)),
-        ([0], [0, 1, 2], 0, np.array([5.0, 6.0]), np.array([7.0, 8.0]), np.array([True, False]),
+        ([0], 0, np.array([5.0, 6.0]), np.array([7.0, 8.0]), np.array([True, False]),
          np.array([[0, 1, 2], [2, -1, 0]], dtype=np.int8)),
     ]
-    rows = runner.ResultRows(runner._in_grid_order(points, parts))
+    block = runner._in_grid_order(points, parts)
+    assert block.nodes == [0, 1, 2]
+    rows = runner.ResultRows(block)
     assert [row.associations for row in rows] == [
         {10: 0, 11: 1, 12: 2}, {10: 2, 11: None, 12: 0},
-        {10: 2, 11: 0, 12: None}, {10: 2, 11: 2, 12: 2}]
+        {10: 1, 11: 0, 12: None}, {10: 1, 11: 1, 12: 1}]
     assert [(row.throughput_pct, row.congested) for row in rows] == [
         (5.0, True), (6.0, False), (1.0, False), (2.0, True)]
     # a table has one k and one station count
+    spec = points[1][1].scenario
     for other in (replace(spec, k=3), replace(spec, n_sta=4)):
         with pytest.raises(ValueError, match="^the points of a run must share k and n_sta$"):
             runner._in_grid_order(points[:1] + [(1, replace(points[1][1], scenario=other))], [])
+
+    # a layout that numbers its extender 2 is refused before a slice is drawn
+    real = runner.build_topology
+
+    def build_topology(*args, **kwargs):
+        t = real(*args, **kwargs)
+        return Topology(nodes={0: t.nodes[0], 2: replace(t.nodes[1], node_id=2)},
+                        backhaul_parent={2: 0})
+
+    monkeypatch.setattr(runner, "build_topology", build_topology)
+    monkeypatch.setattr(runner, "draw_slice", _no_draw)
+    with pytest.raises(ValueError, match="^a layout must number its serving nodes 0 to 1$"):
+        evaluate_point(0, points[1][1], EngineParams())
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a slice was drawn")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (dict(passes=2), "passes must be 1"),
+    (dict(include_self_load=False), "include_self_load must be True"),
+])
+def test_a_run_refuses_other_pass_settings_before_it_draws(monkeypatch, flags, message):
+    # the grids' one pass counts each station's own load; the scalar
+    # reassociation_pass runs the rest, and stock points ignore them
+    point = ORACLE_CASES["1.2-loadaware-4E"]
+    other = replace(point, selection=replace(point.selection, **flags))
+    stock = replace(other, selection=replace(other.selection, mechanism=Mechanism.RSSI_BASED))
+    want = evaluate_point(0, replace(stock, selection=replace(
+        stock.selection, passes=1, include_self_load=True)), EngineParams())
+    assert evaluate_point(0, stock, EngineParams()) == want
+    monkeypatch.setattr(runner, "draw_slice", _no_draw)
+    rule = f"^{message}; see selection.reassociation_pass$"
+    with pytest.raises(ValueError, match=rule):
+        evaluate_point(0, other, EngineParams())
+    monkeypatch.setattr(runner, "build_test", lambda test_id: [point, other])
+    with pytest.raises(ValueError, match=rule):
+        run(RunConfig(test_id="1.2"))
 
 
 def test_a_run_holds_one_copy_of_its_results():
@@ -1047,8 +1084,7 @@ def _batch_grid(k):
     at zero utilization, nothing offered) and one whose per-station load
     sums to other values than its multiples; load-aware points of several
     demands, alphas as in 2.2 and capable shares as in 2.3, beta 0 among them
-    (rows with nobody to steer inside a steering batch); two passes; loads
-    with and without the station's own airtime, twice each; points with external
+    (rows with nobody to steer inside a steering batch); points with external
     loads on distinct channels, one of them outside the topology, and one
     point with two of them.  A one-point geometry of the same home, and a
     wider circle whose stations may hear nobody."""
@@ -1059,11 +1095,8 @@ def _batch_grid(k):
     grid += [_retuned(home, b_t, alpha=a, beta_pct=b)
              for b_t, a, b in ((42.0e6, 0.5, 100.0), (30.0e6, 0.0, 100.0),
                                (54.0e6, 0.75, 25.0), (36.0e6, 1.0, 50.0),
-                               (48.0e6, 0.5, 0.0), (25.0e6 / 3, 0.5, 100.0))]
-    grid += [_retuned(home, b_t, passes=2) for b_t in (36.0e6, 54.0e6)]
-    for self_load in (True, False):
-        grid += [_retuned(home, b_t, include_self_load=self_load, alpha=0.25)
-                 for b_t in (30.0e6, 48.0e6)]
+                               (48.0e6, 0.5, 0.0), (25.0e6 / 3, 0.5, 100.0),
+                               (30.0e6, 0.25, 100.0), (48.0e6, 0.25, 100.0))]
     six, eleven, thirteen = (ExternalLoad(ChannelId(Band.GHZ_2_4, n), 3.0e6, 6.0e6)
                              for n in (6, 11, 13))
     for loads in ((six,), (thirteen,), (six, eleven)):
@@ -1201,16 +1234,16 @@ def test_a_layout_with_access_radios_on_two_bands_is_refused(monkeypatch):
         runner._Geometry(point, EngineParams())
 
 
-def _flows(batch, point, parent, term, skip):
+def _flows(batch, point, parent, term):
     """Each row's flows as (column, load) pairs, in the order
     ``build_flows`` lists them: access by station, backhaul by extender,
     then the external loads by slot."""
     geom, E = batch.geom, len(batch.through)
     rows = []
     for p, served, terms in zip(point.tolist(), parent.tolist(), term.tolist()):
-        flows = [(geom.acc[j], x) for s, (j, x) in enumerate(zip(served, terms)) if s != skip]
+        flows = [(geom.acc[j], x) for j, x in zip(served, terms)]
         for e in range(E):
-            on = sum(1 for s, j in enumerate(served) if s != skip and geom.uses[j, e])
+            on = sum(1 for j in served if geom.uses[j, e])
             flows.append((batch.cells[p, e], batch.through[e, p, on].item()))
         flows += zip(batch.cells[p, E:], batch.external[p].tolist())
         rows.append(flows)
@@ -1233,8 +1266,8 @@ def test_util_sums_each_channel_in_build_flows_order():
     # depending on the order: here access terms are half an ulp of 1.0, the
     # backhaul links carry 1.0 per station on the AP's access channel, and
     # the external loads of 1.0 sit on access channels too
-    geom = runner._Geometry(BATCH_GRID[16], EngineParams())
-    batch = runner._Batch(geom, [(0, BATCH_GRID[16]), (1, BATCH_GRID[18])])
+    geom = runner._Geometry(BATCH_GRID[12], EngineParams())
+    batch = runner._Batch(geom, [(0, BATCH_GRID[12]), (1, BATCH_GRID[14])])
     E, n = len(batch.through), len(geom.sens)
     batch.through[:] = np.arange(n + 1.0)
     batch.cells[:, :E] = geom.acc[0]
@@ -1245,12 +1278,11 @@ def test_util_sums_each_channel_in_build_flows_order():
     point = np.repeat(np.arange(2), 6)
     parent = rng.integers(-1, len(geom.serving), size=(len(point), n))
     term = np.full(parent.shape, 2.0**-53)
-    for skip in (-1, 0, 4):
-        rows = _flows(batch, point, parent, term, skip)
-        want = _left_folds(batch, rows)
-        assert batch._util(point, parent, term, skip).tolist() == want
-        # the loads were chosen so that the order shows
-        assert _left_folds(batch, [flows[::-1] for flows in rows]) != want
+    rows = _flows(batch, point, parent, term)
+    want = _left_folds(batch, rows)
+    assert batch._util(point, parent, term).tolist() == want
+    # the loads were chosen so that the order shows
+    assert _left_folds(batch, [flows[::-1] for flows in rows]) != want
 
 
 def _raised_floor(floor_dbm):
@@ -1369,16 +1401,13 @@ def _layout(area, least=0):
 @st.composite
 def _drawn_point(draw, spec, level):
     """A sweep point of ``spec`` and extender ``level``: the mechanism, the
-    steering weights and pass flags, the demand (half the time within the
-    grids' 6 Mbps per station, where loads stay below 1 and the pass flags
-    change more moves) and up to two external loads on 2.4 GHz channels the
-    layout may not use."""
+    steering weights, the demand (half the time within the grids' 6 Mbps
+    per station, where loads stay below 1) and up to two external loads on
+    2.4 GHz channels the layout may not use."""
     selection = SelectionConfig(
         mechanism=draw(st.sampled_from(Mechanism)),
         alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
         beta_pct=draw(st.floats(min_value=0.0, max_value=100.0)),
-        passes=draw(st.integers(min_value=1, max_value=3)),
-        include_self_load=draw(st.booleans()),
     )
     return SweepPoint(
         test_id="x", scenario=spec, selection=selection,
@@ -1473,8 +1502,7 @@ def _drawn_group(draw):
     draws it, with extenders to steer to, on its drawn physics or on the
     grids' own.  Each other one is drawn as ``_drawn_point`` draws it, on
     the layout of the point before it or, a quarter of the time, on another
-    layout and extender level of the same family; half of them keep the
-    pass flags of the point before, so that load-aware ones share a batch."""
+    layout and extender level of the same family."""
     first, params = draw(_drawn_physics(least_extenders=1))
     if draw(st.booleans()):  # the grids' physics, on which stations move more often
         params = EngineParams()
@@ -1486,11 +1514,7 @@ def _drawn_group(draw):
             n_ext, plan = draw(_layout(spec.area))
             spec = replace(spec, n_extenders=n_ext, channel_plan=plan)
             level = draw(st.floats(min_value=-90.0, max_value=-50.0))
-        point = draw(_drawn_point(spec, level))
-        if draw(st.booleans()):
-            flags = {f: getattr(last.selection, f) for f in ("passes", "include_self_load")}
-            point = replace(point, selection=replace(point.selection, **flags))
-        points.append(point)
+        points.append(draw(_drawn_point(spec, level)))
     return points, params, draw(st.integers(min_value=1, max_value=12))
 
 

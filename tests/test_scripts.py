@@ -141,3 +141,39 @@ def test_ab_alternates_two_trees_in_one_process(tmp_path):
     proc = _ab(ROOT, tmp_path, "--seconds", "0")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "the trees write different bytes: rows.csv, results.json\n"
+
+
+# a module docstring over two lines, a comment after code and on its own
+# line, blank lines, function and class docstrings, and a string over two
+# lines that is no docstring: 18 lines, 7 of them code
+_SOURCE_FIXTURE = "\n".join([
+    '"""A module docstring',
+    'over two lines."""',
+    "import os  # a trailing comment leaves its line code",
+    "",
+    "# a comment line",
+    "",
+    "",
+    "def f(x):",
+    '    """One line."""',
+    '    text = """a string',
+    'that is no docstring"""',
+    "    return x",
+    "",
+    "",
+    "class C:",
+    '    """A class docstring."""',
+    "",
+    "    y = 1",
+]) + "\n"
+
+
+def test_src_lines_counts_all_lines_and_the_code_lines(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(_SOURCE_FIXTURE)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "src_lines.py"), str(path), str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "36 lines, 14 without docstrings, comments and blank lines\n"
