@@ -46,9 +46,6 @@ class ChannelId:
             return NotImplemented
         return (self.band.value, self.number) < (other.band.value, other.number)
 
-    def __str__(self) -> str:  # used in exports and log payloads
-        return f"{self.number}@{self.band.value}"
-
 
 @dataclass(frozen=True)
 class RadioConfig:

@@ -13,8 +13,8 @@ Stage 3: the AP answers each capable station with a steering request carrying
          the ranked candidate list.
 Stage 4: the station accepts and reassociates to the first entry.
 
-Stages 2 to 4 run for one capable station at a time, in ascending id and
-once per pass, each on the loads that the moves before it left.  The stock
+Stages 2 to 4 run once for each capable station, one at a time in ascending
+id, each on the loads that the moves before it left.  The stock
 mechanism stops after stage 1 and exchanges no measurement or steering frames
 at all.
 """

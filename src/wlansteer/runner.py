@@ -300,6 +300,11 @@ class RunConfig:
                 self.mechanism = Mechanism(self.mechanism)
             except ValueError:
                 raise ValueError("mechanism must be rssi or loadaware") from None
+        if self.channel_plan is not None and self.channel_plan not in ("multi", "single"):
+            raise ValueError("channel_plan must be multi or single")
+        if self.n_ext is not None and (isinstance(self.n_ext, bool)
+                                       or not isinstance(self.n_ext, numbers.Integral)):
+            raise ValueError("n_ext must be an integer")
         if self.b_t_bps is not None:
             rates = tuple(self.b_t_bps) if isinstance(self.b_t_bps, Iterable) \
                 and not isinstance(self.b_t_bps, str) else (None,)
@@ -675,8 +680,8 @@ def _evaluate_range(
     batch and slice, yielded as soon as the batch has run.  A part is the
     batch's grid indices, the slice's first deployment, and its rows,
     point-major: throughput, delay and congestion ``(P * D,)`` and int8
-    serving indices ``(P * D, n_sta)``.  Load-aware points take the grids'
-    one pass; other pass settings are refused before a slice is drawn.
+    serving indices ``(P * D, n_sta)``.  Load-aware points take the one
+    steering pass, each station's own load counted.
 
     The walk goes by slices of deployments: each is drawn once, each
     transmitter's RSSI column made once, and then geometry by geometry, the
@@ -687,11 +692,6 @@ def _evaluate_range(
     # each link geometry, with its points by mechanism
     geoms: dict[tuple, tuple[_Geometry, dict]] = {}
     for pi, point in points:
-        sel = point.selection
-        if sel.mechanism is Mechanism.LOAD_AWARE:  # stock points ignore the pass settings
-            for name, value in (("passes", 1), ("include_self_load", True)):
-                if getattr(sel, name) != value:
-                    raise ValueError(f"{name} must be {value}; see selection.reassociation_pass")
         key = (
             topology_key(point.scenario, point.rssi_ap_e_dbm),
             point.traffic.packet_length_bits,
@@ -699,7 +699,7 @@ def _evaluate_range(
         if key not in geoms:
             geoms[key] = _Geometry(point, params), {}
         # stock points form their own batch, which skips the pass
-        geoms[key][1].setdefault(sel.mechanism, []).append((pi, point))
+        geoms[key][1].setdefault(point.selection.mechanism, []).append((pi, point))
     # a traced batch's logs wait for it to end, so it runs at most 32 points
     width = _ROWS if events_dir is None else min(_ROWS, 32)
     # each batch with its points' grid indices, one list that every part shares

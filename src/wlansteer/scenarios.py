@@ -128,6 +128,9 @@ class ScenarioSpec:
             raise ValueError("k must be at least 1")
         if self.n_sta < 1:
             raise ValueError("n_sta must be at least 1")
+        if self.fixed_positions is not None and len(self.fixed_positions) != self.n_sta:
+            raise ValueError(f"fixed_positions must hold n_sta positions, "
+                             f"got {len(self.fixed_positions)}")
 
 
 def circle_radius_m(

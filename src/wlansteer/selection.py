@@ -15,7 +15,8 @@ Two policies decide which serving node a station attaches to:
   strong links on quiet channels reached over quiet backhaul.
 
 alpha trades the access term against the backhaul term.  Ties break towards
-the AP, then towards the lower node id.
+the AP, then towards the lower node id.  The load-aware rule steers each
+capable station once, in one pass that counts the station's own load.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import Any, Mapping, Optional
+from typing import Any, ClassVar, Mapping, Optional
 
 from .model import ChannelId, NodeKind, Topology, backhaul_path, set_association
 from .perf import SimEnv, busy_fractions, link_rssi
@@ -39,8 +40,8 @@ class SelectionConfig:
     mechanism: Mechanism = Mechanism.RSSI_BASED
     alpha: float = 0.5
     beta_pct: float = 100.0
-    passes: int = 1
-    include_self_load: bool = True
+    # one steering pass; a constant until perfbench/walk.py stops reading it
+    passes: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta_pct"):
@@ -50,8 +51,6 @@ class SelectionConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not (0.0 <= self.beta_pct <= 100.0):
             raise ValueError("beta_pct must lie in [0, 100]")
-        if self.passes < 1:
-            raise ValueError("passes must be at least 1")
 
 
 def weighted_rssi(rssi_dbm: float, tx_power_dbm: float, sensitivity_dbm: float) -> float:
@@ -208,14 +207,16 @@ def reassociation_pass(
     cfg: SelectionConfig,
     capable: Optional[frozenset[int]] = None,
     log: Any = None,
+    include_self_load: bool = True,
 ) -> tuple[Topology, list[Move]]:
-    """Run the load-aware steering pass over all capable stations.
+    """Run the load-aware steering pass over all capable stations, once.
 
     Associated capable stations are visited in ascending id.  Before each
     station's decision the channel loads are computed from the current
-    association state, without the station's own airtime when
-    ``include_self_load`` is off, and the decision applies at once, so
-    earlier moves are visible to later ones.
+    association state, and the decision applies at once, so earlier moves
+    are visible to later ones.  With ``include_self_load`` off the loads
+    leave out the station's own airtime: the lightest-load variant of the
+    testbed, which no campaign grid runs.
 
     ``log``, when given, observes the pass as the 802.11k/v exchange: for
     each station ``log.measured(t, env, cl, loads)`` with its candidate list
@@ -230,19 +231,17 @@ def reassociation_pass(
         )
     order = [s for s in sorted(capable) if t.associations.get(s) is not None]
     moves: list[Move] = []
-    for _ in range(cfg.passes):
-        for sta in order:
-            skip = None if cfg.include_self_load else sta
-            loads = busy_fractions(t, env, skip_sta=skip)
-            cl = rank_candidates(t, env, sta, cfg, loads)
-            if log is not None:
-                log.measured(t, env, cl, loads)
-            if not cl.entries:
-                continue
-            current, best = t.associations[sta], cl.entries[0].target
-            if log is not None:
-                log.steered(sta, current, best, t.nodes[sta].supports_11kv)
-            if best != current:
-                t = set_association(t, sta, best)
-                moves.append(Move(sta=sta, old_parent=current, new_parent=best))
+    for sta in order:
+        loads = busy_fractions(t, env, skip_sta=None if include_self_load else sta)
+        cl = rank_candidates(t, env, sta, cfg, loads)
+        if log is not None:
+            log.measured(t, env, cl, loads)
+        if not cl.entries:
+            continue
+        current, best = t.associations[sta], cl.entries[0].target
+        if log is not None:
+            log.steered(sta, current, best, t.nodes[sta].supports_11kv)
+        if best != current:
+            t = set_association(t, sta, best)
+            moves.append(Move(sta=sta, old_parent=current, new_parent=best))
     return t, moves

@@ -252,8 +252,9 @@ def test_07_bench_fixture_reproduction():
     for b_t in (5.0, 37.5, 50.0, 75.0, 100.0):
         t, ov = fixture_topology(stas=(1, 2, 3, 6, 7), with_extender=True)
         env = bench_env(ov, b_t)
-        cfg = SelectionConfig(mechanism=LA, alpha=0.5, include_self_load=False)
-        t2, _ = reassociation_pass(initial_association(t, env), env, cfg)
+        cfg = SelectionConfig(mechanism=LA, alpha=0.5)
+        t2, _ = reassociation_pass(initial_association(t, env), env, cfg,
+                                   include_self_load=False)
         got = dict(sorted(t2.associations.items()))
         extender_used &= any(parent == 1 for parent in got.values())
         want = fix.expected_associations[("testbed2_load_aware", b_t)]

@@ -186,6 +186,10 @@ _WRONG_TYPE_INPUTS = [
     ("beta_pct", [50.0], "must be a number"),
     ("mechanism", "x", "must be rssi or loadaware"),
     ("mechanism", 1, "must be rssi or loadaware"),
+    ("n_ext", True, "must be an integer"),
+    ("n_ext", 2.0, "must be an integer"),
+    ("channel_plan", 3, "must be multi or single"),
+    ("channel_plan", "Multi", "must be multi or single"),
 ]
 
 
@@ -204,8 +208,9 @@ def test_scenario_counts_must_be_integers():
                 ScenarioSpec(AreaKind.CIRCLE_DMAX, **{name: value})
     spec = ScenarioSpec(AreaKind.CIRCLE_DMAX, n_sta=np.int64(4), k=np.int32(3), seed=np.uint8(0))
     assert (spec.n_sta, spec.k, spec.seed) == (4, 3, 0)
-    cfg = RunConfig(test_id="2.4", workers=np.int64(2), k=3, seed=0, b_t_bps=[6e6, 12, 1.5])
-    assert (cfg.workers, cfg.b_t_bps) == (2, (6e6, 12.0, 1.5))
+    cfg = RunConfig(test_id="2.4", workers=np.int64(2), k=3, seed=0, b_t_bps=[6e6, 12, 1.5],
+                    n_ext=np.int64(1))
+    assert (cfg.workers, cfg.b_t_bps, cfg.n_ext) == (2, (6e6, 12.0, 1.5), 1)
 
 
 # (RunConfig field, config key, flag, bad value, the rule it breaks)

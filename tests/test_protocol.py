@@ -44,6 +44,15 @@ def busy_two_cell():
     return two_cell(n_sta=6, per_sta_bps=8e6, sta_rssi_ap=-50.0, sta_rssi_ext=-55.0)
 
 
+def lightest_load_trace(t, env):
+    """The frame log of the load-aware cycle whose loads leave out each
+    station's own airtime, the testbed's lightest-load variant."""
+    log = EventLog()
+    reassociation_pass(initial_association(t, env, log), env, LA, log=log,
+                       include_self_load=False)
+    return log
+
+
 def frames_of(log, kind, **match):
     """Frames of one type, optionally filtered by log entry fields."""
     return [e.frame for e in log.entries if isinstance(e.frame, kind)
@@ -131,9 +140,7 @@ def test_saturated_channel_reports_full_occupation():
 def test_exclude_sta_discounts_its_own_airtime():
     t, env = busy_two_cell()
     t1 = initial_association(t, env)
-    cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5,
-                          include_self_load=False)
-    _, log = run_mechanism(t, env, cfg)
+    log = lightest_load_trace(t, env)
     loads = busy_fractions(t1, env, skip_sta=10)
     reports = frames_of(log, ChannelLoadReport)[:4]
     assert {rep.channel: rep.busy_fraction for rep in reports} == {
@@ -248,27 +255,21 @@ def _deployment_13_4e():
     return t, SimEnv(traffic=point.traffic, external=tuple(point.external))
 
 
-# sha256 of export_events(run_mechanism(...)) keyed by
-# (network, include_self_load, passes)
+# sha256 of the exported load-aware frame log keyed by
+# (network, include_self_load)
 BRANCH_TRACE_SHA256 = {
-    ("busy", True, 1): "bcf6ad9b214c906187796f3f46d63d9a5f44ff0f16e14755b631ea9181f21b28",
-    ("busy", True, 2): "8d1c98eecc6a518fd77fdfc79264ff73fc450ce863d70692481589ad32c7b5df",
-    ("busy", False, 1): "3343f660d9fe5ebaad71428138cd1b5f76f03d2b749de7b7bc9af13e034e3d76",
-    ("busy", False, 2): "48700264ca8d4eb384a3c2fff04d80354a312949a305a2241482c92f78606955",
-    ("1.3-4E", True, 1): "47d5f28740bb12ede35e62843a0a1b37bab1a5afd413a37f32ff0fdc548e7096",
-    ("1.3-4E", True, 2): "f6f58576dbb279b6e4b02dd9b0a7e8bb38ade5c4113ee838de88b50841e4c418",
-    ("1.3-4E", False, 1): "1c503410260ce7f567418a1e4250c07a3af73f27268b9502fffb941921ac18f1",
-    ("1.3-4E", False, 2): "29807dae38e977783b8f0bc89d374598cf1aaeff498b4b031a117a728eedf3f1",
+    ("busy", True): "bcf6ad9b214c906187796f3f46d63d9a5f44ff0f16e14755b631ea9181f21b28",
+    ("busy", False): "3343f660d9fe5ebaad71428138cd1b5f76f03d2b749de7b7bc9af13e034e3d76",
+    ("1.3-4E", True): "47d5f28740bb12ede35e62843a0a1b37bab1a5afd413a37f32ff0fdc548e7096",
+    ("1.3-4E", False): "1c503410260ce7f567418a1e4250c07a3af73f27268b9502fffb941921ac18f1",
 }
 
 
 @pytest.mark.parametrize("key", sorted(BRANCH_TRACE_SHA256))
 def test_trace_bytes_are_pinned_per_branch(key, tmp_path):
-    network, self_load, passes = key
+    network, self_load = key
     t, env = busy_two_cell() if network == "busy" else _deployment_13_4e()
-    cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5, passes=passes,
-                          include_self_load=self_load)
-    _, log = run_mechanism(t, env, cfg)
+    log = run_mechanism(t, env, LA)[1] if self_load else lightest_load_trace(t, env)
     path = tmp_path / "events.ndjson"
     export_events(log, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BRANCH_TRACE_SHA256[key]

@@ -865,28 +865,6 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("a slice was drawn")
 
 
-@pytest.mark.parametrize("flags, message", [
-    (dict(passes=2), "passes must be 1"),
-    (dict(include_self_load=False), "include_self_load must be True"),
-])
-def test_a_run_refuses_other_pass_settings_before_it_draws(monkeypatch, flags, message):
-    # the grids' one pass counts each station's own load; the scalar
-    # reassociation_pass runs the rest, and stock points ignore them
-    point = ORACLE_CASES["1.2-loadaware-4E"]
-    other = replace(point, selection=replace(point.selection, **flags))
-    stock = replace(other, selection=replace(other.selection, mechanism=Mechanism.RSSI_BASED))
-    want = evaluate_point(0, replace(stock, selection=replace(
-        stock.selection, passes=1, include_self_load=True)), EngineParams())
-    assert evaluate_point(0, stock, EngineParams()) == want
-    monkeypatch.setattr(runner, "draw_slice", _no_draw)
-    rule = f"^{message}; see selection.reassociation_pass$"
-    with pytest.raises(ValueError, match=rule):
-        evaluate_point(0, other, EngineParams())
-    monkeypatch.setattr(runner, "build_test", lambda test_id: [point, other])
-    with pytest.raises(ValueError, match=rule):
-        run(RunConfig(test_id="1.2"))
-
-
 def test_a_run_holds_one_copy_of_its_results():
     # 2.1's stock rows, 505,000 of 27 bytes each (two floats, a flag and ten
     # serving indices): a second copy, or the kernel's intp serving indices

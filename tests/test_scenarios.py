@@ -271,6 +271,19 @@ def test_the_area_picks_the_layout_family():
         ScenarioSpec(area="home_rect")
 
 
+def test_fixed_positions_must_hold_one_position_per_station():
+    # a mismatch used to end the engine's run in a reshape naming no field,
+    # and the scalar draw to build a deployment of the wrong size
+    spec = build_test("2.4")[0].scenario
+    assert len(spec.fixed_positions) == spec.n_sta == 10
+    for changed, got in ((dict(fixed_positions=spec.fixed_positions[:3]), 3),
+                         (dict(fixed_positions=spec.fixed_positions * 2), 20),
+                         (dict(n_sta=12), 10)):
+        with pytest.raises(ValueError, match=f"^fixed_positions must hold n_sta positions, "
+                                             f"got {got}$"):
+            replace(spec, **changed)
+
+
 def test_deployment_draw_rejects_negative_index():
     for index in (-1, 2**64):
         with pytest.raises(ValueError,
@@ -423,13 +436,13 @@ def test_manifest_counts_match_built_grids():
 # sha256 of repr(build_test(t)): every field of every point, the grid's own k
 # and seed included, in grid order
 GRID_DIGESTS = {
-    "1.1": "c77b6a2a3fbe5a6df4538cc4300589c97ae3f7d4f2ccfa049cf58ddc16ed3396",
-    "1.2": "a0662594692041513fdeacb35bc02a759b7d289a83e3e31c66a1728ea8b9829b",
-    "1.3": "725932c46f999c73b899e2ad2f7942e23636849cee980661c7113dbbb0da4aae",
-    "2.1": "974a751bb6572d269c7ba874ef8fc328dd5a5d5ecbc91b243af836cd3db83a0d",
-    "2.2": "b491c79bc9f97b7c1369487a4ecb05298af34b4e2237ad9570765baebc4f4eea",
-    "2.3": "5d9dd553e7e6602a699075250017948fdf679bbe943a3829393a00ccf2a4f350",
-    "2.4": "f40406c719705f31d995e20fbb1fc74c0930f526a818d4f222baa15b018e2c30",
+    "1.1": "361d02debb8a708f0228a3b3fc1d00efc0740565a725e0c2df30c24cf457f102",
+    "1.2": "f7b78bd2b3dc8670bde25b30192546f8722d9ce7c885d425c796bd7a1b018d2a",
+    "1.3": "9d73c330617b74aadf90400aa7c9458e37764565fc664a13ce2de02733fa5b85",
+    "2.1": "d7ef16b15216d82958e1f31d210e1af2e0ac2b973b63be07f3c476a13b7a3bbf",
+    "2.2": "c400dbe8bca85525cf3fa09c43c4170171c61b016e07f66ab24e27800c912fde",
+    "2.3": "f868b7458e26282f5200d8cb8208236f0fea11ffbd1e122eb0149484026bdeb5",
+    "2.4": "03bdd9acaed6a8c3447a6d44f27e3d93eff40a99b00c86b602bf9150d3d32f1a",
 }
 
 

@@ -1,4 +1,6 @@
 """Candidate scoring, ranking and the reassociation pass."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -204,16 +206,6 @@ def test_refreshed_loads_stop_the_herd():
     assert len(fresh_moves) == 3
 
 
-def test_two_passes_equal_one_pass_applied_twice():
-    t, env = two_cell(n_sta=6, per_sta_bps=8e6, sta_rssi_ap=-50.0, sta_rssi_ext=-55.0)
-    t1 = initial_association(t, env)
-    once, _ = reassociation_pass(t1, env, LA)
-    twice, _ = reassociation_pass(once, env, LA)
-    direct, _ = reassociation_pass(
-        t1, env, SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5, passes=2))
-    assert direct.associations == twice.associations
-
-
 def test_moves_record_old_and_new_parent():
     t, env = two_cell(n_sta=6, per_sta_bps=8e6, sta_rssi_ap=-50.0, sta_rssi_ext=-55.0)
     t1 = initial_association(t, env)
@@ -222,6 +214,16 @@ def test_moves_record_old_and_new_parent():
         assert m.old_parent == t1.associations[m.sta]
         assert m.new_parent == t2.associations[m.sta]
         assert m.old_parent != m.new_parent
+
+
+def test_the_config_holds_only_what_the_engine_runs():
+    # one pass, each station's own load counted; the lightest-load variant
+    # is reassociation_pass's keyword, and walk.py still reads passes
+    assert [f.name for f in fields(SelectionConfig)] == ["mechanism", "alpha", "beta_pct"]
+    assert SelectionConfig.passes == 1 == LA.passes
+    for retired in (dict(passes=2), dict(include_self_load=False)):
+        with pytest.raises(TypeError):
+            SelectionConfig(**retired)
 
 
 # --- bench fixture reproduction ---------------------------------------------
@@ -250,9 +252,7 @@ def test_bench_load_aware_lightest_load_column_reproduces_exactly():
     fix = bench_fixture()
     t, ov = fixture_topology(stas=(1, 2, 3, 6, 7), with_extender=True)
     env = _bench_env(ov, 5.0)
-    cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5,
-                          include_self_load=False)
-    t2, _ = reassociation_pass(initial_association(t, env), env, cfg)
+    t2, _ = reassociation_pass(initial_association(t, env), env, LA, include_self_load=False)
     assert dict(sorted(t2.associations.items())) == \
         fix.expected_associations[("testbed2_load_aware", 5.0)]
 
@@ -262,8 +262,7 @@ def test_bench_load_aware_always_uses_the_extender():
         t, ov = fixture_topology(stas=(1, 2, 3, 6, 7), with_extender=True)
         env = _bench_env(ov, b_t)
         for include_self in (False, True):
-            cfg = SelectionConfig(mechanism=Mechanism.LOAD_AWARE, alpha=0.5,
-                                  include_self_load=include_self)
-            t2, _ = reassociation_pass(initial_association(t, env), env, cfg)
+            t2, _ = reassociation_pass(initial_association(t, env), env, LA,
+                                       include_self_load=include_self)
             on_extender = sum(1 for p in t2.associations.values() if p == 1)
             assert on_extender >= 1
